@@ -1,6 +1,7 @@
 """Command-line entry point.
 
-Subcommands: run, resume, report, keyterms, validate, fixtures. Exit codes:
+Subcommands: run, resume, report, keyterms, validate, fixtures. run and
+resume drive the campaign against the simulated platform. Exit codes:
 0 success, 1 validation failure, 2 runtime error. All output is
 deterministic under a fixed --seed; no subcommand mutates an input file
 other than the designated output log.
@@ -19,7 +20,6 @@ from typing import Optional, Sequence
 from . import analytics, eventlog, fixtures, model
 from .model import CampaignError, replace
 from .orchestrator import build_simulated_platform, run_campaign
-from .platform import ReplayPlatform
 
 logger = logging.getLogger("campaignkit")
 
@@ -33,15 +33,6 @@ def _load_config(path: str, seed: Optional[int]) -> model.CampaignConfig:
     if seed is not None:
         config = replace(config, random_seed=seed)
     return config
-
-
-def _build_platform(args, config: model.CampaignConfig):
-    if args.platform == "sim":
-        return build_simulated_platform(config)
-    if not args.replay_log:
-        raise CampaignError("--platform replay requires --replay-log")
-    events = eventlog.read_events(args.replay_log)
-    return ReplayPlatform(events)
 
 
 def cmd_validate(args) -> int:
@@ -63,7 +54,7 @@ def cmd_run(args) -> int:
             print(violation, file=sys.stderr)
         return 1
     out = args.out or str(_default_log_dir() / "campaign.log")
-    platform = _build_platform(args, config)
+    platform = build_simulated_platform(config)
     events = run_campaign(config, platform, out, max_hours=args.max_hours)
     print(f"wrote {len(events)} events to {out}")
     return 0
@@ -76,7 +67,7 @@ def cmd_resume(args) -> int:
         for violation in violations:
             print(violation, file=sys.stderr)
         return 1
-    platform = _build_platform(args, config)
+    platform = build_simulated_platform(config)
     events = run_campaign(config, platform, args.log, resume=True, max_hours=args.max_hours)
     print(f"log {args.log} now holds {events[-1].seq if events else 0} events")
     return 0
@@ -204,18 +195,16 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a campaign against the simulated platform")
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int, default=None, help="override the config random_seed")
-    run.add_argument("--platform", choices=("sim", "replay"), default="sim")
-    run.add_argument("--replay-log", default=None, help="inbound source for --platform replay")
     run.add_argument("--out", default=None, help="output event log (default $CAMPAIGN_LOG_DIR/campaign.log)")
     run.add_argument("--max-hours", type=float, default=None, help="virtual deadline")
     run.set_defaults(func=cmd_run)
 
-    resume = sub.add_parser("resume", help="continue an interrupted run, appending to its log")
+    resume = sub.add_parser(
+        "resume", help="continue an interrupted run on the simulated platform, appending to its log"
+    )
     resume.add_argument("--log", required=True)
     resume.add_argument("--config", required=True)
     resume.add_argument("--seed", type=int, default=None)
-    resume.add_argument("--platform", choices=("sim", "replay"), default="sim")
-    resume.add_argument("--replay-log", default=None)
     resume.add_argument("--max-hours", type=float, default=None)
     resume.set_defaults(func=cmd_resume)
 

@@ -21,7 +21,6 @@ from .model import (
     BOT_ACTOR,
     CampaignError,
     CampaignEvent,
-    ContactState,
     ConversationRecord,
     ConversationState,
     EventKind,
@@ -218,7 +217,6 @@ class ReplayState:
     records: dict[str, ConversationRecord] = field(default_factory=dict)
     message_conversations: dict[str, str] = field(default_factory=dict)
     bot_messages: set[str] = field(default_factory=set)
-    calls_per_arm: dict[str, int] = field(default_factory=dict)
     calls_per_topic_arm: dict[tuple[str, str], int] = field(default_factory=dict)
     followup_turns: dict[str, int] = field(default_factory=dict)
     last_seq: int = 0
@@ -258,9 +256,7 @@ def replay(events: Iterable[CampaignEvent]) -> ReplayState:
             state.records[conv] = record
             state.message_conversations[event.message_id] = conv
             state.bot_messages.add(event.message_id)
-            arm = event.strategy or ""
-            state.calls_per_arm[arm] = state.calls_per_arm.get(arm, 0) + 1
-            key = (event.topic or "", arm)
+            key = (event.topic or "", event.strategy or "")
             state.calls_per_topic_arm[key] = state.calls_per_topic_arm.get(key, 0) + 1
         elif event.kind in (EventKind.OUTBOUND_QUOTE, EventKind.OUTBOUND_FOLLOWUP):
             record = state.records.get(conv)

@@ -29,13 +29,7 @@ from .model import (
     Topic,
     VolunteerLabel,
 )
-from .strategy import MessageKind
-
-_EVENT_KIND_BY_MESSAGE = {
-    MessageKind.CALL: EventKind.OUTBOUND_CALL,
-    MessageKind.QUOTE: EventKind.OUTBOUND_QUOTE,
-    MessageKind.FOLLOWUP: EventKind.OUTBOUND_FOLLOWUP,
-}
+from .strategy import EVENT_KIND_BY_MESSAGE
 
 BASE_TS = 1_430_000_000_000
 
@@ -172,7 +166,7 @@ def _emit_turn(
     for message in messages:
         message_id = builder.mint_message()
         builder.emit(
-            _EVENT_KIND_BY_MESSAGE[message.kind],
+            EVENT_KIND_BY_MESSAGE[message.kind],
             actor=BOT_ACTOR,
             strategy=spec.id,
             topic=topic,

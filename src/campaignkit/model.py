@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 import yaml
 
@@ -34,7 +34,6 @@ class ContactState(str, Enum):
     QUEUED = "Queued"
     CONTACTED = "Contacted"
     REPLIED = "Replied"
-    EXHAUSTED = "Exhausted"
 
 
 # Contact states only move forward in this order; once Contacted a user is
@@ -44,7 +43,6 @@ CONTACT_STATE_ORDER = (
     ContactState.QUEUED,
     ContactState.CONTACTED,
     ContactState.REPLIED,
-    ContactState.EXHAUSTED,
 )
 
 
@@ -276,28 +274,6 @@ class TargetUser:
     matched_message_id: str
     topic: str
     assigned_strategy: Optional[StrategyId] = None
-    contact_state: ContactState = ContactState.FRESH
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "user_id": self.user_id,
-            "matched_keyword": self.matched_keyword,
-            "matched_message_id": self.matched_message_id,
-            "topic": self.topic,
-            "assigned_strategy": self.assigned_strategy,
-            "contact_state": self.contact_state.value,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "TargetUser":
-        return cls(
-            user_id=raw["user_id"],
-            matched_keyword=raw["matched_keyword"],
-            matched_message_id=raw["matched_message_id"],
-            topic=raw["topic"],
-            assigned_strategy=raw.get("assigned_strategy"),
-            contact_state=ContactState(raw.get("contact_state", "Fresh")),
-        )
 
 
 @dataclass
@@ -312,31 +288,6 @@ class ConversationRecord:
     used_followups: set[int] = field(default_factory=set)
     replies: list[tuple[str, str, int]] = field(default_factory=list)
     state: ConversationState = ConversationState.PENDING
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "conversation_id": self.conversation_id,
-            "topic": self.topic,
-            "strategy": self.strategy,
-            "members": list(self.members),
-            "sent_messages": list(self.sent_messages),
-            "used_followups": sorted(self.used_followups),
-            "replies": [list(r) for r in self.replies],
-            "state": self.state.value,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "ConversationRecord":
-        return cls(
-            conversation_id=raw["conversation_id"],
-            topic=raw["topic"],
-            strategy=raw["strategy"],
-            members=tuple(raw["members"]),
-            sent_messages=list(raw["sent_messages"]),
-            used_followups=set(raw["used_followups"]),
-            replies=[(r[0], r[1], int(r[2])) for r in raw["replies"]],
-            state=ConversationState(raw["state"]),
-        )
 
 
 @dataclass(frozen=True)

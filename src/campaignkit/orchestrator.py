@@ -2,7 +2,7 @@
 
 One single-writer event loop owns all mutable state: the contact registry,
 the arm allocator, the group buffers, the conversation records and the
-append-only log. Platform streams feed it through an ordered merge; analytics
+append-only log. The platform's one ordered inbound stream feeds it; analytics
 reads log snapshots.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
@@ -19,7 +19,7 @@ import heapq
 import logging
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
 from .eventlog import EventLogWriter, ReplayState, replay
@@ -44,7 +44,7 @@ from .platform import (
     PlatformRejected,
     RateLimited,
 )
-from .strategy import MessageKind, OutboundMessage, TemplateOverflow
+from .strategy import EVENT_KIND_BY_MESSAGE, MessageKind, OutboundMessage, TemplateOverflow
 from .targeting import AdmitResult, ContactRegistry, match_target
 
 logger = logging.getLogger(__name__)
@@ -196,13 +196,6 @@ class DispatchSchedule:
         return len(self._heap)
 
 
-_EVENT_KIND_BY_MESSAGE = {
-    MessageKind.CALL: EventKind.OUTBOUND_CALL,
-    MessageKind.QUOTE: EventKind.OUTBOUND_QUOTE,
-    MessageKind.FOLLOWUP: EventKind.OUTBOUND_FOLLOWUP,
-}
-
-
 class Orchestrator:
     """Drives one campaign run against a platform adapter."""
 
@@ -285,9 +278,7 @@ class Orchestrator:
     # -- group formation --------------------------------------------------------
 
     def _handle_public(self, item: InboundItem) -> None:
-        target = match_target(
-            item, self.config.topics, bot_users=frozenset({BOT_ACTOR})
-        )
+        target = match_target(item, self.config.topics)
         if target is None:
             return
         if not self.allocator.has_capacity(target.topic):
@@ -371,7 +362,10 @@ class Orchestrator:
     def _dispatch(self, due: int, send: _Send) -> None:
         self.now = max(self.now, due)
         self.platform.advance_to(due)
-        if send.kind == "call":
+        record = self.records.get(send.conversation_id)
+        if record is None:
+            # A call's first attempt; a rate-limited retry keeps this record,
+            # with the ids already posted and the replies they drew.
             record = ConversationRecord(
                 conversation_id=send.conversation_id,
                 topic=send.topic,
@@ -383,8 +377,6 @@ class Orchestrator:
             # as the one touch; these users are never re-targeted.
             self.registry.mark_contacted(send.members)
             self.records[send.conversation_id] = record
-        else:
-            record = self.records[send.conversation_id]
 
         for message in send.messages:
             try:
@@ -409,7 +401,7 @@ class Orchestrator:
             if message_id in self.bot_messages:
                 continue  # idempotent re-post after a rate-limit retry
             self._emit(
-                _EVENT_KIND_BY_MESSAGE[message.kind],
+                EVENT_KIND_BY_MESSAGE[message.kind],
                 ts=due,
                 actor=BOT_ACTOR,
                 strategy=send.arm,

@@ -1,13 +1,13 @@
 """The boundary to a social platform.
 
-The port contract: post one message, observe the public keyword stream, and
-receive notifications (replies to the bot, retweets, favorites). Two concrete
-adapters ship: a deterministic SimulatedPlatform driven by the agent
-population model, and a read-only ReplayPlatform over a recorded event log.
-A real HTTP adapter would implement the same surface; credentials and network
-clients are out of scope here.
+The port contract: post one message, and consume one inbound stream that
+merges the public posts matching the campaign keywords with the bot's
+notifications (replies to the bot, retweets, favorites) in timestamp order.
+One concrete adapter ships: a deterministic SimulatedPlatform driven by the
+agent population model. A real HTTP adapter would implement the same
+surface; credentials and network clients are out of scope here.
 
-Streams are single-consumer and ordered; post() must be called from one
+The stream is single-consumer and ordered; post() must be called from one
 dispatcher thread only.
 """
 
@@ -18,9 +18,9 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .model import BOT_ACTOR, CampaignError, EventKind
+from .model import CampaignError
 from .text import match_keyword
 
 if TYPE_CHECKING:  # avoid a runtime cycle with the strategy module
@@ -40,14 +40,6 @@ class PlatformRejected(CampaignError):
     """Permanent rejection: the conversation is aborted and logged."""
 
 
-class StreamInterrupted(CampaignError):
-    """A stream broke; consumption can resume from the last position."""
-
-    def __init__(self, last_seq: int):
-        super().__init__(f"stream interrupted after item {last_seq}")
-        self.last_seq = last_seq
-
-
 @dataclass(frozen=True)
 class PlatformCapabilities:
     char_limit: int = 140
@@ -60,11 +52,6 @@ class ItemKind(str, Enum):
     REPLY_TO_BOT = "ReplyToBot"
     RETWEET = "Retweet"
     FAVORITE = "Favorite"
-
-
-NOTIFICATION_KINDS = frozenset(
-    {ItemKind.REPLY_TO_BOT, ItemKind.RETWEET, ItemKind.FAVORITE}
-)
 
 
 @dataclass(frozen=True)
@@ -105,16 +92,10 @@ class Platform(ABC):
         (conversation, kind, turn); returns the durable message id."""
 
     @abstractmethod
-    def stream_public(self, keywords: Sequence[str], after: int = 0) -> Iterator[InboundItem]:
-        """Public posts whose text contains any keyword (folded substring)."""
-
-    @abstractmethod
-    def stream_notifications(self, after: int = 0) -> Iterator[InboundItem]:
-        """Replies to the bot, retweets and favorites, in order."""
-
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
-        """Both streams merged by timestamp; what the campaign loop consumes."""
-        return _merge_streams(self.stream_public(keywords), self.stream_notifications())
+        """Public posts whose text contains any keyword (folded substring),
+        merged with replies to the bot, retweets and favorites, in timestamp
+        order; what the campaign loop consumes."""
 
     def _check_message(self, message: "OutboundMessage") -> None:
         if len(message.mentions) > self.capabilities.max_mentions_per_message:
@@ -127,78 +108,6 @@ class Platform(ABC):
                 f"message is {len(message.text)} characters, "
                 f"limit is {self.capabilities.char_limit}"
             )
-
-
-def _merge_streams(*streams: Iterator[InboundItem]) -> Iterator[InboundItem]:
-    heads: list[tuple[int, int, InboundItem, Iterator[InboundItem]]] = []
-    for i, stream in enumerate(streams):
-        item = next(stream, None)
-        if item is not None:
-            heads.append((item.timestamp, i, item, stream))
-    heapq.heapify(heads)
-    while heads:
-        _, i, item, stream = heapq.heappop(heads)
-        yield item
-        nxt = next(stream, None)
-        if nxt is not None:
-            heapq.heappush(heads, (nxt.timestamp, i, nxt, stream))
-
-
-class ReplayPlatform(Platform):
-    """Read-only adapter that replays the inbound side of a recorded log.
-
-    The event-log format records outbound messages and inbound reactions;
-    public posts are not part of it, so the public stream is empty unless a
-    supplementary item list is provided. post() is always rejected.
-    """
-
-    def __init__(
-        self,
-        events: Iterable,
-        *,
-        public_items: Sequence[InboundItem] = (),
-        capabilities: PlatformCapabilities = PlatformCapabilities(),
-    ):
-        self.capabilities = capabilities
-        self._public = list(public_items)
-        self._notifications: list[InboundItem] = []
-        kind_map = {
-            EventKind.INBOUND_REPLY: ItemKind.REPLY_TO_BOT,
-            EventKind.RETWEET: ItemKind.RETWEET,
-            EventKind.FAVORITE: ItemKind.FAVORITE,
-        }
-        for event in events:
-            mapped = kind_map.get(event.kind)
-            if mapped is None:
-                continue
-            self._notifications.append(
-                InboundItem(
-                    kind=mapped,
-                    author=event.actor,
-                    message_id=event.message_id or "",
-                    timestamp=event.ts,
-                    in_reply_to=event.in_reply_to,
-                    text=event.text or "",
-                )
-            )
-        self._now = self._notifications[0].timestamp if self._notifications else 0
-
-    def now_ms(self) -> int:
-        return self._now
-
-    def post(self, message: "OutboundMessage", *, turn: int = 0) -> str:
-        raise PlatformRejected("replay platform is read-only")
-
-    def stream_public(self, keywords: Sequence[str], after: int = 0) -> Iterator[InboundItem]:
-        for item in self._public[after:]:
-            if match_keyword(item.text, keywords) is not None:
-                self._now = max(self._now, item.timestamp)
-                yield item
-
-    def stream_notifications(self, after: int = 0) -> Iterator[InboundItem]:
-        for item in self._notifications[after:]:
-            self._now = max(self._now, item.timestamp)
-            yield item
 
 
 class SimulatedPlatform(Platform):
@@ -226,10 +135,7 @@ class SimulatedPlatform(Platform):
         self._tiebreak = 0
         self._posted: dict[tuple, str] = {}
         self._message_counter = 0
-        self._bot_messages: dict[str, object] = {}
         self._conversation_members: dict[str, tuple[str, ...]] = {}
-        self._public_buffer: deque[InboundItem] = deque()
-        self._notif_buffer: deque[InboundItem] = deque()
         self._posts_limit = posts_per_minute_limit
         self._post_times: deque[int] = deque()
         for agent in population.agents:
@@ -253,20 +159,6 @@ class SimulatedPlatform(Platform):
         gap = self.population.next_post_gap_ms(agent, self.rng)
         if gap is not None:
             self._push(base_ts + gap, "post", agent)
-
-    def _next_item(self) -> Optional[InboundItem]:
-        while self._heap:
-            ts, _, tag, payload = heapq.heappop(self._heap)
-            self._now = max(self._now, ts)
-            if tag == "post":
-                item = self.population.make_public_post(payload, ts, self.rng)
-                self._schedule_agent_post(payload, ts)
-                return item
-            return payload  # a concrete InboundItem
-        return None
-
-    def _peek_ts(self) -> Optional[int]:
-        return self._heap[0][0] if self._heap else None
 
     # -- port operations --------------------------------------------------------
 
@@ -297,7 +189,6 @@ class SimulatedPlatform(Platform):
             topic=message.topic,
             solicits=message.kind is not MessageKind.QUOTE,
         )
-        self._bot_messages[message_id] = meta
         if message.kind is MessageKind.CALL:
             self._conversation_members[message.conversation_id] = tuple(message.mentions)
         members = self._conversation_members.get(message.conversation_id, tuple(message.mentions))
@@ -324,61 +215,15 @@ class SimulatedPlatform(Platform):
                             self._push(extra.timestamp, "item", extra)
         return message_id
 
-    def author_of(self, message_id: str) -> Optional[str]:
-        """BOT for bot messages, the agent for simulated items, else None."""
-        if message_id in self._bot_messages:
-            return BOT_ACTOR
-        return None
-
-    def stream_public(self, keywords: Sequence[str], after: int = 0) -> Iterator[InboundItem]:
-        while True:
-            if self._public_buffer:
-                item = self._public_buffer.popleft()
-            else:
-                item = self._next_item()
-                if item is None:
-                    return
-                if item.kind is not ItemKind.PUBLIC_POST:
-                    self._notif_buffer.append(item)
-                    continue
-            if match_keyword(item.text, keywords) is not None:
-                yield item
-
-    def stream_notifications(self, after: int = 0) -> Iterator[InboundItem]:
-        while True:
-            if self._notif_buffer:
-                yield self._notif_buffer.popleft()
-                continue
-            item = self._next_item()
-            if item is None:
-                return
-            if item.kind is ItemKind.PUBLIC_POST:
-                self._public_buffer.append(item)
-                continue
-            yield item
-
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
-        while True:
-            candidates = []
-            if self._public_buffer:
-                candidates.append((self._public_buffer[0].timestamp, "pub"))
-            if self._notif_buffer:
-                candidates.append((self._notif_buffer[0].timestamp, "notif"))
-            heap_ts = self._peek_ts()
-            if heap_ts is not None:
-                candidates.append((heap_ts, "heap"))
-            if not candidates:
-                return
-            _, source = min(candidates)
-            if source == "pub":
-                item = self._public_buffer.popleft()
-            elif source == "notif":
-                item = self._notif_buffer.popleft()
+        while self._heap:
+            ts, _, tag, payload = heapq.heappop(self._heap)
+            self._now = max(self._now, ts)
+            if tag == "post":
+                item = self.population.make_public_post(payload, ts, self.rng)
+                self._schedule_agent_post(payload, ts)
+                if match_keyword(item.text, keywords) is None:
+                    continue
+                yield item
             else:
-                nxt = self._next_item()
-                if nxt is None:
-                    return
-                item = nxt
-            if item.kind is ItemKind.PUBLIC_POST and match_keyword(item.text, keywords) is None:
-                continue
-            yield item
+                yield payload  # a scheduled reaction, already an InboundItem

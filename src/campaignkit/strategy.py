@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import CampaignError, ConversationRecord, StrategyId, StrategySpec
+from .model import CampaignError, ConversationRecord, EventKind, StrategyId, StrategySpec
 
 
 class TemplateOverflow(CampaignError):
@@ -24,6 +24,14 @@ class MessageKind(str, Enum):
     CALL = "Call"
     QUOTE = "Quote"
     FOLLOWUP = "Followup"
+
+
+# The log event each posted message is recorded as.
+EVENT_KIND_BY_MESSAGE = {
+    MessageKind.CALL: EventKind.OUTBOUND_CALL,
+    MessageKind.QUOTE: EventKind.OUTBOUND_QUOTE,
+    MessageKind.FOLLOWUP: EventKind.OUTBOUND_FOLLOWUP,
+}
 
 
 @dataclass(frozen=True)
@@ -63,6 +71,38 @@ def expand_template(
     return text
 
 
+def _compose_turn(
+    spec: StrategySpec,
+    kind: MessageKind,
+    template: str,
+    topic: str,
+    members: Sequence[str],
+    *,
+    conversation_id: str,
+    turn: int,
+    char_limit: int,
+) -> list[OutboundMessage]:
+    """One message per unit of the strategy budget: the turn's own message,
+    plus the solidarity quote when the strategy sends two tweets per turn."""
+    parts = [(kind, template)]
+    if spec.messages_per_turn == 2:
+        parts.append((MessageKind.QUOTE, spec.solidarity_quote or ""))
+    return [
+        OutboundMessage(
+            kind=part_kind,
+            text=expand_template(
+                part_template, topic=topic, members=members, char_limit=char_limit
+            ),
+            mentions=tuple(members),
+            strategy=spec.id,
+            topic=topic,
+            conversation_id=conversation_id,
+            turn=turn,
+        )
+        for part_kind, part_template in parts
+    ]
+
+
 def compose_call(
     spec: StrategySpec,
     topic: str,
@@ -71,39 +111,17 @@ def compose_call(
     conversation_id: str,
     char_limit: int = 140,
 ) -> list[OutboundMessage]:
-    """Compose the call to action for a freshly formed group.
-
-    Returns one message per unit of the strategy budget: the call itself,
-    plus the solidarity quote when the strategy sends two tweets per turn.
-    """
-    messages = [
-        OutboundMessage(
-            kind=MessageKind.CALL,
-            text=expand_template(
-                spec.call_to_action, topic=topic, members=members, char_limit=char_limit
-            ),
-            mentions=tuple(members),
-            strategy=spec.id,
-            topic=topic,
-            conversation_id=conversation_id,
-            turn=0,
-        )
-    ]
-    if spec.messages_per_turn == 2:
-        messages.append(
-            OutboundMessage(
-                kind=MessageKind.QUOTE,
-                text=expand_template(
-                    spec.solidarity_quote or "", topic=topic, members=members, char_limit=char_limit
-                ),
-                mentions=tuple(members),
-                strategy=spec.id,
-                topic=topic,
-                conversation_id=conversation_id,
-                turn=0,
-            )
-        )
-    return messages
+    """Compose the call to action for a freshly formed group (turn 0)."""
+    return _compose_turn(
+        spec,
+        MessageKind.CALL,
+        spec.call_to_action,
+        topic,
+        members,
+        conversation_id=conversation_id,
+        turn=0,
+        char_limit=char_limit,
+    )
 
 
 def select_followup(
@@ -131,38 +149,16 @@ def compose_followup(
     turn: int,
     char_limit: int = 140,
 ) -> list[OutboundMessage]:
-    """Compose the follow-up question at ``index`` for the addressed members.
-
-    The budget matches the strategy: solidarity turns carry a trailing quote
-    message, every other arm sends a single tweet.
-    """
+    """Compose the follow-up question at ``index`` for the addressed members."""
     if index < 0 or index >= len(spec.followups):
         raise IndexError(f"follow-up index {index} out of range for {spec.id}")
-    messages = [
-        OutboundMessage(
-            kind=MessageKind.FOLLOWUP,
-            text=expand_template(
-                spec.followups[index], topic=topic, members=members, char_limit=char_limit
-            ),
-            mentions=tuple(members),
-            strategy=spec.id,
-            topic=topic,
-            conversation_id=conversation_id,
-            turn=turn,
-        )
-    ]
-    if spec.messages_per_turn == 2:
-        messages.append(
-            OutboundMessage(
-                kind=MessageKind.QUOTE,
-                text=expand_template(
-                    spec.solidarity_quote or "", topic=topic, members=members, char_limit=char_limit
-                ),
-                mentions=tuple(members),
-                strategy=spec.id,
-                topic=topic,
-                conversation_id=conversation_id,
-                turn=turn,
-            )
-        )
-    return messages
+    return _compose_turn(
+        spec,
+        MessageKind.FOLLOWUP,
+        spec.followups[index],
+        topic,
+        members,
+        conversation_id=conversation_id,
+        turn=turn,
+        char_limit=char_limit,
+    )

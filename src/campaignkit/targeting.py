@@ -2,29 +2,24 @@
 
 from __future__ import annotations
 
-import json
 from enum import Enum
-from typing import FrozenSet, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .model import ContactState, CONTACT_STATE_ORDER, TargetUser, Topic
+from .model import BOT_ACTOR, ContactState, CONTACT_STATE_ORDER, TargetUser, Topic
 from .platform import InboundItem, ItemKind
 from .text import match_keyword
 
 
-def match_target(
-    item: InboundItem,
-    topics: Sequence[Topic],
-    bot_users: FrozenSet[str] = frozenset({"BOT"}),
-) -> Optional[TargetUser]:
+def match_target(item: InboundItem, topics: Sequence[Topic]) -> Optional[TargetUser]:
     """Match one public post against the campaign topics.
 
     Returns a fresh TargetUser for the first topic whose keyword appears in
     the text (folded substring), or None when nothing matches or the author
-    is one of the campaign's own bot accounts (no feedback loops).
+    is the campaign's own bot (no feedback loops).
     """
     if item.kind is not ItemKind.PUBLIC_POST:
         return None
-    if item.author in bot_users:
+    if item.author == BOT_ACTOR:
         return None
     for topic in topics:
         keyword = match_keyword(item.text, topic.keywords)
@@ -47,8 +42,8 @@ class ContactRegistry:
     """user_id -> contact state, single-writer, forward transitions only.
 
     Once a user is Contacted they never return to Fresh or Queued, within a
-    run and across restarts: the registry is derivable from the event log and
-    can also be checkpointed to a compact snapshot file.
+    run and across restarts: on resume the registry is rebuilt from the event
+    log (see ``ReplayState.registry``).
     """
 
     def __init__(self) -> None:
@@ -67,7 +62,6 @@ class ContactRegistry:
         if self.state(target.user_id) is not ContactState.FRESH:
             return AdmitResult.DUPLICATE_REJECTED
         self._states[target.user_id] = ContactState.QUEUED
-        target.contact_state = ContactState.QUEUED
         return AdmitResult.ADMITTED
 
     def mark_contacted(self, user_ids: Iterable[str]) -> None:
@@ -77,9 +71,6 @@ class ContactRegistry:
     def mark_replied(self, user_id: str) -> None:
         self._advance(user_id, ContactState.REPLIED)
 
-    def mark_exhausted(self, user_id: str) -> None:
-        self._advance(user_id, ContactState.EXHAUSTED)
-
     def items(self) -> dict[str, ContactState]:
         return dict(self._states)
 
@@ -88,27 +79,3 @@ class ContactRegistry:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ContactRegistry) and self._states == other._states
-
-    # -- snapshot file -------------------------------------------------------
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {user: state.value for user, state in sorted(self._states.items())},
-                fh,
-                indent=0,
-                sort_keys=True,
-            )
-
-    @classmethod
-    def load(cls, path: str) -> "ContactRegistry":
-        registry = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        registry._states = {user: ContactState(state) for user, state in raw.items()}
-        return registry
-
-
-def admit(target: TargetUser, registry: ContactRegistry) -> AdmitResult:
-    """Admit a matched target unless the one-touch rule forbids it."""
-    return registry.admit(target)

@@ -116,16 +116,13 @@ class StubPlatform(Platform):
         self.posted.append((message_id, message, turn))
         return message_id
 
-    def stream_public(self, keywords: Sequence[str], after: int = 0) -> Iterator[InboundItem]:
+    def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         from campaignkit.text import match_keyword
 
-        for item in self._public[after:]:
+        for item in self._public:
             self._now = max(self._now, item.timestamp)
             if match_keyword(item.text, keywords) is not None:
                 yield item
-
-    def stream_notifications(self, after: int = 0) -> Iterator[InboundItem]:
-        return iter(())
 
 
 def public_post(author: str, text: str, ts: int, message_id: Optional[str] = None) -> InboundItem:

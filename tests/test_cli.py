@@ -113,13 +113,6 @@ def test_resume_cli(tmp_path, capsys):
     assert eventlog.validate_events(eventlog.read_events(str(out)))
 
 
-def test_replay_platform_cli_requires_log(tmp_path, capsys):
-    path = _write_config(tmp_path)
-    code = main(["run", "--config", str(path), "--platform", "replay", "--out", str(tmp_path / "o.log")])
-    assert code == 2
-    assert "replay" in capsys.readouterr().err
-
-
 def test_bad_log_is_a_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.log"
     bad.write_text("not json\n")

@@ -4,12 +4,8 @@ from campaignkit import fixtures, model
 from campaignkit.model import (
     CampaignConfig,
     CampaignEvent,
-    ContactState,
-    ConversationRecord,
-    ConversationState,
     EventKind,
     LabelValue,
-    TargetUser,
     Violation,
     VolunteerLabel,
     replace,
@@ -78,32 +74,6 @@ def test_config_round_trip(tmp_path):
 def test_config_dict_round_trip():
     config = fixtures.default_config()
     assert CampaignConfig.from_dict(config.to_dict()) == config
-
-
-def test_target_user_round_trip():
-    target = TargetUser(
-        user_id="u1",
-        matched_keyword="corrupcion",
-        matched_message_id="t1",
-        topic="corruption",
-        assigned_strategy="direct",
-        contact_state=ContactState.QUEUED,
-    )
-    assert TargetUser.from_dict(target.to_dict()) == target
-
-
-def test_conversation_record_round_trip():
-    record = ConversationRecord(
-        conversation_id="c1",
-        topic="corruption",
-        strategy="direct",
-        members=("a", "b", "c"),
-        sent_messages=["m1", "m2"],
-        used_followups={0, 3},
-        replies=[("a", "r1", 123)],
-        state=ConversationState.ENGAGED,
-    )
-    assert ConversationRecord.from_dict(record.to_dict()) == record
 
 
 def test_volunteer_label_round_trip():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -20,7 +21,8 @@ from campaignkit.orchestrator import (
     build_simulated_platform,
     run_campaign,
 )
-from campaignkit.targeting import ContactRegistry
+from campaignkit.platform import RateLimited
+from campaignkit.strategy import MessageKind
 
 from conftest import StubPlatform, public_post, small_sim_config
 
@@ -173,6 +175,30 @@ def test_rate_limited_post_is_retried():
     assert validate_events(events)
 
 
+class _QuoteRateLimitedOnce(StubPlatform):
+    """Rate-limits the first attempt at a quote, after its call went out."""
+
+    quote_limited = False
+
+    def post(self, message, *, turn: int = 0) -> str:
+        if message.kind is MessageKind.QUOTE and not self.quote_limited:
+            self.quote_limited = True
+            raise RateLimited(retry_after_ms=1000)
+        return super().post(message, turn=turn)
+
+
+def test_rate_limited_quote_retry_keeps_the_call_record():
+    solidarity = next(s for s in fixtures.default_strategies("en") if s.id == "solidarity")
+    config = _single_arm_config(strategies=(solidarity,))
+    platform = _QuoteRateLimitedOnce(_posts(3))
+    orchestrator, events = _run_with_stub(config, platform)
+    assert platform.quote_limited
+    outbound = [e for e in events if e.kind in OUTBOUND_KINDS]
+    assert [e.kind for e in outbound] == [EventKind.OUTBOUND_CALL, EventKind.OUTBOUND_QUOTE]
+    record = orchestrator.records[outbound[0].conversation_id]
+    assert record.sent_messages == [e.message_id for e in outbound]
+
+
 def test_one_user_never_mentioned_in_two_calls_with_duplicate_stream():
     config = _single_arm_config()
     posts = _posts(3) + _posts(3, start_ts=2_000_000) + _posts(3, start_ts=3_000_000)
@@ -271,6 +297,17 @@ def test_replay_reconstructs_registry_and_records(small_campaign, tmp_path):
         orchestrator.run()
     assert replay(writer.events).registry() == state.registry()
     assert state.registry().items() == orchestrator.registry.items()
+
+
+# The log of the seed-5 small campaign, pinned: a change that alters what a
+# run writes must update these values and say so in CHANGES.md.
+SMALL_CAMPAIGN_LOG = (448, 98_536, "13ebf5a8bfe5d52772b507863fe7c3e070bbcb3c8f51be46b3dbe65ced3568a1")
+
+
+def test_small_campaign_log_matches_golden(small_campaign):
+    _config, events, path = small_campaign
+    data = path.read_bytes()
+    assert (len(events), len(data), hashlib.sha256(data).hexdigest()) == SMALL_CAMPAIGN_LOG
 
 
 def test_deterministic_rerun_byte_identical(tmp_path):

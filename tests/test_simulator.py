@@ -21,7 +21,7 @@ TOPICS = fixtures.default_topics()
 
 def test_zero_post_rate_yields_empty_stream():
     sim = make_sim(SimulationProfile(population=100, post_rate=0.0))
-    assert list(sim.stream_public(["corrupcion"])) == []
+    assert list(sim.inbound(["corrupcion"])) == []
 
 
 def test_every_generated_post_matches_a_keyword():
@@ -29,7 +29,7 @@ def test_every_generated_post_matches_a_keyword():
 
     sim = make_sim(SimulationProfile(population=40, post_rate=1.0), seed=2)
     keywords = ["corrupcion", "impunidad"]
-    for item in itertools.islice(sim.stream_public(keywords), 500):
+    for item in itertools.islice(sim.inbound(keywords), 500):
         assert match_keyword(item.text, keywords) is not None
 
 
@@ -39,7 +39,7 @@ def test_poisson_post_volume_within_three_sigma():
     sim = make_sim(profile, seed=3)
     horizon = sim.now_ms() + 10 * 3_600_000
     count = 0
-    for item in sim.stream_public(["corrupcion", "impunidad"]):
+    for item in sim.inbound(["corrupcion", "impunidad"]):
         if item.timestamp > horizon:
             break
         count += 1

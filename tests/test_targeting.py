@@ -1,8 +1,9 @@
 import random
 
 from campaignkit import fixtures
+from campaignkit.eventlog import replay
 from campaignkit.model import ContactState
-from campaignkit.targeting import AdmitResult, ContactRegistry, admit, match_target
+from campaignkit.targeting import AdmitResult, ContactRegistry, match_target
 
 from conftest import public_post
 
@@ -16,7 +17,6 @@ def test_match_corrupcion_post():
     assert target.topic == "corruption"
     assert target.matched_keyword == "corrupcion"
     assert target.matched_message_id == item.message_id
-    assert target.contact_state is ContactState.FRESH
 
 
 def test_match_accented_variant():
@@ -32,8 +32,6 @@ def test_no_keyword_no_match():
 def test_bot_self_posts_excluded():
     item = public_post("BOT", "hablemos de corrupcion", 1000)
     assert match_target(item, TOPICS) is None
-    item = public_post("mybot", "hablemos de corrupcion", 1000)
-    assert match_target(item, TOPICS, bot_users=frozenset({"mybot"})) is None
 
 
 def test_first_topic_wins_for_dual_topic_posts():
@@ -45,21 +43,19 @@ def test_first_topic_wins_for_dual_topic_posts():
 def test_admit_fresh_then_duplicate():
     registry = ContactRegistry()
     target = match_target(public_post("maria", "corrupcion", 1000), TOPICS)
-    assert admit(target, registry) is AdmitResult.ADMITTED
+    assert registry.admit(target) is AdmitResult.ADMITTED
     assert registry.state("maria") is ContactState.QUEUED
     again = match_target(public_post("maria", "mas corrupcion", 2000), TOPICS)
-    assert admit(again, registry) is AdmitResult.DUPLICATE_REJECTED
+    assert registry.admit(again) is AdmitResult.DUPLICATE_REJECTED
 
 
-def test_admit_rejects_after_registry_reload(tmp_path):
-    registry = ContactRegistry()
-    registry.mark_contacted(["maria"])
-    path = tmp_path / "registry.json"
-    registry.save(str(path))
-    reloaded = ContactRegistry.load(str(path))
-    assert reloaded == registry
-    target = match_target(public_post("maria", "corrupcion otra vez", 3000), TOPICS)
-    assert admit(target, reloaded) is AdmitResult.DUPLICATE_REJECTED
+def test_admit_rejects_after_registry_reload(reference_log):
+    # Resume reloads the registry by replaying the log: a user the log shows
+    # as called to action is never admitted again.
+    reloaded = replay(reference_log).registry()
+    assert reloaded.state("d0000x1") is ContactState.CONTACTED
+    target = match_target(public_post("d0000x1", "corrupcion otra vez", 3000), TOPICS)
+    assert reloaded.admit(target) is AdmitResult.DUPLICATE_REJECTED
 
 
 def test_contact_state_never_moves_backwards():
@@ -83,6 +79,6 @@ def test_admitted_users_unique_over_random_streams():
             target = match_target(public_post(author, text, 1000 + ts), TOPICS)
             if target is None:
                 continue
-            if admit(target, registry) is AdmitResult.ADMITTED:
+            if registry.admit(target) is AdmitResult.ADMITTED:
                 admitted.append(target.user_id)
         assert len(admitted) == len(set(admitted))
