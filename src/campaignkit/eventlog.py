@@ -151,6 +151,25 @@ def read_events(path: str) -> list[CampaignEvent]:
     return list(iter_events(path))
 
 
+def drop_torn_tail(path: str) -> int:
+    """Cut an unterminated final line off the log; return the bytes cut.
+
+    A crash inside an append can leave the last line without its newline.
+    Only that one line is dropped, so the file ends at its last newline and
+    new appends start on a fresh line; a bad line anywhere else still makes
+    :func:`read_events` raise :class:`MalformedLog`.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        keep = data.rfind(b"\n") + 1
+        if keep == len(data):
+            return 0
+        fh.truncate(keep)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return len(data) - keep
+
+
 def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str, ...]]:
     """Conversation members recovered from the mentions of each call."""
     members: dict[str, tuple[str, ...]] = {}

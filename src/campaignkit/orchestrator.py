@@ -11,6 +11,13 @@ permutation blocks (one occurrence of each arm per block), buffered per
 per-arm call counts never differ by more than one at any log prefix. All
 calls of a batch are scheduled within one jitter window; batches alternate
 topics whenever both topics have work.
+
+The loop does work per inbound item only where it has some. Partial buffers
+and ready groups that wait past the partial-group timeout are flushed, but the
+scan for them runs only once the clock reaches one stored deadline, a lower
+bound on the earliest of them; quota checks read counters the allocator keeps.
+Both skip only work that could not change a decision, so for a given seed the
+log is byte-identical to one that scans after every item.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import heapq
 import logging
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -54,6 +62,9 @@ logger = logging.getLogger(__name__)
 # delay plus an interaction with that reply at the maximum delay again.
 DRAIN_WINDOW_MS = 13 * 3600 * 1000
 
+# Stale deadline while no target is buffered and no group waits.
+_NO_DEADLINE = sys.maxsize
+
 
 class AllQuotasExhausted(CampaignError):
     """Every arm has reached its target quota for the given topic."""
@@ -82,6 +93,9 @@ class ArmAllocator:
         self.assigned: dict[tuple[str, str], int] = {
             (topic, arm): 0 for topic in self.topics for arm in self.arms
         }
+        # Arms with quota left, per topic and in total; kept by ``charge``.
+        self._open = {topic: len(self.arms) if self.quota > 0 else 0 for topic in self.topics}
+        self._open_total = sum(self._open.values())
         self._block: list[StrategyId] = []
         self._cursor = 0
 
@@ -94,10 +108,21 @@ class ArmAllocator:
         return self.quota - self.assigned[(topic, arm)]
 
     def has_capacity(self, topic: str) -> bool:
-        return any(self.remaining(topic, arm) > 0 for arm in self.arms)
+        return self._open[topic] > 0
 
     def any_capacity(self) -> bool:
-        return any(self.has_capacity(topic) for topic in self.topics)
+        return self._open_total > 0
+
+    def charge(self, topic: str, arm: StrategyId, users: int = 1) -> None:
+        """Count ``users`` more targets against the (topic, arm) quota.
+
+        The only writer of ``assigned``, so the capacity counters stay exact.
+        """
+        had_room = self.remaining(topic, arm) > 0
+        self.assigned[(topic, arm)] += users
+        if had_room and self.remaining(topic, arm) <= 0:
+            self._open[topic] -= 1
+            self._open_total -= 1
 
     def assign(self, topic: str) -> StrategyId:
         if not self.has_capacity(topic):
@@ -108,7 +133,7 @@ class ArmAllocator:
             arm = self._block[self._cursor]
             self._cursor += 1
             if self.remaining(topic, arm) > 0:
-                self.assigned[(topic, arm)] += 1
+                self.charge(topic, arm)
                 return arm
 
 
@@ -150,6 +175,10 @@ class GroupBuffer:
                 buf.targets = []
                 buf.oldest_ts = None
         return out
+
+    def oldest(self) -> Optional[int]:
+        """When the oldest target still queued was added, or None if all are empty."""
+        return min((b.oldest_ts for b in self._buffers.values() if b.oldest_ts is not None), default=None)
 
     def drain(self) -> list[tuple[str, str, list[TargetUser]]]:
         out = []
@@ -246,6 +275,10 @@ class Orchestrator:
         self.last_outbound: Optional[int] = None
         self._calls_in_flight = 0
         self._last_batch_topic: Optional[str] = None
+        self._timeout_ms = config.partial_groups.timeout_s * 1000
+        # Lower bound on the earliest stale deadline of a buffered target or a
+        # ready group; _flush_stale scans nothing before it.
+        self._stale_deadline = _NO_DEADLINE
 
         if resume_state is not None:
             self._restore(resume_state)
@@ -263,9 +296,8 @@ class Orchestrator:
             if (topic, arm) in self.dispatched_groups:
                 self.dispatched_groups[(topic, arm)] = calls
         for record in state.records.values():
-            key = (record.topic, record.strategy)
-            if key in self.allocator.assigned:
-                self.allocator.assigned[key] += len(record.members)
+            if (record.topic, record.strategy) in self.allocator.assigned:
+                self.allocator.charge(record.topic, record.strategy, len(record.members))
 
     # -- event emission -------------------------------------------------------
 
@@ -287,6 +319,9 @@ class Orchestrator:
             return
         target.assigned_strategy = self.allocator.assign(target.topic)
         group = self.buffers.add(target, self.now)
+        # Every buffer start and every ready group's formation time is the
+        # ``now`` of some add, so this keeps the deadline a lower bound.
+        self._stale_deadline = min(self._stale_deadline, self.now + self._timeout_ms)
         if group is not None:
             self.ready[target.topic][target.assigned_strategy].append((group, self.now))
             self._try_release_batch()
@@ -514,9 +549,20 @@ class Orchestrator:
     # -- staleness and teardown ------------------------------------------------------
 
     def _flush_stale(self) -> None:
-        timeout_ms = self.config.partial_groups.timeout_s * 1000
+        """Dispatch partial buffers and stuck ready groups older than the timeout.
+
+        Runs after every loop step but scans only once ``now`` reaches the
+        stale deadline: before it nothing can be stale, so skipping the scan
+        changes no decision and the log stays byte-identical. A scan visits
+        the buffers, then the ready lists by topic and arm, and then sets the
+        deadline to the exact earliest one left.
+        """
+        if self.now < self._stale_deadline:
+            return
+        timeout_ms = self._timeout_ms
         for topic, arm, targets in self.buffers.stale(self.now, timeout_ms):
             self._flush_partial(topic, arm, targets)
+        earliest = self.buffers.oldest()
         # Full groups stuck waiting for a batch peer go out alone.
         for topic in self.topic_names:
             for arm in self.arm_ids:
@@ -526,7 +572,9 @@ class Orchestrator:
                         self._schedule_call(topic, arm, group, partial=False)
                     else:
                         kept.append((group, formed))
+                        earliest = formed if earliest is None else min(earliest, formed)
                 self.ready[topic][arm] = kept
+        self._stale_deadline = _NO_DEADLINE if earliest is None else earliest + timeout_ms
 
     def _flush_partial(self, topic: str, arm: StrategyId, targets: list[TargetUser]) -> None:
         if self.config.partial_groups.policy == "discard":
@@ -630,12 +678,19 @@ def run_campaign(
     resume: bool = False,
     max_hours: Optional[float] = None,
 ) -> list[CampaignEvent]:
-    """Drive a full campaign and return the events written to ``out_path``."""
+    """Drive a full campaign and return the events written to ``out_path``.
+
+    With ``resume`` the run continues the log at ``out_path``: a torn final
+    line left by a crash is dropped (with a warning) before the log is read.
+    """
     resume_state = None
     prior: list[CampaignEvent] = []
     if resume:
-        from .eventlog import read_events
+        from .eventlog import drop_torn_tail, read_events
 
+        torn = drop_torn_tail(out_path)
+        if torn:
+            logger.warning("dropped a torn final line (%d bytes) from %s", torn, out_path)
         prior = read_events(out_path)
         resume_state = replay(prior)
     with EventLogWriter(out_path, append=resume) as writer:

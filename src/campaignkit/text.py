@@ -13,6 +13,9 @@ _LEAD_KEEP = {"#", "@"}
 
 def fold(text: str) -> str:
     """Case-fold and strip accents so 'Corrupción' matches 'corrupcion'."""
+    if text.isascii():
+        # Exact: NFD leaves ASCII unchanged and ASCII has no combining marks.
+        return text.casefold()
     decomposed = unicodedata.normalize("NFD", text.casefold())
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-import itertools
-import random
 from typing import Iterator, Optional, Sequence
 
 import pytest
 
-from campaignkit import analytics, fixtures, model
+from campaignkit import fixtures, model
 from campaignkit.orchestrator import build_simulated_platform, run_campaign
 from campaignkit.platform import (
     InboundItem,

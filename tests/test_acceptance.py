@@ -12,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from campaignkit import analytics, fixtures, model
+from campaignkit import fixtures, model
 from campaignkit.analytics import compute_metrics, labels_to_map, mann_whitney_keyterms
 from campaignkit.cli import main
 from campaignkit.eventlog import (

@@ -2,7 +2,6 @@ import hashlib
 import json
 
 import pytest
-import yaml
 
 from campaignkit import analytics, eventlog, fixtures, model
 from campaignkit.cli import main

@@ -2,7 +2,6 @@ from collections import Counter
 
 import pytest
 
-from campaignkit import fixtures
 from campaignkit.eventlog import (
     EventLogWriter,
     MalformedLog,
@@ -18,7 +17,6 @@ from campaignkit.model import (
     ContactState,
     ConversationState,
     EventKind,
-    TargetAuthor,
 )
 
 

@@ -1,12 +1,9 @@
-import yaml
-
 from campaignkit import fixtures, model
 from campaignkit.model import (
     CampaignConfig,
     CampaignEvent,
     EventKind,
     LabelValue,
-    Violation,
     VolunteerLabel,
     replace,
     validate_config,

@@ -7,6 +7,7 @@ import pytest
 from campaignkit import fixtures, model
 from campaignkit.eventlog import (
     EventLogWriter,
+    MalformedLog,
     conversation_members,
     read_events,
     replay,
@@ -46,13 +47,10 @@ def test_allocator_prefix_balance():
 
 
 def test_allocator_returns_only_arm_below_quota():
-    allocator = ArmAllocator(ARMS, ("corruption",), users_per_topic_arm=2, rng=random.Random(3))
-    assigned = [allocator.assign("corruption") for _ in range(6)]
-    # Three arms now full after six assignments? No: blocks keep them even.
-    # Fill all but one arm completely by hand instead.
+    # Fill all but one arm by hand: blocks alone keep every arm even.
     allocator = ArmAllocator(ARMS, ("corruption",), users_per_topic_arm=1, rng=random.Random(3))
     for arm in ("direct", "loss", "gain"):
-        allocator.assigned[("corruption", arm)] = 1
+        allocator.charge("corruption", arm)
     assert allocator.assign("corruption") == "solidarity"
     with pytest.raises(AllQuotasExhausted):
         allocator.assign("corruption")
@@ -153,6 +151,31 @@ def test_partial_group_discard_policy():
     orchestrator, events = _run_with_stub(config, platform)
     assert [e for e in events if e.kind is EventKind.OUTBOUND_CALL] == []
     assert orchestrator.registry.state("user00") is ContactState.QUEUED
+
+
+def test_stale_flush_fires_exactly_at_the_timeout():
+    config = _single_arm_config(
+        jitter=model.JitterBounds(min_delay=10, max_delay=10),
+        partial_groups=model.PartialGroupPolicy(timeout_s=1),
+    )
+    t = 1_000_000
+    posts = [
+        public_post("user00", "no mas corrupcion", t),
+        public_post("user01", "no mas corrupcion", t + 100),
+        public_post("user02", "no mas corrupcion", t + 200),  # full group, buffer empties
+        public_post("user03", "no mas corrupcion", t + 500),
+        public_post("user04", "no mas corrupcion", t + 1000),  # scan: user03 not yet stale
+        public_post("user00", "otra vez corrupcion", t + 1500),  # duplicate; user03 due now
+        public_post("user05", "no mas corrupcion", t + 1600),
+    ]
+    _orch, events = _run_with_stub(config, StubPlatform(posts))
+    calls = [e for e in events if e.kind is EventKind.OUTBOUND_CALL]
+    members = conversation_members(events)
+    assert [(members[e.conversation_id], e.partial) for e in calls] == [
+        (("user00", "user01", "user02"), False),
+        (("user03", "user04"), True),
+        (("user05",), True),
+    ]
 
 
 def test_platform_rejection_aborts_and_keeps_users_contacted():
@@ -310,6 +333,26 @@ def test_small_campaign_log_matches_golden(small_campaign):
     assert (len(events), len(data), hashlib.sha256(data).hexdigest()) == SMALL_CAMPAIGN_LOG
 
 
+# Seed-5 small campaigns whose 60 s partial-group timeout fires inside the
+# loop: dispatch_partial makes 123 stale partial calls and 6 solo calls of
+# ready groups stuck waiting for a batch peer.
+STALE_FLUSH_LOGS = {
+    "dispatch_partial": (476, 108_471, "ac2d5532a5771d9b9b6ee2d88b42ef24f53b31ab28ea68e9e1fa3bb8891a990e"),
+    "discard": (35, 7_612, "5fa01efd140e7d2dc2e7e4d021a2e3756a839c95f0a3bcd9ef934075d353edfd"),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(STALE_FLUSH_LOGS))
+def test_stale_flush_log_matches_golden(policy, tmp_path):
+    config = replace(
+        small_sim_config(), partial_groups=model.PartialGroupPolicy(policy=policy, timeout_s=60)
+    )
+    out = tmp_path / "campaign.log"
+    events = run_campaign(config, build_simulated_platform(config), str(out))
+    data = out.read_bytes()
+    assert (len(events), len(data), hashlib.sha256(data).hexdigest()) == STALE_FLUSH_LOGS[policy]
+
+
 def test_deterministic_rerun_byte_identical(tmp_path):
     config = small_sim_config(seed=21, groups=3, population=500)
     logs = []
@@ -337,3 +380,58 @@ def test_resume_continues_without_retargeting(tmp_path):
     for users in conversation_members(events).values():
         mentioned.extend(users)
     assert len(mentioned) == len(set(mentioned))
+
+
+@pytest.mark.parametrize("max_hours", [0.2, 1.0])
+def test_resumed_allocator_capacity_matches_assigned(tmp_path, max_hours):
+    config = small_sim_config(seed=9, groups=2, population=800)
+    out = tmp_path / "cut.log"
+    run_campaign(config, build_simulated_platform(config), str(out), max_hours=max_hours)
+    with EventLogWriter(None) as writer:
+        orchestrator = Orchestrator(
+            config, build_simulated_platform(config), writer,
+            resume_state=replay(read_events(str(out))),
+        )
+    allocator = orchestrator.allocator
+    open_arms = {
+        topic: [arm for arm in ARMS if allocator.assigned[(topic, arm)] < allocator.quota]
+        for topic in allocator.topics
+    }
+    for topic, arms in open_arms.items():
+        assert allocator.has_capacity(topic) is bool(arms)
+    assert allocator.any_capacity() is any(open_arms.values())
+
+
+def _cut_run(tmp_path):
+    config = small_sim_config(seed=9, groups=4, population=800)
+    out = tmp_path / "torn.log"
+    run_campaign(config, build_simulated_platform(config), str(out), max_hours=0.2)
+    return config, out
+
+
+def test_resume_drops_a_torn_final_line(tmp_path, caplog):
+    config, out = _cut_run(tmp_path)
+    whole = read_events(str(out))
+    data = out.read_bytes()
+    out.write_bytes(data[:-40])
+    with pytest.raises(MalformedLog):
+        read_events(str(out))  # analysis stays strict
+    with caplog.at_level("WARNING", logger="campaignkit.orchestrator"):
+        events = run_campaign(
+            config, build_simulated_platform(config, seed=1009), str(out), resume=True
+        )
+    torn = [r for r in caplog.records if "torn final line" in r.getMessage()]
+    assert len(torn) == 1
+    assert events[: len(whole) - 1] == whole[:-1]
+    assert events[len(whole) - 1].seq == whole[-1].seq  # the dropped event's seq is reused
+    assert read_events(str(out)) == events
+    assert validate_events(events)
+
+
+def test_resume_still_rejects_a_bad_line_before_the_end(tmp_path):
+    config, out = _cut_run(tmp_path)
+    lines = out.read_bytes().split(b"\n")
+    lines[3] = lines[3][:-40]
+    out.write_bytes(b"\n".join(lines))
+    with pytest.raises(MalformedLog, match="line 4"):
+        run_campaign(config, build_simulated_platform(config, seed=1009), str(out), resume=True)

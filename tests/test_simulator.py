@@ -14,7 +14,7 @@ from campaignkit.simulator import (
     derive_labels,
 )
 
-from test_platform import make_sim, call_message
+from test_platform import make_sim
 
 TOPICS = fixtures.default_topics()
 

@@ -1,9 +1,23 @@
+import unicodedata
+
+from hypothesis import given, strategies as st
+
 from campaignkit.text import fold, match_keyword, mentions_in_text, tokenize
+
+
+def _fold_reference(text):
+    decomposed = unicodedata.normalize("NFD", text.casefold())
+    return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
 def test_fold_accents_and_case():
     assert fold("Corrupción") == "corrupcion"
     assert fold("IMPUNIDAD") == "impunidad"
+
+
+@given(st.one_of(st.text(), st.text(alphabet=st.characters(max_codepoint=127))))
+def test_fold_matches_nfd_reference(text):
+    assert fold(text) == _fold_reference(text)
 
 
 def test_match_keyword_folded_substring():
