@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .eventlog import conversation_members, validate_events
+from .eventlog import validate_events, volunteer_replies
 from .model import (
     CampaignError,
     CampaignEvent,
@@ -88,7 +88,7 @@ def compute_metrics(
     per-message reply counts.
     """
     events = validate_events(events)
-    members = conversation_members(events)
+    counted = {event.seq for event in volunteer_replies(events)}
     arm_order: list[str] = list(arms) if arms else []
 
     def order(strategy: str) -> None:
@@ -130,9 +130,9 @@ def compute_metrics(
             message_replies[event.message_id] = 0
             message_arm[event.message_id] = strategy
         elif event.kind is EventKind.INBOUND_REPLY:
-            conv = event.conversation_id or ""
-            if event.actor not in members.get(conv, ()):
+            if event.seq not in counted:
                 continue
+            conv = event.conversation_id or ""
             strategy = conv_arm.get(conv, strategy)
             b = bucket(strategy)
             b["replies"] += 1

@@ -99,15 +99,8 @@ def cmd_report(args) -> int:
 
 def cmd_keyterms(args) -> int:
     events = eventlog.read_events(args.log)
-    members = eventlog.conversation_members(events)
-    repliers: set[str] = set()
-    mentioned: set[str] = set()
-    for conv, users in members.items():
-        mentioned.update(users)
-    for event in events:
-        if event.kind is model.EventKind.INBOUND_REPLY and event.conversation_id in members:
-            if event.actor in members[event.conversation_id]:
-                repliers.add(event.actor)
+    mentioned = {u for users in eventlog.conversation_members(events).values() for u in users}
+    repliers = {event.actor for event in eventlog.volunteer_replies(events)}
     non_responders = sorted(mentioned - repliers)
     responders = sorted(repliers)
 
@@ -170,14 +163,8 @@ def cmd_fixtures(args) -> int:
     history_dir = outdir / "history"
     history_dir.mkdir(exist_ok=True)
     reference = fixtures.build_reference_log()
-    members = eventlog.conversation_members(reference)
-    repliers = {
-        e.actor
-        for e in reference
-        if e.kind is model.EventKind.INBOUND_REPLY
-        and e.actor in members.get(e.conversation_id or "", ())
-    }
-    mentioned = {u for users in members.values() for u in users}
+    repliers = {event.actor for event in eventlog.volunteer_replies(reference)}
+    mentioned = {u for users in eventlog.conversation_members(reference).values() for u in users}
     histories = fixtures.build_history_fixture(
         sorted(repliers)[:40], sorted(mentioned - repliers)[:40], tweets_per_user=200
     )

@@ -1,13 +1,16 @@
 """The append-only campaign event log.
 
 Format: one JSON object per line, keys in the fixed order
-``seq ts kind actor strategy topic conv msg reply_to target_author partial
+``seq ts kind actor strategy topic conv msg reply_to target_author partial q
 text``; keys with null values are omitted. ``partial`` appears (as true) only
-on calls dispatched for an undersized group. Appends are flushed in blocks
-and fsynced so a crashed run leaves a valid prefix.
+on calls dispatched for an undersized group; ``q`` is the index of the
+question a follow-up asks. Appends are flushed in blocks and fsynced so a
+crashed run leaves a valid prefix.
 
-The log is the single source of truth: the contact registry and every
-conversation record can be rebuilt from it with :func:`replay`.
+The log is the single source of truth. :class:`CampaignState` folds it one
+event at a time: the orchestrator applies each event it writes, and
+:func:`replay` applies each event it reads, so a live run and a replay of its
+log hold the same conversation records and contact registry.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     BOT_ACTOR,
@@ -54,6 +57,8 @@ def event_to_record(event: CampaignEvent) -> dict:
         record["target_author"] = event.target_author.value
     if event.partial:
         record["partial"] = True
+    if event.followup_index is not None:
+        record["q"] = event.followup_index
     if event.text is not None:
         record["text"] = event.text
     return record
@@ -75,6 +80,7 @@ def record_to_event(record: dict) -> CampaignEvent:
         ),
         text=record.get("text"),
         partial=bool(record.get("partial", False)),
+        followup_index=int(record["q"]) if "q" in record else None,
     )
 
 
@@ -179,19 +185,33 @@ def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str
     return members
 
 
+def volunteer_replies(events: Sequence[CampaignEvent]) -> Iterator[CampaignEvent]:
+    """The replies that count: those whose author is a member of the
+    conversation they landed in. Strangers' replies are logged, but they
+    make nobody a volunteer."""
+    members = conversation_members(events)
+    for event in events:
+        if event.kind is EventKind.INBOUND_REPLY and event.actor in members.get(
+            event.conversation_id or "", ()
+        ):
+            yield event
+
+
 def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
     """Check log invariants; raises MalformedLog on the first violation.
 
     Enforced: strictly increasing seq; outbound messages authored by the bot
     and carrying conversation ids; replies reference a message already in
     the log and belonging to the same conversation; every follow-up is
-    preceded by a reply in its conversation; interactions carry a target
-    author. Returns the validated list.
+    preceded by a reply in its conversation and never repeats a question
+    index (``q``) already asked there; interactions carry a target author.
+    Returns the validated list.
     """
     validated: list[CampaignEvent] = []
     last_seq = 0
     known_messages: dict[str, str] = {}  # message_id -> conversation_id
     replied_conversations: set[str] = set()
+    asked: dict[str, set[int]] = {}  # conversation_id -> question indices
     for i, event in enumerate(events, start=1):
         where = f"record {i} (seq {event.seq})"
         if event.seq <= last_seq:
@@ -209,6 +229,14 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
                     raise MalformedLog(
                         f"{where}: follow-up before any reply in {event.conversation_id}"
                     )
+                if event.followup_index is not None:
+                    questions = asked.setdefault(event.conversation_id, set())
+                    if event.followup_index in questions:
+                        raise MalformedLog(
+                            f"{where}: question {event.followup_index} asked twice"
+                            f" in {event.conversation_id}"
+                        )
+                    questions.add(event.followup_index)
             known_messages[event.message_id] = event.conversation_id
         elif event.kind is EventKind.INBOUND_REPLY:
             if event.in_reply_to is None or event.in_reply_to not in known_messages:
@@ -230,16 +258,53 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
 
 
 @dataclass
-class ReplayState:
-    """Campaign state reconstructed from a validated log."""
+class CampaignState:
+    """Conversation records and message routing, folded from the log.
+
+    :meth:`apply` is the only writer of records, sent ids, replies and
+    message mappings; the orchestrator calls it on every event it writes.
+    """
 
     records: dict[str, ConversationRecord] = field(default_factory=dict)
     message_conversations: dict[str, str] = field(default_factory=dict)
-    bot_messages: set[str] = field(default_factory=set)
-    calls_per_topic_arm: dict[tuple[str, str], int] = field(default_factory=dict)
-    followup_turns: dict[str, int] = field(default_factory=dict)
     last_seq: int = 0
     last_ts: int = 0
+
+    def apply(self, event: CampaignEvent) -> None:
+        """Fold one valid event into the state."""
+        self.last_seq = event.seq
+        self.last_ts = max(self.last_ts, event.ts)
+        conv = event.conversation_id
+        if event.kind is EventKind.OUTBOUND_CALL:
+            self.records[conv] = ConversationRecord(
+                conversation_id=conv,
+                topic=event.topic or "",
+                strategy=event.strategy or "",
+                members=tuple(mentions_in_text(event.text or "")),
+                state=ConversationState.CALLED_TO_ACTION,
+            )
+        if event.kind in OUTBOUND_KINDS:
+            record = self.records.get(conv)
+            if record is not None:
+                record.sent_messages.append(event.message_id)
+                if event.followup_index is not None:
+                    record.used_followups.add(event.followup_index)
+            self.message_conversations[event.message_id] = conv
+        elif event.kind is EventKind.INBOUND_REPLY:
+            conv = self.message_conversations[event.in_reply_to]
+            record = self.records[conv]
+            record.replies.append((event.actor, event.message_id or "", event.ts))
+            if event.message_id:
+                self.message_conversations[event.message_id] = conv
+            if event.actor in record.members and record.state is not ConversationState.CLOSED:
+                record.state = ConversationState.ENGAGED
+        elif event.kind is EventKind.ABORT:
+            # A rejected call leaves a closed record without members, so its
+            # conversation id is never handed out again.
+            record = self.records.setdefault(
+                conv, ConversationRecord(conv, event.topic or "", event.strategy or "", ())
+            )
+            record.state = ConversationState.CLOSED
 
     def registry(self):
         from .targeting import ContactRegistry
@@ -255,48 +320,9 @@ class ReplayState:
         return registry
 
 
-def replay(events: Iterable[CampaignEvent]) -> ReplayState:
-    """Rebuild conversation records and counters from a validated log."""
-    state = ReplayState()
+def replay(events: Iterable[CampaignEvent]) -> CampaignState:
+    """Validate a log and fold it into a fresh :class:`CampaignState`."""
+    state = CampaignState()
     for event in validate_events(events):
-        state.last_seq = event.seq
-        state.last_ts = max(state.last_ts, event.ts)
-        conv = event.conversation_id
-        if event.kind is EventKind.OUTBOUND_CALL:
-            members = tuple(mentions_in_text(event.text or ""))
-            record = ConversationRecord(
-                conversation_id=conv,
-                topic=event.topic or "",
-                strategy=event.strategy or "",
-                members=members,
-                state=ConversationState.CALLED_TO_ACTION,
-            )
-            record.sent_messages.append(event.message_id)
-            state.records[conv] = record
-            state.message_conversations[event.message_id] = conv
-            state.bot_messages.add(event.message_id)
-            key = (event.topic or "", event.strategy or "")
-            state.calls_per_topic_arm[key] = state.calls_per_topic_arm.get(key, 0) + 1
-        elif event.kind in (EventKind.OUTBOUND_QUOTE, EventKind.OUTBOUND_FOLLOWUP):
-            record = state.records.get(conv)
-            if record is not None:
-                record.sent_messages.append(event.message_id)
-            state.message_conversations[event.message_id] = conv
-            state.bot_messages.add(event.message_id)
-            if event.kind is EventKind.OUTBOUND_FOLLOWUP and record is not None:
-                turn = state.followup_turns.get(conv, 0) + 1
-                state.followup_turns[conv] = turn
-                # The question index is not in the log; track the count so a
-                # resumed campaign never exceeds the question list.
-                record.used_followups.add(turn - 1)
-        elif event.kind is EventKind.INBOUND_REPLY:
-            target_conv = state.message_conversations.get(event.in_reply_to or "")
-            if target_conv is None:
-                raise MalformedLog(f"orphan reply at seq {event.seq}")
-            record = state.records[target_conv]
-            record.replies.append((event.actor, event.message_id or "", event.ts))
-            if event.message_id:
-                state.message_conversations[event.message_id] = target_conv
-            if event.actor in record.members and record.state is not ConversationState.CLOSED:
-                record.state = ConversationState.ENGAGED
+        state.apply(event)
     return state

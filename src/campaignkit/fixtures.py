@@ -29,7 +29,7 @@ from .model import (
     Topic,
     VolunteerLabel,
 )
-from .strategy import EVENT_KIND_BY_MESSAGE
+from .strategy import EVENT_KIND_BY_MESSAGE, MessageKind
 
 BASE_TS = 1_430_000_000_000
 
@@ -111,12 +111,6 @@ REFERENCE_COUNTS: dict[str, ArmCounts] = {
     "solidarity": ArmCounts(94, 120, 23, 92, 250, 62),
 }
 
-# Fraction of each arm's volunteers whose replies stayed on topic in the
-# reference deployment.
-REFERENCE_ON_TOPIC = {"direct": 0.94, "loss": 0.74, "gain": 0.89, "solidarity": 0.82}
-
-REFERENCE_REPLY_RATES = {"direct": 0.81, "loss": 0.30, "gain": 0.43, "solidarity": 0.21}
-
 
 class _LogBuilder:
     def __init__(self) -> None:
@@ -173,6 +167,7 @@ def _emit_turn(
             conversation_id=conversation_id,
             message_id=message_id,
             text=message.text,
+            followup_index=followup_index if message.kind is MessageKind.FOLLOWUP else None,
         )
         ids.append(message_id)
     return ids

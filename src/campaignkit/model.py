@@ -208,12 +208,6 @@ class CampaignConfig:
     # simulator module so new profile knobs never touch the core model.
     simulation: Mapping[str, Any] = field(default_factory=dict)
 
-    def strategy(self, strategy_id: StrategyId) -> StrategySpec:
-        for spec in self.strategies:
-            if spec.id == strategy_id:
-                return spec
-        raise KeyError(strategy_id)
-
     def keywords(self) -> tuple[str, ...]:
         out: list[str] = []
         for topic in self.topics:
@@ -278,7 +272,11 @@ class TargetUser:
 
 @dataclass
 class ConversationRecord:
-    """Per-group state machine. Mutated only by the orchestrator loop."""
+    """Per-group state, folded from the log by ``CampaignState.apply``.
+
+    The orchestrator also adds a follow-up's question to ``used_followups``
+    when it schedules it, before the follow-up is posted and logged.
+    """
 
     conversation_id: str
     topic: str
@@ -306,6 +304,8 @@ class CampaignEvent:
     target_author: Optional[TargetAuthor] = None
     text: Optional[str] = None
     partial: bool = False
+    # Index of the question a follow-up asks (log key ``q``).
+    followup_index: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """The campaign state machine.
 
 One single-writer event loop owns all mutable state: the contact registry,
-the arm allocator, the group buffers, the conversation records and the
+the arm allocator, the group buffers, the conversation state and the
 append-only log. The platform's one ordered inbound stream feeds it; analytics
-reads log snapshots.
+reads log snapshots. The loop adds no conversation record, sent id, reply or
+message mapping itself: it appends an event and applies it to its
+``CampaignState``, the same fold that ``replay`` runs over a log, so a resumed
+run starts from the state the interrupted one had at the cut.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -30,13 +33,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
-from .eventlog import EventLogWriter, ReplayState, replay
+from .eventlog import CampaignState, EventLogWriter, replay
 from .model import (
     BOT_ACTOR,
     CampaignConfig,
     CampaignError,
     CampaignEvent,
-    ConversationRecord,
     ConversationState,
     EventKind,
     StrategyId,
@@ -201,6 +203,7 @@ class _Send:
     messages: tuple[OutboundMessage, ...]
     members: tuple[str, ...] = ()
     partial: bool = False
+    question: Optional[int] = None  # the follow-up's question index
 
 
 class DispatchSchedule:
@@ -234,7 +237,7 @@ class Orchestrator:
         platform: Platform,
         writer: EventLogWriter,
         *,
-        resume_state: Optional[ReplayState] = None,
+        resume_state: Optional[CampaignState] = None,
     ):
         violations = validate_config(config)
         if violations:
@@ -261,17 +264,14 @@ class Orchestrator:
             topic: {arm: [] for arm in self.arm_ids} for topic in self.topic_names
         }
         self.schedule = DispatchSchedule()
-        self.registry = ContactRegistry()
-        self.records: dict[str, ConversationRecord] = {}
-        self.message_conversations: dict[str, str] = {}
-        self.bot_messages: set[str] = set()
-        self.dispatched_groups: dict[tuple[str, str], int] = {
-            (topic, arm): 0 for topic in self.topic_names for arm in self.arm_ids
-        }
-        self.followup_turns: dict[str, int] = {}
-        self.seq = 0
+        # A resumed run continues from the state replayed from its log.
+        self.state = resume_state if resume_state is not None else CampaignState()
+        self.registry: ContactRegistry = self.state.registry()
         self.conv_counter = 0
-        self.now = platform.now_ms()
+        for record in self.state.records.values():
+            if (record.topic, record.strategy) in self.allocator.assigned:
+                self.allocator.charge(record.topic, record.strategy, len(record.members))
+        self.now = max(platform.now_ms(), self.state.last_ts)
         self.last_outbound: Optional[int] = None
         self._calls_in_flight = 0
         self._last_batch_topic: Optional[str] = None
@@ -280,32 +280,13 @@ class Orchestrator:
         # ready group; _flush_stale scans nothing before it.
         self._stale_deadline = _NO_DEADLINE
 
-        if resume_state is not None:
-            self._restore(resume_state)
-
-    def _restore(self, state: ReplayState) -> None:
-        self.records = state.records
-        self.message_conversations = state.message_conversations
-        self.bot_messages = state.bot_messages
-        self.followup_turns = state.followup_turns
-        self.registry = state.registry()
-        self.seq = state.last_seq
-        self.now = max(self.now, state.last_ts)
-        self.conv_counter = len(state.records)
-        for (topic, arm), calls in state.calls_per_topic_arm.items():
-            if (topic, arm) in self.dispatched_groups:
-                self.dispatched_groups[(topic, arm)] = calls
-        for record in state.records.values():
-            if (record.topic, record.strategy) in self.allocator.assigned:
-                self.allocator.charge(record.topic, record.strategy, len(record.members))
-
     # -- event emission -------------------------------------------------------
 
-    def _emit(self, kind: EventKind, ts: int, **fields) -> CampaignEvent:
-        self.seq += 1
-        event = CampaignEvent(seq=self.seq, ts=ts, kind=kind, **fields)
+    def _emit(self, kind: EventKind, ts: int, **fields) -> None:
+        """Append the next event to the log, then fold it into the state."""
+        event = CampaignEvent(seq=self.state.last_seq + 1, ts=ts, kind=kind, **fields)
         self.writer.append(event)
-        return event
+        self.state.apply(event)
 
     # -- group formation --------------------------------------------------------
 
@@ -370,8 +351,14 @@ class Orchestrator:
     def _schedule_call(
         self, topic: str, arm: StrategyId, group: list[TargetUser], *, partial: bool
     ) -> None:
-        self.conv_counter += 1
-        conversation_id = f"c{self.conv_counter:06d}"
+        # Skip ids the log already holds: a resumed log can have gaps, since
+        # a batch's calls are posted out of id order and a crash can fall
+        # between them; aborted calls keep their ids as closed records.
+        while True:
+            self.conv_counter += 1
+            conversation_id = f"c{self.conv_counter:06d}"
+            if conversation_id not in self.state.records:
+                break
         members = tuple(t.user_id for t in group)
         messages = strategy_mod.compose_call(
             self.specs[arm],
@@ -397,22 +384,10 @@ class Orchestrator:
     def _dispatch(self, due: int, send: _Send) -> None:
         self.now = max(self.now, due)
         self.platform.advance_to(due)
-        record = self.records.get(send.conversation_id)
-        if record is None:
-            # A call's first attempt; a rate-limited retry keeps this record,
-            # with the ids already posted and the replies they drew.
-            record = ConversationRecord(
-                conversation_id=send.conversation_id,
-                topic=send.topic,
-                strategy=send.arm,
-                members=send.members,
-                state=ConversationState.CALLED_TO_ACTION,
-            )
+        if send.kind == "call":
             # Contacted before the post attempt: a rejected call still counts
             # as the one touch; these users are never re-targeted.
             self.registry.mark_contacted(send.members)
-            self.records[send.conversation_id] = record
-
         for message in send.messages:
             try:
                 message_id = self.platform.post(message, turn=message.turn)
@@ -429,11 +404,11 @@ class Orchestrator:
                     conversation_id=send.conversation_id,
                     text=f"platform rejected {message.kind.value}: {exc}",
                 )
-                record.state = ConversationState.CLOSED
                 if send.kind == "call":
                     self._finish_call(send)
                 return
-            if message_id in self.bot_messages:
+            record = self.state.records.get(send.conversation_id)
+            if record is not None and message_id in record.sent_messages:
                 continue  # idempotent re-post after a rate-limit retry
             self._emit(
                 EVENT_KIND_BY_MESSAGE[message.kind],
@@ -445,16 +420,13 @@ class Orchestrator:
                 message_id=message_id,
                 text=message.text,
                 partial=send.partial and message.kind is MessageKind.CALL,
+                followup_index=send.question if message.kind is MessageKind.FOLLOWUP else None,
             )
-            record.sent_messages.append(message_id)
-            self.message_conversations[message_id] = send.conversation_id
-            self.bot_messages.add(message_id)
             self.last_outbound = due
         if send.kind == "call":
             self._finish_call(send)
 
     def _finish_call(self, send: _Send) -> None:
-        self.dispatched_groups[(send.topic, send.arm)] += 1
         self._calls_in_flight -= 1
         self._try_release_batch()
 
@@ -467,11 +439,11 @@ class Orchestrator:
             self._handle_interaction(item)
 
     def _handle_reply(self, item: InboundItem) -> None:
-        conversation_id = self.message_conversations.get(item.in_reply_to or "")
+        conversation_id = self.state.message_conversations.get(item.in_reply_to or "")
         if conversation_id is None:
             logger.warning("reply %s references unknown conversation; ignored", item.message_id)
             return
-        record = self.records[conversation_id]
+        record = self.state.records[conversation_id]
         self._emit(
             EventKind.INBOUND_REPLY,
             ts=item.timestamp,
@@ -483,25 +455,19 @@ class Orchestrator:
             in_reply_to=item.in_reply_to,
             text=item.text,
         )
-        record.replies.append((item.author, item.message_id, item.timestamp))
-        if item.message_id:
-            self.message_conversations[item.message_id] = conversation_id
         if item.author not in record.members:
             return  # logged, never answered
         self.registry.mark_replied(item.author)
         if record.state is ConversationState.CLOSED:
             return
-        record.state = ConversationState.ENGAGED
         spec = self.specs[record.strategy]
         index = strategy_mod.select_followup(record, spec, self.rng_followup)
         if index is None:
-            # Question list exhausted: the conversation closes silently. The
-            # registry stays at Replied so it remains log-derivable.
-            record.state = ConversationState.CLOSED
-            return
+            return  # every question asked: the conversation goes quiet
+        # Reserved now, so a reply that arrives before this follow-up is
+        # posted draws another question; its event records it again.
         record.used_followups.add(index)
-        turn = self.followup_turns.get(conversation_id, 0) + 1
-        self.followup_turns[conversation_id] = turn
+        turn = len(record.used_followups)
         try:
             messages = strategy_mod.compose_followup(
                 spec,
@@ -521,18 +487,19 @@ class Orchestrator:
             topic=record.topic,
             arm=record.strategy,
             messages=tuple(messages),
+            question=index,
         )
         self.schedule.push(self.now + self._jitter_ms(), send)
 
     def _handle_interaction(self, item: InboundItem) -> None:
         target_id = item.in_reply_to or ""
-        conversation_id = self.message_conversations.get(target_id)
+        conversation_id = self.state.message_conversations.get(target_id)
         if conversation_id is None:
             logger.warning("%s toward unknown message %s; ignored", item.kind.value, target_id)
             return
-        record = self.records[conversation_id]
+        record = self.state.records[conversation_id]
         author = (
-            TargetAuthor.BOT if target_id in self.bot_messages else TargetAuthor.VOLUNTEER
+            TargetAuthor.BOT if target_id in record.sent_messages else TargetAuthor.VOLUNTEER
         )
         self._emit(
             EventKind.RETWEET if item.kind is ItemKind.RETWEET else EventKind.FAVORITE,

@@ -304,18 +304,11 @@ def derive_labels(events, coder_id: str = "sim") -> list[VolunteerLabel]:
     A volunteer is on-topic when any of their replies carries the on-topic
     tag; simulated agents keep a fixed stance, so first reply decides.
     """
-    from .eventlog import conversation_members
-    from .model import EventKind
+    from .eventlog import volunteer_replies
 
-    members = conversation_members(events)
     stance: dict[str, bool] = {}
-    for event in events:
-        if event.kind is not EventKind.INBOUND_REPLY or event.text is None:
-            continue
-        conv = event.conversation_id
-        if conv is None or event.actor not in members.get(conv, ()):
-            continue
-        if event.actor not in stance:
+    for event in volunteer_replies(events):
+        if event.text is not None and event.actor not in stance:
             stance[event.actor] = ON_TOPIC_TAG in event.text
     return [
         VolunteerLabel(

@@ -130,8 +130,8 @@ def select_followup(
     """Pick an unused follow-up question uniformly at random.
 
     Sampling is without replacement per conversation: no group is ever asked
-    the same question twice. Returns None once every question has been used,
-    which closes the conversation.
+    the same question twice. Returns None once every question has been used;
+    the conversation then gets no more follow-ups.
     """
     unused = [i for i in range(len(spec.followups)) if i not in record.used_followups]
     if not unused:

@@ -42,8 +42,10 @@ class ContactRegistry:
     """user_id -> contact state, single-writer, forward transitions only.
 
     Once a user is Contacted they never return to Fresh or Queued, within a
-    run and across restarts: on resume the registry is rebuilt from the event
-    log (see ``ReplayState.registry``).
+    run and across restarts: on resume the registry is rebuilt from the
+    conversation records replayed from the event log
+    (``CampaignState.registry``). Queued users are not in the log, so a
+    resumed registry holds only Contacted and Replied users.
     """
 
     def __init__(self) -> None:

@@ -102,6 +102,43 @@ def test_validator_rejects_followup_before_reply():
         validate_events([_call(1), followup])
 
 
+def _followup(seq, q, conv="c1"):
+    return _event(
+        seq,
+        EventKind.OUTBOUND_FOLLOWUP,
+        strategy="direct",
+        topic="corruption",
+        conversation_id=conv,
+        message_id=f"m{seq}",
+        followup_index=q,
+        text="@a next question",
+    )
+
+
+def test_followup_index_is_logged_as_q_before_text(tmp_path):
+    line = format_event(_followup(3, 4))
+    assert ',"msg":"m3","q":4,"text":' in line
+    path = tmp_path / "log.jsonl"
+    events = [_call(1), _reply(2), _followup(3, 4)]
+    write_events(events, str(path))
+    assert read_events(str(path)) == events
+    assert replay(events).records["c1"].used_followups == {4}
+
+
+def test_validator_rejects_a_repeated_question():
+    events = [_call(1), _reply(2), _followup(3, 4), _reply(4, reply_to="m3"), _followup(5, 4)]
+    with pytest.raises(MalformedLog, match="question 4 asked twice in c1"):
+        validate_events(events)
+    # Another index in the same conversation, or the same index in another
+    # conversation, is fine.
+    other = [
+        _call(6, conv="c2", members="@d @e @f"),
+        _reply(7, conv="c2", actor="d", reply_to="m6"),
+        _followup(8, 4, conv="c2"),
+    ]
+    assert validate_events(events[:4] + [_followup(5, 1)] + other)
+
+
 def test_validator_rejects_interaction_without_target_author():
     retweet = _event(
         2,
@@ -145,9 +182,7 @@ def test_replay_builds_consistent_records(reference_log):
     assert record.strategy == "direct"
     assert record.members == ("d0000x0", "d0000x1", "d0000x2")
     assert record.state is ConversationState.ENGAGED
-    calls_per_arm = Counter()
-    for (_topic, arm), calls in state.calls_per_topic_arm.items():
-        calls_per_arm[arm] += calls
+    calls_per_arm = Counter(record.strategy for record in state.records.values())
     assert calls_per_arm == {"direct": 94, "loss": 94, "gain": 94, "solidarity": 94}
     # No orphan replies: every reply lands in a known conversation.
     total_replies = sum(len(r.replies) for r in state.records.values())

@@ -12,8 +12,9 @@ from campaignkit.eventlog import (
     read_events,
     replay,
     validate_events,
+    write_events,
 )
-from campaignkit.model import ContactState, EventKind, OUTBOUND_KINDS, replace
+from campaignkit.model import ContactState, ConversationState, EventKind, OUTBOUND_KINDS, replace
 from campaignkit.orchestrator import (
     AllQuotasExhausted,
     ArmAllocator,
@@ -22,7 +23,7 @@ from campaignkit.orchestrator import (
     build_simulated_platform,
     run_campaign,
 )
-from campaignkit.platform import RateLimited
+from campaignkit.platform import PlatformRejected, RateLimited
 from campaignkit.strategy import MessageKind
 
 from conftest import StubPlatform, public_post, small_sim_config
@@ -218,7 +219,7 @@ def test_rate_limited_quote_retry_keeps_the_call_record():
     assert platform.quote_limited
     outbound = [e for e in events if e.kind in OUTBOUND_KINDS]
     assert [e.kind for e in outbound] == [EventKind.OUTBOUND_CALL, EventKind.OUTBOUND_QUOTE]
-    record = orchestrator.records[outbound[0].conversation_id]
+    record = orchestrator.state.records[outbound[0].conversation_id]
     assert record.sent_messages == [e.message_id for e in outbound]
 
 
@@ -320,11 +321,33 @@ def test_replay_reconstructs_registry_and_records(small_campaign, tmp_path):
         orchestrator.run()
     assert replay(writer.events).registry() == state.registry()
     assert state.registry().items() == orchestrator.registry.items()
+    assert replay(writer.events) == orchestrator.state
+
+
+# More runs whose live state must equal the replay of their log; the seed-5
+# campaign is checked by test_replay_reconstructs_registry_and_records.
+LIVE_RUNS = {
+    "seed21": small_sim_config(seed=21, groups=3, population=500),
+    "partial60": replace(small_sim_config(), partial_groups=model.PartialGroupPolicy(timeout_s=60)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIVE_RUNS))
+def test_live_state_equals_replay_of_its_log(name, tmp_path):
+    config = LIVE_RUNS[name]
+    out = tmp_path / "live.log"
+    with EventLogWriter(str(out)) as writer:
+        orchestrator = Orchestrator(config, build_simulated_platform(config), writer)
+        orchestrator.run()
+    replayed = replay(read_events(str(out)))
+    assert replayed == orchestrator.state
+    assert replayed.registry() == orchestrator.registry
+    assert any(record.used_followups for record in replayed.records.values())
 
 
 # The log of the seed-5 small campaign, pinned: a change that alters what a
 # run writes must update these values and say so in CHANGES.md.
-SMALL_CAMPAIGN_LOG = (448, 98_536, "13ebf5a8bfe5d52772b507863fe7c3e070bbcb3c8f51be46b3dbe65ced3568a1")
+SMALL_CAMPAIGN_LOG = (448, 99_190, "6bf2905aaaae8a967c2c930b3c0062d104d94b05267c0b3b87db88d75268e8e3")
 
 
 def test_small_campaign_log_matches_golden(small_campaign):
@@ -337,8 +360,8 @@ def test_small_campaign_log_matches_golden(small_campaign):
 # loop: dispatch_partial makes 123 stale partial calls and 6 solo calls of
 # ready groups stuck waiting for a batch peer.
 STALE_FLUSH_LOGS = {
-    "dispatch_partial": (476, 108_471, "ac2d5532a5771d9b9b6ee2d88b42ef24f53b31ab28ea68e9e1fa3bb8891a990e"),
-    "discard": (35, 7_612, "5fa01efd140e7d2dc2e7e4d021a2e3756a839c95f0a3bcd9ef934075d353edfd"),
+    "dispatch_partial": (476, 109_077, "07cae7987b53d7b1385cfcee335383afdfb51a9bd02a0513791886947edd69fa"),
+    "discard": (35, 7_654, "51de8fdbdbacd2c271ceac098bf3db9ebaa80b530f64e05b4d23a14707ee5369"),
 }
 
 
@@ -380,6 +403,73 @@ def test_resume_continues_without_retargeting(tmp_path):
     for users in conversation_members(events).values():
         mentioned.extend(users)
     assert len(mentioned) == len(set(mentioned))
+
+
+def test_resume_logs_every_post(tmp_path):
+    config = small_sim_config(seed=9, groups=4, population=800)
+    out = tmp_path / "resumable.log"
+    run_campaign(config, build_simulated_platform(config), str(out), max_hours=0.2)
+    first = read_events(str(out))
+    platform = build_simulated_platform(config, seed=1009)
+    posted = []
+    post = platform.post
+
+    def recording_post(message, *, turn=0):
+        posted.append(post(message, turn=turn))
+        return posted[-1]
+
+    platform.post = recording_post
+    events = run_campaign(config, platform, str(out), resume=True)
+    # The fresh platform hands out ids the first run already used.
+    assert set(posted) & {e.message_id for e in first}
+    logged = Counter(e.message_id for e in events[len(first):] if e.kind in OUTBOUND_KINDS)
+    assert logged == {message_id: 1 for message_id in posted}
+
+
+class _RejectsConversation(StubPlatform):
+    """Rejects every post of one conversation."""
+
+    def __init__(self, public, rejected):
+        super().__init__(public)
+        self.rejected = rejected
+
+    def post(self, message, *, turn: int = 0) -> str:
+        if message.conversation_id == self.rejected:
+            raise PlatformRejected("scripted rejection")
+        return super().post(message, turn=turn)
+
+
+def test_resume_after_an_aborted_call_opens_a_new_conversation(tmp_path):
+    config = _single_arm_config()
+    out = tmp_path / "aborted.log"
+    run_campaign(config, _RejectsConversation(_posts(6), "c000001"), str(out))
+    first = read_events(str(out))
+    assert [(e.kind, e.conversation_id) for e in first] == [
+        (EventKind.ABORT, "c000001"),
+        (EventKind.OUTBOUND_CALL, "c000002"),
+    ]
+    aborted = replay(first).records["c000001"]
+    assert (aborted.members, aborted.state) == ((), ConversationState.CLOSED)
+    newcomers = [public_post(f"new{i}", "no mas corrupcion", 5_000_000 + i * 1000) for i in range(3)]
+    events = run_campaign(config, StubPlatform(newcomers), str(out), resume=True)
+    calls = [e for e in events[len(first):] if e.kind is EventKind.OUTBOUND_CALL]
+    assert [e.conversation_id for e in calls] == ["c000003"]
+    assert conversation_members(calls)["c000003"] == ("new0", "new1", "new2")
+    registry = replay(events).registry()
+    assert all(registry.state(f"new{i}") is ContactState.CONTACTED for i in range(3))
+
+
+def test_resume_after_a_cut_between_out_of_order_calls(tmp_path):
+    config = small_sim_config(seed=9, groups=4, population=800)
+    out = tmp_path / "cut.log"
+    events = run_campaign(config, build_simulated_platform(config), str(out))
+    first_call = next(e for e in events if e.kind is EventKind.OUTBOUND_CALL)
+    assert first_call.conversation_id == "c000002"  # c000001 is posted later
+    write_events(events[: events.index(first_call) + 1], str(out))
+    events = run_campaign(config, build_simulated_platform(config, seed=1009), str(out), resume=True)
+    calls = Counter(e.conversation_id for e in events if e.kind is EventKind.OUTBOUND_CALL)
+    assert max(calls.values()) == 1
+    assert validate_events(events)
 
 
 @pytest.mark.parametrize("max_hours", [0.2, 1.0])
