@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -23,7 +24,7 @@ from .model import (
     TargetAuthor,
     VolunteerLabel,
 )
-from .stats import AnovaResult, DegenerateInput, mann_whitney_rho, one_way_anova
+from .stats import AnovaResult, DegenerateInput, mann_whitney_rho_sparse, one_way_anova
 from .text import tokenize
 
 
@@ -304,42 +305,39 @@ def mann_whitney_keyterms(
 
     A document is one author's pooled text; the per-document weight of a term
     is its relative frequency (count over document length), so prolific
-    authors do not dominate. For each vocabulary term the weights are ranked
-    across the union of documents (average ranks on ties) and the normalized
-    Mann-Whitney statistic rho = U_A / (n_A n_B) is computed; rho > 0.5 means
-    group A over-uses the term. Each group's ranking orders all terms by its
-    own over-use score (rho for A, 1-rho for B) with ties broken
+    authors do not dominate. For each vocabulary term the normalized
+    Mann-Whitney statistic rho = U_A / (n_A n_B) is counted over pairs of
+    documents, one from each side: U_A is the number of pairs in which A's
+    weight is the larger plus half the tied pairs. Only the documents that
+    contain a term are listed for it; the weight is 0.0 in every other
+    document, and those zeros form one tie block. rho > 0.5 means group A
+    over-uses the term. Each group's ranking orders all terms by its own
+    over-use score (rho for A, 1-rho for B) with ties broken
     lexicographically, and its key terms are the top ceil(top_fraction * V).
     """
     if len(corpus_a) < 2 or len(corpus_b) < 2:
         raise DegenerateInput("each corpus needs at least two documents")
-    docs_a = [tokenize(doc) for doc in corpus_a]
-    docs_b = [tokenize(doc) for doc in corpus_b]
-    vocabulary = sorted({t for doc in docs_a + docs_b for t in doc})
-    if not vocabulary:
+    # term -> (weights in A's documents that contain it, weights in B's)
+    postings: dict[str, tuple[list[float], list[float]]] = {}
+    for side, corpus in enumerate((corpus_a, corpus_b)):
+        for doc in corpus:
+            tokens = tokenize(doc)
+            total = len(tokens)
+            for term, count in Counter(tokens).items():
+                if term not in postings:
+                    postings[term] = ([], [])
+                postings[term][side].append(count / total)
+    if not postings:
         raise EmptyVocabulary("no tokens in either corpus")
+    vocabulary = sorted(postings)
 
-    def frequencies(docs: list[list[str]]) -> list[dict[str, float]]:
-        out = []
-        for doc in docs:
-            total = len(doc)
-            freq: dict[str, float] = {}
-            if total:
-                for tok in doc:
-                    freq[tok] = freq.get(tok, 0.0) + 1.0
-                for tok in freq:
-                    freq[tok] /= total
-            out.append(freq)
-        return out
-
-    freq_a = frequencies(docs_a)
-    freq_b = frequencies(docs_b)
+    n_a = len(corpus_a)
+    n_b = len(corpus_b)
     scores_a = []
     scores_b = []
     for term in vocabulary:
-        values_a = [f.get(term, 0.0) for f in freq_a]
-        values_b = [f.get(term, 0.0) for f in freq_b]
-        rho = mann_whitney_rho(values_a, values_b)
+        weights_a, weights_b = postings[term]
+        rho = mann_whitney_rho_sparse(weights_a, weights_b, n_a, n_b)
         scores_a.append(TermScore(term, rho))
         scores_b.append(TermScore(term, 1.0 - rho))
 

@@ -1,4 +1,4 @@
-"""Rank and variance statistics used by the analytics module.
+"""Pair-counting and variance statistics used by the analytics module.
 
 Self-contained on purpose: the F-distribution tail comes from a
 continued-fraction evaluation of the regularized incomplete beta function,
@@ -8,6 +8,7 @@ checked in the test suite against a brute-force quadrature oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -140,9 +141,11 @@ def one_way_anova(samples: Sequence[Sequence[float]]) -> AnovaResult:
     df_within = n_total - k
     if df_within < 1:
         raise DegenerateInput("no residual degrees of freedom")
-    grand_mean = sum(sum(group) for group in groups) / n_total
-    ss_between = sum(len(g) * (sum(g) / len(g) - grand_mean) ** 2 for g in groups)
-    ss_within = sum(sum((x - sum(g) / len(g)) ** 2 for x in g) for g in groups)
+    sums = [sum(group) for group in groups]
+    means = [total / len(group) for total, group in zip(sums, groups)]
+    grand_mean = sum(sums) / n_total
+    ss_between = sum(len(g) * (mean - grand_mean) ** 2 for g, mean in zip(groups, means))
+    ss_within = sum(sum((x - mean) ** 2 for x in g) for g, mean in zip(groups, means))
     if ss_within == 0.0:
         if ss_between == 0.0:
             return AnovaResult(df_between, df_within, 0.0, 1.0)
@@ -182,38 +185,56 @@ def cohen_kappa(
     return (observed - expected) / (1.0 - expected)
 
 
-# -- Mann-Whitney rank machinery ----------------------------------------------------
+# -- Mann-Whitney pair counting --------------------------------------------------------
 
-def average_ranks(values: Sequence[float]) -> list[float]:
-    """Fractional ranking: 1-based ranks, ties share the mean of their ranks."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+def mann_whitney_rho_sparse(
+    nonzero_a: Sequence[float], nonzero_b: Sequence[float], n_a: int, n_b: int
+) -> float:
+    """Normalized Mann-Whitney statistic over groups given by their nonzeros.
+
+    Group A has ``n_a`` values: the listed ``nonzero_a`` and, for the rest,
+    implied zeros; likewise group B. U_A counts the (a, b) pairs with a > b
+    plus one half of the pairs with a == b, and rho = U_A / (n_A n_B). B's
+    listed values are sorted once and each listed A value is placed among
+    them by bisection; the implied zeros of both sides form one tie block
+    handled in closed form, so the cost depends on the listed values only.
+    A listed value that equals zero is counted like an implied one.
+
+    U_A is counted as the integer 2 U_A, so the result is exactly the one
+    that tie-averaged ranks give.
+    """
+    if n_a <= 0 or n_b <= 0:
+        raise DegenerateInput("both groups need at least one value")
+    zeros_a = n_a - len(nonzero_a)
+    zeros_b = n_b - len(nonzero_b)
+    if zeros_a < 0 or zeros_b < 0:
+        raise DegenerateInput("more listed values than the group holds")
+    b_sorted = sorted(nonzero_b)
+    b_below_zero = bisect_left(b_sorted, 0.0)
+    b_at_zero = bisect_right(b_sorted, 0.0) - b_below_zero
+    # Pairs of A's implied zeros: with B's negatives, listed zeros, implied zeros.
+    twice_u = zeros_a * (2 * b_below_zero + b_at_zero + zeros_b)
+    for x in nonzero_a:
+        # Twice the listed B values below x, plus those equal to x.
+        twice_u += bisect_left(b_sorted, x) + bisect_right(b_sorted, x)
+        if x > 0.0:
+            twice_u += 2 * zeros_b
+        elif x == 0.0:
+            twice_u += zeros_b
+    return twice_u / (2 * n_a * n_b)
 
 
 def mann_whitney_rho(values_a: Sequence[float], values_b: Sequence[float]) -> float:
     """Normalized Mann-Whitney statistic for group A over group B.
 
-    Ranks the pooled values with tie averaging, computes
-    U_A = R_A - n_A (n_A + 1) / 2, and returns rho = U_A / (n_A n_B) in
-    [0, 1]. rho > 0.5 means A's values tend to exceed B's; identical pooled
-    distributions give exactly 0.5. Invariant under any strictly monotone
-    transform of the values, since only ranks enter.
+    rho = U_A / (n_A n_B) in [0, 1], where U_A counts the (a, b) pairs with
+    a > b plus half of the tied pairs; this equals the rank-sum form with
+    tie-averaged ranks. rho > 0.5 means A's values tend to exceed B's;
+    identical pooled distributions give exactly 0.5. Invariant under any
+    strictly monotone transform of the values, since only order enters.
+    Counted by :func:`mann_whitney_rho_sparse` with the zeros left implied.
     """
-    n_a = len(values_a)
-    n_b = len(values_b)
-    if n_a == 0 or n_b == 0:
-        raise DegenerateInput("both groups need at least one value")
-    ranks = average_ranks(list(values_a) + list(values_b))
-    rank_sum_a = sum(ranks[:n_a])
-    u_a = rank_sum_a - n_a * (n_a + 1) / 2.0
-    return u_a / (n_a * n_b)
+    return mann_whitney_rho_sparse(
+        [v for v in values_a if v != 0.0], [v for v in values_b if v != 0.0],
+        len(values_a), len(values_b),
+    )

@@ -1,11 +1,15 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
 from campaignkit import fixtures
 from campaignkit.analytics import (
     EmptyVocabulary,
+    KeyTermReport,
+    TermScore,
     compute_metrics,
     labels_to_map,
     mann_whitney_keyterms,
@@ -18,6 +22,7 @@ from campaignkit.analytics import (
 from campaignkit.eventlog import replay
 from campaignkit.model import CampaignError, LabelValue, VolunteerLabel
 from campaignkit.simulator import derive_labels
+from campaignkit.text import tokenize
 from campaignkit.stats import DegenerateInput, cohen_kappa
 
 ARMS = ("direct", "loss", "gain", "solidarity")
@@ -206,3 +211,89 @@ def test_empty_vocabulary_raises():
 def test_single_document_corpus_rejected():
     with pytest.raises(DegenerateInput):
         mann_whitney_keyterms(["hola"], ["adios", "hola"])
+
+
+def _average_ranks(values):
+    """Fractional ranking: 1-based ranks, ties share the mean of their ranks."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def _dense_keyterms(corpus_a, corpus_b, top_fraction):
+    """Reference key terms: every term's weight in every document, ranked
+    across the union of documents with average ranks on ties, and
+    rho = (R_A - n_A (n_A + 1) / 2) / (n_A n_B)."""
+    docs_a = [tokenize(doc) for doc in corpus_a]
+    docs_b = [tokenize(doc) for doc in corpus_b]
+    vocabulary = sorted({t for doc in docs_a + docs_b for t in doc})
+
+    def frequencies(docs):
+        out = []
+        for doc in docs:
+            freq = {}
+            for tok in doc:
+                freq[tok] = freq.get(tok, 0.0) + 1.0
+            out.append({tok: n / len(doc) for tok, n in freq.items()})
+        return out
+
+    freq_a, freq_b = frequencies(docs_a), frequencies(docs_b)
+    n_a, n_b = len(docs_a), len(docs_b)
+    scores_a, scores_b = [], []
+    for term in vocabulary:
+        ranks = _average_ranks(
+            [f.get(term, 0.0) for f in freq_a] + [f.get(term, 0.0) for f in freq_b]
+        )
+        rho = (sum(ranks[:n_a]) - n_a * (n_a + 1) / 2.0) / (n_a * n_b)
+        scores_a.append(TermScore(term, rho))
+        scores_b.append(TermScore(term, 1.0 - rho))
+    group_a = tuple(sorted(scores_a, key=lambda s: (-s.score, s.term)))
+    group_b = tuple(sorted(scores_b, key=lambda s: (-s.score, s.term)))
+    top = math.ceil(top_fraction * len(vocabulary))
+    return KeyTermReport(
+        group_a=group_a,
+        group_b=group_b,
+        key_terms_a=tuple(s.term for s in group_a[:top]),
+        key_terms_b=tuple(s.term for s in group_b[:top]),
+        vocabulary_size=len(vocabulary),
+    )
+
+
+def _zipf_corpora(seed, docs_per_side=40, vocabulary_size=300):
+    """Seeded corpora from one Zipf-like vocabulary, plus terms found on one
+    side only, empty documents and punctuation-only documents."""
+    rng = random.Random(seed)
+    words = [f"w{i}" for i in range(vocabulary_size)]
+    cum_weights = list(itertools.accumulate(1.0 / (rank + 1) for rank in range(vocabulary_size)))
+
+    def side(only):
+        docs = []
+        for i in range(docs_per_side):
+            if i % 13 == 5:
+                docs.append("")
+            elif i % 13 == 9:
+                docs.append("¡!! ... ?")
+            else:
+                tokens = rng.choices(words, cum_weights=cum_weights, k=rng.randint(1, 30))
+                tokens += rng.sample(only, rng.randint(0, 2))
+                docs.append(" ".join(tokens) + rng.choice(["", ".", " !"]))
+        return docs
+
+    return side(["soloa", "#marcha", "ayuda"]), side(["solob", "#paro"])
+
+
+@pytest.mark.parametrize("top_fraction", [0.01, 0.5])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_keyterm_report_equals_dense_rank_reference(seed, top_fraction):
+    corpus_a, corpus_b = _zipf_corpora(seed)
+    assert mann_whitney_keyterms(corpus_a, corpus_b, top_fraction) == _dense_keyterms(
+        corpus_a, corpus_b, top_fraction
+    )

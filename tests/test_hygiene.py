@@ -1,0 +1,88 @@
+"""Source hygiene: every imported name in src/ and tests/ is used.
+
+A name counts as used when the module references it anywhere (as a name or
+the root of an attribute chain), lists it in ``__all__``, or names it inside
+a string annotation. ``from __future__`` imports and ``*`` imports are not
+checked.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CHECKED = ("src", "tests")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import in the module."""
+    names: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _referenced(ast.parse(node.value, mode="eval"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {
+                elt.value for elt in getattr(node.value, "elts", ())
+                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+            }
+    return used
+
+
+def unused_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of each imported name the source never uses."""
+    tree = ast.parse(source)
+    used = _referenced(tree)
+    return sorted(
+        ((name, line) for name, line in _imported(tree).items() if name not in used),
+        key=lambda item: item[1],
+    )
+
+
+def test_unused_imports_are_detected_and_exemptions_hold():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from typing import Iterator, Optional, Sequence\n"
+        "from collections import Counter\n"
+        "__all__ = ['Counter']\n"
+        "def f(x: 'Optional[int]') -> 'Iterator[str]':\n"
+        "    return os.path.join(x)\n"
+    )
+    assert unused_imports(source) == [("j", 3), ("Sequence", 4)]
+
+
+def test_no_unused_imports_in_src_and_tests():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for top in CHECKED
+        for path in sorted((ROOT / top).rglob("*.py"))
+        for name, line in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []

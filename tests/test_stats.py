@@ -3,15 +3,17 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from campaignkit.stats import (
+    AnovaResult,
     DegenerateInput,
     EmptyInput,
-    average_ranks,
     cohen_kappa,
     f_sf,
     incomplete_beta,
     mann_whitney_rho,
+    mann_whitney_rho_sparse,
     one_way_anova,
 )
 
@@ -135,6 +137,29 @@ def test_anova_equals_t_squared_for_two_groups():
         assert result.F == pytest.approx(_pooled_t_squared(a, b), rel=1e-9)
 
 
+def _anova_two_pass(samples):
+    """Reference ANOVA: group means in one pass, squared deviations in a second."""
+    groups = [[float(x) for x in g] for g in samples]
+    n_total = sum(len(g) for g in groups)
+    k = len(groups)
+    means = [sum(g) / len(g) for g in groups]
+    grand_mean = sum(sum(g) for g in groups) / n_total
+    ss_between = sum(len(g) * (m - grand_mean) ** 2 for g, m in zip(groups, means))
+    ss_within = sum(sum((x - m) ** 2 for x in g) for g, m in zip(groups, means))
+    f_value = (ss_between / (k - 1)) / (ss_within / (n_total - k))
+    return AnovaResult(k - 1, n_total - k, f_value, f_sf(f_value, k - 1, n_total - k))
+
+
+def test_anova_large_sample_equals_two_pass_reference():
+    # Four groups, 3,000 observations: per-message reply counts plus noise.
+    rng = random.Random(2015)
+    samples = [
+        [rng.choice([0, 0, 1, 2, 3]) + rng.random() * shift for _ in range(size)]
+        for size, shift in ((450, 0.0), (650, 0.5), (850, 1.0), (1050, 0.25))
+    ]
+    assert one_way_anova(samples) == _anova_two_pass(samples)
+
+
 # -- Cohen's kappa ----------------------------------------------------------------
 
 def test_kappa_perfect_agreement():
@@ -171,10 +196,6 @@ def test_kappa_single_category_unanimous():
 
 
 # -- Mann-Whitney ------------------------------------------------------------------
-
-def test_average_ranks_ties():
-    assert average_ranks([10, 20, 20, 30]) == [1.0, 2.5, 2.5, 4.0]
-
 
 def test_rho_complete_separation():
     # A = [5, 6], B = [1, 2]: U_A = 4 = n_A * n_B, rho = 1.
@@ -221,3 +242,39 @@ def test_rho_monotone_transform_invariance():
 def test_rho_rejects_empty_group():
     with pytest.raises(DegenerateInput):
         mann_whitney_rho([], [1.0])
+
+
+_EDGE_VALUES = (-math.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, math.inf)
+_VALUES = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False))
+
+
+@st.composite
+def _sparse_group(draw):
+    """(listed values, group size): a few listed values, zeros or not, and
+    up to 40 implied zeros on top; the group is never empty."""
+    listed = draw(st.lists(_VALUES, max_size=8))
+    implied = draw(st.integers(min_value=0 if listed else 1, max_value=40))
+    return listed, len(listed) + implied
+
+
+@given(_sparse_group(), _sparse_group())
+@example(([], 5), ([], 3))  # both groups all implied zeros
+@example(([], 4), ([-1.0, math.inf], 2))
+@example(([0.5, 0.5, -0.0], 30), ([0.5, -math.inf], 2))
+def test_sparse_rho_equals_dense_rho_and_pairwise_oracle(group_a, group_b):
+    listed_a, n_a = group_a
+    listed_b, n_b = group_b
+    dense_a = listed_a + [0.0] * (n_a - len(listed_a))
+    dense_b = listed_b + [0.0] * (n_b - len(listed_b))
+    rho = mann_whitney_rho_sparse(listed_a, listed_b, n_a, n_b)
+    assert rho == mann_whitney_rho(dense_a, dense_b)
+    assert rho == _rho_pairwise_oracle(dense_a, dense_b)
+
+
+def test_sparse_rho_rejects_bad_group_sizes():
+    with pytest.raises(DegenerateInput):
+        mann_whitney_rho_sparse([], [1.0], 0, 3)
+    with pytest.raises(DegenerateInput):
+        mann_whitney_rho_sparse([1.0], [], 2, 0)
+    with pytest.raises(DegenerateInput):
+        mann_whitney_rho_sparse([1.0, 2.0], [1.0], 1, 3)
