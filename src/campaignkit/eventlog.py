@@ -7,6 +7,12 @@ on calls dispatched for an undersized group; ``q`` is the index of the
 question a follow-up asks. Appends are flushed in blocks and fsynced so a
 crashed run leaves a valid prefix.
 
+The codec's contract: :func:`format_event` writes exactly the bytes of
+``json.dumps(record, ensure_ascii=False, separators=(",", ":"))`` with the
+keys in that order, and :func:`iter_events` raises :class:`MalformedLog`,
+naming the line, on a line that is not a JSON object or whose ``seq``,
+``ts`` or ``q`` is not an integer (``bool`` is not one).
+
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
 :func:`replay` applies each event it reads, so a live run and a replay of its
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .model import (
@@ -39,53 +46,62 @@ class MalformedLog(CampaignError):
 
 
 _FSYNC_BLOCK = 512
-
-
-def event_to_record(event: CampaignEvent) -> dict:
-    record: dict = {"seq": event.seq, "ts": event.ts, "kind": event.kind.value, "actor": event.actor}
-    if event.strategy is not None:
-        record["strategy"] = event.strategy
-    if event.topic is not None:
-        record["topic"] = event.topic
-    if event.conversation_id is not None:
-        record["conv"] = event.conversation_id
-    if event.message_id is not None:
-        record["msg"] = event.message_id
-    if event.in_reply_to is not None:
-        record["reply_to"] = event.in_reply_to
-    if event.target_author is not None:
-        record["target_author"] = event.target_author.value
-    if event.partial:
-        record["partial"] = True
-    if event.followup_index is not None:
-        record["q"] = event.followup_index
-    if event.text is not None:
-        record["text"] = event.text
-    return record
-
-
-def record_to_event(record: dict) -> CampaignEvent:
-    return CampaignEvent(
-        seq=int(record["seq"]),
-        ts=int(record["ts"]),
-        kind=EventKind(record["kind"]),
-        actor=record["actor"],
-        strategy=record.get("strategy"),
-        topic=record.get("topic"),
-        conversation_id=record.get("conv"),
-        message_id=record.get("msg"),
-        in_reply_to=record.get("reply_to"),
-        target_author=(
-            TargetAuthor(record["target_author"]) if "target_author" in record else None
-        ),
-        text=record.get("text"),
-        partial=bool(record.get("partial", False)),
-        followup_index=int(record["q"]) if "q" in record else None,
-    )
+_KINDS = {kind.value: kind for kind in EventKind}
+_TARGETS = {target.value: target for target in TargetAuthor}
+_KIND_JSON = {kind: encode_basestring(kind.value) for kind in EventKind}
+_TARGET_JSON = {target: encode_basestring(target.value) for target in TargetAuthor}
+_parse = json.JSONDecoder().raw_decode
 
 
 def format_event(event: CampaignEvent) -> str:
-    return json.dumps(event_to_record(event), ensure_ascii=False, separators=(",", ":"))
+    """One log line, without its newline: the bytes of ``json.dumps(record,
+    ensure_ascii=False, separators=(",", ":"))`` for the event's record in
+    the fixed key order, built without the intermediate dict."""
+    line = (
+        f'{{"seq":{event.seq:d},"ts":{event.ts:d},"kind":{_KIND_JSON[event.kind]}'
+        f',"actor":{encode_basestring(event.actor)}'
+    )
+    if event.strategy is not None:
+        line += ',"strategy":' + encode_basestring(event.strategy)
+    if event.topic is not None:
+        line += ',"topic":' + encode_basestring(event.topic)
+    if event.conversation_id is not None:
+        line += ',"conv":' + encode_basestring(event.conversation_id)
+    if event.message_id is not None:
+        line += ',"msg":' + encode_basestring(event.message_id)
+    if event.in_reply_to is not None:
+        line += ',"reply_to":' + encode_basestring(event.in_reply_to)
+    if event.target_author is not None:
+        line += ',"target_author":' + _TARGET_JSON[event.target_author]
+    if event.partial:
+        line += ',"partial":true'
+    if event.followup_index is not None:
+        line += f',"q":{event.followup_index:d}'
+    if event.text is not None:
+        line += ',"text":' + encode_basestring(event.text)
+    return line + "}"
+
+
+def record_to_event(record: dict) -> CampaignEvent:
+    """The event of one parsed log line; the inverse of :func:`format_event`.
+
+    Raises ValueError unless the record is a JSON object with a known
+    ``kind``, an ``actor``, integer ``seq`` and ``ts`` and, if present, an
+    integer ``q`` and a known ``target_author``; ``bool`` is not an integer.
+    """
+    try:
+        get = record.get
+        seq, ts, q, target = get("seq"), get("ts"), get("q"), get("target_author")
+        if type(seq) is int and type(ts) is int and (q is None or type(q) is int):
+            return CampaignEvent(
+                seq, ts, _KINDS[record["kind"]], record["actor"], get("strategy"),
+                get("topic"), get("conv"), get("msg"), get("reply_to"),
+                None if target is None else _TARGETS[target], get("text"),
+                bool(get("partial")), q,
+            )
+    except (AttributeError, KeyError, TypeError):
+        pass
+    raise ValueError(f"not an event record: {record!r:.80}")
 
 
 class EventLogWriter:
@@ -144,12 +160,14 @@ def iter_events(path: str) -> Iterator[CampaignEvent]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record, end = _parse(line)
+                if end != len(line):
+                    raise json.JSONDecodeError("Extra data", line, end)
             except json.JSONDecodeError as exc:
                 raise MalformedLog(f"line {lineno}: not valid JSON ({exc})") from exc
             try:
                 yield record_to_event(record)
-            except (KeyError, ValueError) as exc:
+            except ValueError as exc:
                 raise MalformedLog(f"line {lineno}: {exc}") from exc
 
 
@@ -213,46 +231,48 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
     replied_conversations: set[str] = set()
     asked: dict[str, set[int]] = {}  # conversation_id -> question indices
     for i, event in enumerate(events, start=1):
-        where = f"record {i} (seq {event.seq})"
-        if event.seq <= last_seq:
-            raise MalformedLog(f"{where}: seq not strictly increasing")
-        last_seq = event.seq
-        if event.kind in OUTBOUND_KINDS:
-            if event.actor != BOT_ACTOR:
-                raise MalformedLog(f"{where}: outbound message not authored by {BOT_ACTOR}")
-            if event.conversation_id is None or event.message_id is None:
-                raise MalformedLog(f"{where}: outbound message missing conv or msg")
-            if event.strategy is None:
-                raise MalformedLog(f"{where}: outbound message missing strategy")
-            if event.kind is EventKind.OUTBOUND_FOLLOWUP:
-                if event.conversation_id not in replied_conversations:
-                    raise MalformedLog(
-                        f"{where}: follow-up before any reply in {event.conversation_id}"
-                    )
-                if event.followup_index is not None:
-                    questions = asked.setdefault(event.conversation_id, set())
-                    if event.followup_index in questions:
+        try:
+            if event.seq <= last_seq:
+                raise MalformedLog("seq not strictly increasing")
+            last_seq = event.seq
+            if event.kind in OUTBOUND_KINDS:
+                if event.actor != BOT_ACTOR:
+                    raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
+                if event.conversation_id is None or event.message_id is None:
+                    raise MalformedLog("outbound message missing conv or msg")
+                if event.strategy is None:
+                    raise MalformedLog("outbound message missing strategy")
+                if event.kind is EventKind.OUTBOUND_FOLLOWUP:
+                    if event.conversation_id not in replied_conversations:
                         raise MalformedLog(
-                            f"{where}: question {event.followup_index} asked twice"
-                            f" in {event.conversation_id}"
+                            f"follow-up before any reply in {event.conversation_id}"
                         )
-                    questions.add(event.followup_index)
-            known_messages[event.message_id] = event.conversation_id
-        elif event.kind is EventKind.INBOUND_REPLY:
-            if event.in_reply_to is None or event.in_reply_to not in known_messages:
-                raise MalformedLog(f"{where}: reply references unknown message")
-            conversation = known_messages[event.in_reply_to]
-            if event.conversation_id is not None and event.conversation_id != conversation:
-                raise MalformedLog(f"{where}: reply conversation mismatch")
-            if event.message_id is not None:
-                known_messages[event.message_id] = conversation
-            replied_conversations.add(conversation)
-        elif event.kind in INTERACTION_KINDS:
-            if event.target_author is None:
-                raise MalformedLog(f"{where}: {event.kind.value} missing target_author")
-        elif event.kind is EventKind.ABORT:
-            if event.conversation_id is None:
-                raise MalformedLog(f"{where}: abort missing conversation")
+                    if event.followup_index is not None:
+                        questions = asked.setdefault(event.conversation_id, set())
+                        if event.followup_index in questions:
+                            raise MalformedLog(
+                                f"question {event.followup_index} asked twice"
+                                f" in {event.conversation_id}"
+                            )
+                        questions.add(event.followup_index)
+                known_messages[event.message_id] = event.conversation_id
+            elif event.kind is EventKind.INBOUND_REPLY:
+                if event.in_reply_to is None or event.in_reply_to not in known_messages:
+                    raise MalformedLog("reply references unknown message")
+                conversation = known_messages[event.in_reply_to]
+                if event.conversation_id is not None and event.conversation_id != conversation:
+                    raise MalformedLog("reply conversation mismatch")
+                if event.message_id is not None:
+                    known_messages[event.message_id] = conversation
+                replied_conversations.add(conversation)
+            elif event.kind in INTERACTION_KINDS:
+                if event.target_author is None:
+                    raise MalformedLog(f"{event.kind.value} missing target_author")
+            elif event.kind is EventKind.ABORT:
+                if event.conversation_id is None:
+                    raise MalformedLog("abort missing conversation")
+        except MalformedLog as exc:
+            raise MalformedLog(f"record {i} (seq {event.seq}): {exc}") from None
         validated.append(event)
     return validated
 

@@ -39,6 +39,31 @@ def small_sim_config(seed: int = 5, groups: int = 8, population: int = 1500) -> 
     )
 
 
+def reference_record(event: model.CampaignEvent) -> dict:
+    """The reference encoding of an event: the dict whose ``json.dumps(...,
+    ensure_ascii=False, separators=(",", ":"))`` is its log line."""
+    record: dict = {"seq": event.seq, "ts": event.ts, "kind": event.kind.value, "actor": event.actor}
+    if event.strategy is not None:
+        record["strategy"] = event.strategy
+    if event.topic is not None:
+        record["topic"] = event.topic
+    if event.conversation_id is not None:
+        record["conv"] = event.conversation_id
+    if event.message_id is not None:
+        record["msg"] = event.message_id
+    if event.in_reply_to is not None:
+        record["reply_to"] = event.in_reply_to
+    if event.target_author is not None:
+        record["target_author"] = event.target_author.value
+    if event.partial:
+        record["partial"] = True
+    if event.followup_index is not None:
+        record["q"] = event.followup_index
+    if event.text is not None:
+        record["text"] = event.text
+    return record
+
+
 @pytest.fixture(scope="session")
 def reference_log():
     return fixtures.build_reference_log()

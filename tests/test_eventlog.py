@@ -1,13 +1,17 @@
+import json
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from campaignkit import model
 from campaignkit.eventlog import (
     EventLogWriter,
     MalformedLog,
     conversation_members,
     format_event,
     read_events,
+    record_to_event,
     replay,
     validate_events,
     write_events,
@@ -17,7 +21,10 @@ from campaignkit.model import (
     ContactState,
     ConversationState,
     EventKind,
+    TargetAuthor,
 )
+from campaignkit.orchestrator import build_simulated_platform, run_campaign
+from conftest import reference_record, small_sim_config
 
 
 def _event(seq, kind, **kw):
@@ -56,6 +63,66 @@ def test_format_event_field_order():
     line = format_event(_call(1))
     assert line.startswith('{"seq":1,"ts":')
     assert '"kind":"OutboundCall"' in line
+
+
+# Characters an escaper can get wrong: quote, backslash,
+# control characters, DEL, the JSON-legal line separators and non-BMP text.
+_TRICKY = st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "\U0001F600"])
+_text = st.text(st.one_of(_TRICKY, st.characters()), max_size=12)
+_events = st.builds(
+    CampaignEvent,
+    seq=st.integers(),
+    ts=st.integers(),
+    kind=st.sampled_from(EventKind),
+    actor=_text,
+    strategy=st.none() | _text,
+    topic=st.none() | _text,
+    conversation_id=st.none() | _text,
+    message_id=st.none() | _text,
+    in_reply_to=st.none() | _text,
+    target_author=st.none() | st.sampled_from(TargetAuthor),
+    text=st.none() | _text,
+    partial=st.booleans(),
+    followup_index=st.none() | st.integers(),
+)
+
+
+@given(_events)
+@example(CampaignEvent(1, 2, EventKind.OUTBOUND_CALL, "BOT", text='"\\\x00\x7f\u2028\U0001F600é', partial=True))
+def test_format_event_is_json_dumps_of_the_reference_record(event):
+    line = format_event(event)
+    assert line == json.dumps(reference_record(event), ensure_ascii=False, separators=(",", ":"))
+    assert record_to_event(json.loads(line)) == event
+
+
+def _reply_heavy_config():
+    """Two groups per arm and topic whose agents reply and interact often;
+    a 60 s timeout dispatches most calls for partial groups."""
+    config = small_sim_config(seed=5, groups=2, population=1500)
+    return model.replace(
+        config,
+        partial_groups=model.PartialGroupPolicy(policy="dispatch_partial", timeout_s=60),
+        simulation={
+            "profile": "reference",
+            "population": 1500,
+            "reply_propensity": 0.9,
+            "mean_turns": 6,
+            "interaction_propensity": 0.4,
+        },
+    )
+
+
+def test_real_logs_re_encode_byte_for_byte(small_campaign, tmp_path):
+    reply_heavy = tmp_path / "replies.log"
+    config = _reply_heavy_config()
+    events = run_campaign(config, build_simulated_platform(config), str(reply_heavy))
+    assert {EventKind.OUTBOUND_QUOTE, EventKind.RETWEET, EventKind.FAVORITE} <= {e.kind for e in events}
+    assert {e.partial for e in events if e.kind is EventKind.OUTBOUND_CALL} == {True, False}
+    assert any(e.followup_index is not None for e in events)
+    for path in (small_campaign[2], reply_heavy):
+        copy = tmp_path / "copy.log"
+        write_events(read_events(str(path)), str(copy))
+        assert copy.read_bytes() == path.read_bytes()
 
 
 def test_file_round_trip(tmp_path, reference_log):
@@ -167,6 +234,38 @@ def test_malformed_json_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"seq": 1, "ts": 1, "kind": "OutboundCall", "actor": "BOT"\n')
     with pytest.raises(MalformedLog, match="line 1"):
+        read_events(str(path))
+
+
+_GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "5",
+        "[1]",
+        '"seq"',
+        "null",
+        '{"seq":null,"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}',
+        '{"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}',
+        '{"seq":1.9,"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}',
+        '{"seq":true,"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}',
+        '{"seq":2,"ts":"2","kind":"Abort","actor":"BOT","conv":"c1"}',
+        '{"seq":2,"ts":2,"kind":"OutboundFollowup","actor":"BOT","q":[1]}',
+        '{"seq":2,"ts":2,"kind":"OutboundFollowup","actor":"BOT","q":1.0}',
+        '{"seq":2,"ts":2,"kind":"OutboundFollowup","actor":"BOT","q":false}',
+        '{"seq":2,"ts":2,"kind":["Abort"],"actor":"BOT"}',
+        '{"seq":2,"ts":2,"kind":"Nothing","actor":"BOT"}',
+        '{"seq":2,"ts":2,"kind":"Retweet","actor":"a","target_author":"Anyone"}',
+        '{"seq":2,"ts":2,"kind":"Abort"}',
+        '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT"} {}',
+    ],
+)
+def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):
+    path = tmp_path / "hostile.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n{line}\n")
+    with pytest.raises(MalformedLog, match="^line 2: "):
         read_events(str(path))
 
 

@@ -1,4 +1,4 @@
-"""Source hygiene: every imported name in src/ and tests/ is used.
+"""Source hygiene: every imported name in src/, tests/ and perfbench/ is used.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = ("src", "tests")
+CHECKED = ("src", "tests", "perfbench")
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -525,3 +525,12 @@ def test_resume_still_rejects_a_bad_line_before_the_end(tmp_path):
     out.write_bytes(b"\n".join(lines))
     with pytest.raises(MalformedLog, match="line 4"):
         run_campaign(config, build_simulated_platform(config, seed=1009), str(out), resume=True)
+
+
+def test_resume_rejects_a_line_that_is_not_an_event(tmp_path):
+    config, out = _cut_run(tmp_path)
+    lines = out.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b'"seq":4,', b'"seq":null,', 1)
+    out.write_bytes(b"\n".join(lines))
+    with pytest.raises(MalformedLog, match="line 4: not an event record"):
+        run_campaign(config, build_simulated_platform(config, seed=1009), str(out), resume=True)
