@@ -2,21 +2,23 @@
 
 Format: one JSON object per line, keys in the fixed order
 ``seq ts kind actor strategy topic conv msg reply_to target_author partial q
-text``; keys with null values are omitted. ``partial`` appears (as true) only
-on calls dispatched for an undersized group; ``q`` is the index of the
-question a follow-up asks. Appends are flushed in blocks and fsynced so a
-crashed run leaves a valid prefix.
+members text``; keys with null values are omitted. ``partial`` appears (as
+true) only on calls dispatched for an undersized group; ``q`` is the index of
+the question a follow-up asks; ``members`` lists the group of an aborted call
+(a call names its group in its text). Appends are flushed in blocks and
+fsynced so a crashed run leaves a valid prefix.
 
 The codec's contract: :func:`format_event` writes exactly the bytes of
 ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))`` with the
 keys in that order, and :func:`iter_events` raises :class:`MalformedLog`,
-naming the line, on a line that is not a JSON object or whose ``seq``,
-``ts`` or ``q`` is not an integer (``bool`` is not one).
+naming the line, on a line that is not a JSON object, whose ``seq``, ``ts``
+or ``q`` is not an integer (``bool`` is not one), whose string keys hold
+anything but strings, or whose ``members`` is not a list of strings.
 
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
 :func:`replay` applies each event it reads, so a live run and a replay of its
-log hold the same conversation records and contact registry.
+log hold the same conversation records and contacted users.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .model import (
     CampaignError,
     CampaignEvent,
     ConversationRecord,
-    ConversationState,
     EventKind,
     INTERACTION_KINDS,
     OUTBOUND_KINDS,
@@ -77,6 +78,8 @@ def format_event(event: CampaignEvent) -> str:
         line += ',"partial":true'
     if event.followup_index is not None:
         line += f',"q":{event.followup_index:d}'
+    if event.members is not None:
+        line += ',"members":[' + ",".join(map(encode_basestring, event.members)) + "]"
     if event.text is not None:
         line += ',"text":' + encode_basestring(event.text)
     return line + "}"
@@ -86,18 +89,31 @@ def record_to_event(record: dict) -> CampaignEvent:
     """The event of one parsed log line; the inverse of :func:`format_event`.
 
     Raises ValueError unless the record is a JSON object with a known
-    ``kind``, an ``actor``, integer ``seq`` and ``ts`` and, if present, an
-    integer ``q`` and a known ``target_author``; ``bool`` is not an integer.
+    ``kind``, a string ``actor``, integer ``seq`` and ``ts`` and, if present,
+    an integer ``q``, a known ``target_author``, a list of strings in
+    ``members`` and strings in the other string keys; ``bool`` is not an
+    integer.
     """
     try:
         get = record.get
         seq, ts, q, target = get("seq"), get("ts"), get("q"), get("target_author")
-        if type(seq) is int and type(ts) is int and (q is None or type(q) is int):
+        actor, strategy, topic, conv = record["actor"], get("strategy"), get("topic"), get("conv")
+        msg, reply_to, text, members = get("msg"), get("reply_to"), get("text"), get("members")
+        if (
+            type(seq) is int and type(ts) is int and (q is None or type(q) is int)
+            and type(actor) is str
+            and (strategy is None or type(strategy) is str)
+            and (topic is None or type(topic) is str)
+            and (conv is None or type(conv) is str)
+            and (msg is None or type(msg) is str)
+            and (reply_to is None or type(reply_to) is str)
+            and (text is None or type(text) is str)
+            and (members is None or (type(members) is list and all(type(m) is str for m in members)))
+        ):
             return CampaignEvent(
-                seq, ts, _KINDS[record["kind"]], record["actor"], get("strategy"),
-                get("topic"), get("conv"), get("msg"), get("reply_to"),
-                None if target is None else _TARGETS[target], get("text"),
-                bool(get("partial")), q,
+                seq, ts, _KINDS[record["kind"]], actor, strategy, topic, conv, msg, reply_to,
+                None if target is None else _TARGETS[target], text,
+                bool(get("partial")), q, None if members is None else tuple(members),
             )
     except (AttributeError, KeyError, TypeError):
         pass
@@ -222,13 +238,16 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
     and carrying conversation ids; replies reference a message already in
     the log and belonging to the same conversation; every follow-up is
     preceded by a reply in its conversation and never repeats a question
-    index (``q``) already asked there; interactions carry a target author.
-    Returns the validated list.
+    index (``q``) already asked there; interactions carry a target author;
+    an abort names its conversation, and an abort that opens one (no call
+    for it logged before) names the group it called. Returns the validated
+    list.
     """
     validated: list[CampaignEvent] = []
     last_seq = 0
     known_messages: dict[str, str] = {}  # message_id -> conversation_id
     replied_conversations: set[str] = set()
+    called: set[str] = set()
     asked: dict[str, set[int]] = {}  # conversation_id -> question indices
     for i, event in enumerate(events, start=1):
         try:
@@ -242,7 +261,9 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
                     raise MalformedLog("outbound message missing conv or msg")
                 if event.strategy is None:
                     raise MalformedLog("outbound message missing strategy")
-                if event.kind is EventKind.OUTBOUND_FOLLOWUP:
+                if event.kind is EventKind.OUTBOUND_CALL:
+                    called.add(event.conversation_id)
+                elif event.kind is EventKind.OUTBOUND_FOLLOWUP:
                     if event.conversation_id not in replied_conversations:
                         raise MalformedLog(
                             f"follow-up before any reply in {event.conversation_id}"
@@ -271,6 +292,8 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
             elif event.kind is EventKind.ABORT:
                 if event.conversation_id is None:
                     raise MalformedLog("abort missing conversation")
+                if event.conversation_id not in called and not event.members:
+                    raise MalformedLog(f"abort opens {event.conversation_id} without members")
         except MalformedLog as exc:
             raise MalformedLog(f"record {i} (seq {event.seq}): {exc}") from None
         validated.append(event)
@@ -279,13 +302,15 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
 
 @dataclass
 class CampaignState:
-    """Conversation records and message routing, folded from the log.
+    """Records, contacted users and message routing, folded from the log.
 
-    :meth:`apply` is the only writer of records, sent ids, replies and
-    message mappings; the orchestrator calls it on every event it writes.
+    :meth:`apply` is the only writer of records, sent ids, contacted users
+    and message mappings; the orchestrator calls it on every event it writes.
+    A user is contacted once a call names them or an aborted call lists them.
     """
 
     records: dict[str, ConversationRecord] = field(default_factory=dict)
+    contacted: set[str] = field(default_factory=set)
     message_conversations: dict[str, str] = field(default_factory=dict)
     last_seq: int = 0
     last_ts: int = 0
@@ -296,13 +321,9 @@ class CampaignState:
         self.last_ts = max(self.last_ts, event.ts)
         conv = event.conversation_id
         if event.kind is EventKind.OUTBOUND_CALL:
-            self.records[conv] = ConversationRecord(
-                conversation_id=conv,
-                topic=event.topic or "",
-                strategy=event.strategy or "",
-                members=tuple(mentions_in_text(event.text or "")),
-                state=ConversationState.CALLED_TO_ACTION,
-            )
+            members = tuple(mentions_in_text(event.text or ""))
+            self.records[conv] = ConversationRecord(conv, event.topic or "", event.strategy or "", members)
+            self.contacted.update(members)
         if event.kind in OUTBOUND_KINDS:
             record = self.records.get(conv)
             if record is not None:
@@ -311,33 +332,19 @@ class CampaignState:
                     record.used_followups.add(event.followup_index)
             self.message_conversations[event.message_id] = conv
         elif event.kind is EventKind.INBOUND_REPLY:
-            conv = self.message_conversations[event.in_reply_to]
-            record = self.records[conv]
-            record.replies.append((event.actor, event.message_id or "", event.ts))
             if event.message_id:
+                conv = self.message_conversations[event.in_reply_to]
                 self.message_conversations[event.message_id] = conv
-            if event.actor in record.members and record.state is not ConversationState.CLOSED:
-                record.state = ConversationState.ENGAGED
         elif event.kind is EventKind.ABORT:
-            # A rejected call leaves a closed record without members, so its
-            # conversation id is never handed out again.
+            # A rejected call leaves a closed record of its group, so its
+            # conversation id is never handed out again and its members are
+            # contacted.
+            members = event.members or ()
             record = self.records.setdefault(
-                conv, ConversationRecord(conv, event.topic or "", event.strategy or "", ())
+                conv, ConversationRecord(conv, event.topic or "", event.strategy or "", members)
             )
-            record.state = ConversationState.CLOSED
-
-    def registry(self):
-        from .targeting import ContactRegistry
-
-        registry = ContactRegistry()
-        for record in self.records.values():
-            registry.mark_contacted(record.members)
-        for record in self.records.values():
-            members = set(record.members)
-            for user, _msg, _ts in record.replies:
-                if user in members:
-                    registry.mark_replied(user)
-        return registry
+            record.closed = True
+            self.contacted.update(members)
 
 
 def replay(events: Iterable[CampaignEvent]) -> CampaignState:

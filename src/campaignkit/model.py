@@ -2,7 +2,8 @@
 
 Values are plain dataclasses, immutable after construction wherever the type
 is a pure value; the orchestrator owns the only mutable working state
-(conversation records and the contact registry) behind a single-writer loop.
+(conversation records and contacted users folded from the event log, plus
+the users it has admitted) behind a single-writer loop.
 Timestamps are integer milliseconds since the Unix epoch, UTC.
 """
 
@@ -27,30 +28,6 @@ StrategyId = str
 BOT_ACTOR = "BOT"
 
 DEFAULT_CHAR_LIMIT = 140
-
-
-class ContactState(str, Enum):
-    FRESH = "Fresh"
-    QUEUED = "Queued"
-    CONTACTED = "Contacted"
-    REPLIED = "Replied"
-
-
-# Contact states only move forward in this order; once Contacted a user is
-# never re-targeted by a new call to action.
-CONTACT_STATE_ORDER = (
-    ContactState.FRESH,
-    ContactState.QUEUED,
-    ContactState.CONTACTED,
-    ContactState.REPLIED,
-)
-
-
-class ConversationState(str, Enum):
-    PENDING = "Pending"
-    CALLED_TO_ACTION = "CalledToAction"
-    ENGAGED = "Engaged"
-    CLOSED = "Closed"
 
 
 class EventKind(str, Enum):
@@ -176,8 +153,8 @@ class PartialGroupPolicy:
     """What to do with a group buffer that never fills.
 
     ``dispatch_partial`` sends the undersized group after ``timeout_s`` and
-    flags the call event; ``discard`` drops the buffered users (they stay
-    Queued and are never contacted).
+    flags the call event; ``discard`` drops the buffered users (they are
+    never contacted, and the run does not admit them again).
     """
 
     policy: str = "dispatch_partial"
@@ -284,8 +261,7 @@ class ConversationRecord:
     members: tuple[str, ...]
     sent_messages: list[str] = field(default_factory=list)
     used_followups: set[int] = field(default_factory=set)
-    replies: list[tuple[str, str, int]] = field(default_factory=list)
-    state: ConversationState = ConversationState.PENDING
+    closed: bool = False  # an abort was logged for it: no more follow-ups
 
 
 @dataclass(frozen=True)
@@ -306,6 +282,8 @@ class CampaignEvent:
     partial: bool = False
     # Index of the question a follow-up asks (log key ``q``).
     followup_index: Optional[int] = None
+    # The group of an aborted call (log key ``members``).
+    members: Optional[tuple[str, ...]] = None
 
 
 @dataclass(frozen=True)

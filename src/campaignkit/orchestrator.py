@@ -1,12 +1,12 @@
 """The campaign state machine.
 
-One single-writer event loop owns all mutable state: the contact registry,
-the arm allocator, the group buffers, the conversation state and the
-append-only log. The platform's one ordered inbound stream feeds it; analytics
-reads log snapshots. The loop adds no conversation record, sent id, reply or
-message mapping itself: it appends an event and applies it to its
-``CampaignState``, the same fold that ``replay`` runs over a log, so a resumed
-run starts from the state the interrupted one had at the cut.
+One single-writer event loop owns all mutable state: the users it has
+admitted, the arm allocator, the group buffers, the conversation state and
+the append-only log. The platform's one ordered inbound stream feeds it;
+analytics reads log snapshots. The loop adds no conversation record, sent id,
+contacted user or message mapping itself: it appends an event and applies it
+to its ``CampaignState``, the same fold that ``replay`` runs over a log, so a
+resumed run starts from the state the interrupted one had at the cut.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -39,7 +39,6 @@ from .model import (
     CampaignConfig,
     CampaignError,
     CampaignEvent,
-    ConversationState,
     EventKind,
     StrategyId,
     TargetAuthor,
@@ -266,7 +265,7 @@ class Orchestrator:
         self.schedule = DispatchSchedule()
         # A resumed run continues from the state replayed from its log.
         self.state = resume_state if resume_state is not None else CampaignState()
-        self.registry: ContactRegistry = self.state.registry()
+        self.registry = ContactRegistry(self.state.contacted)
         self.conv_counter = 0
         for record in self.state.records.values():
             if (record.topic, record.strategy) in self.allocator.assigned:
@@ -384,10 +383,6 @@ class Orchestrator:
     def _dispatch(self, due: int, send: _Send) -> None:
         self.now = max(self.now, due)
         self.platform.advance_to(due)
-        if send.kind == "call":
-            # Contacted before the post attempt: a rejected call still counts
-            # as the one touch; these users are never re-targeted.
-            self.registry.mark_contacted(send.members)
         for message in send.messages:
             try:
                 message_id = self.platform.post(message, turn=message.turn)
@@ -395,6 +390,8 @@ class Orchestrator:
                 self.schedule.push(due + max(1, exc.retry_after_ms), send)
                 return
             except PlatformRejected as exc:
+                # A rejected call still counts as the one touch: its abort
+                # names the group, so they are contacted on resume too.
                 self._emit(
                     EventKind.ABORT,
                     ts=due,
@@ -402,6 +399,7 @@ class Orchestrator:
                     strategy=send.arm,
                     topic=send.topic,
                     conversation_id=send.conversation_id,
+                    members=send.members if send.kind == "call" else None,
                     text=f"platform rejected {message.kind.value}: {exc}",
                 )
                 if send.kind == "call":
@@ -455,11 +453,8 @@ class Orchestrator:
             in_reply_to=item.in_reply_to,
             text=item.text,
         )
-        if item.author not in record.members:
+        if record.closed or item.author not in record.members:
             return  # logged, never answered
-        self.registry.mark_replied(item.author)
-        if record.state is ConversationState.CLOSED:
-            return
         spec = self.specs[record.strategy]
         index = strategy_mod.select_followup(record, spec, self.rng_followup)
         if index is None:

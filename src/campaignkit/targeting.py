@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .model import BOT_ACTOR, ContactState, CONTACT_STATE_ORDER, TargetUser, Topic
+from .model import BOT_ACTOR, TargetUser, Topic
 from .platform import InboundItem, ItemKind
 from .text import match_keyword
 
@@ -39,45 +39,19 @@ class AdmitResult(str, Enum):
 
 
 class ContactRegistry:
-    """user_id -> contact state, single-writer, forward transitions only.
+    """The users the campaign has seen; each is admitted at most once.
 
-    Once a user is Contacted they never return to Fresh or Queued, within a
-    run and across restarts: on resume the registry is rebuilt from the
-    conversation records replayed from the event log
-    (``CampaignState.registry``). Queued users are not in the log, so a
-    resumed registry holds only Contacted and Replied users.
+    Seeded with the users a log shows as contacted (``CampaignState.contacted``),
+    so after a resume nobody called or aborted before the cut is admitted
+    again. Admitted users that were not yet called are not in the log, so a
+    resumed registry does not hold them.
     """
 
-    def __init__(self) -> None:
-        self._states: dict[str, ContactState] = {}
-
-    def state(self, user_id: str) -> ContactState:
-        return self._states.get(user_id, ContactState.FRESH)
-
-    def _advance(self, user_id: str, new_state: ContactState) -> None:
-        current = self.state(user_id)
-        if CONTACT_STATE_ORDER.index(new_state) < CONTACT_STATE_ORDER.index(current):
-            return  # never move backwards
-        self._states[user_id] = new_state
+    def __init__(self, contacted: Iterable[str] = ()) -> None:
+        self._seen = set(contacted)
 
     def admit(self, target: TargetUser) -> AdmitResult:
-        if self.state(target.user_id) is not ContactState.FRESH:
+        if target.user_id in self._seen:
             return AdmitResult.DUPLICATE_REJECTED
-        self._states[target.user_id] = ContactState.QUEUED
+        self._seen.add(target.user_id)
         return AdmitResult.ADMITTED
-
-    def mark_contacted(self, user_ids: Iterable[str]) -> None:
-        for user_id in user_ids:
-            self._advance(user_id, ContactState.CONTACTED)
-
-    def mark_replied(self, user_id: str) -> None:
-        self._advance(user_id, ContactState.REPLIED)
-
-    def items(self) -> dict[str, ContactState]:
-        return dict(self._states)
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ContactRegistry) and self._states == other._states

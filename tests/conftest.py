@@ -59,6 +59,8 @@ def reference_record(event: model.CampaignEvent) -> dict:
         record["partial"] = True
     if event.followup_index is not None:
         record["q"] = event.followup_index
+    if event.members is not None:
+        record["members"] = list(event.members)
     if event.text is not None:
         record["text"] = event.text
     return record

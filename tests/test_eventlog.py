@@ -16,13 +16,7 @@ from campaignkit.eventlog import (
     validate_events,
     write_events,
 )
-from campaignkit.model import (
-    CampaignEvent,
-    ContactState,
-    ConversationState,
-    EventKind,
-    TargetAuthor,
-)
+from campaignkit.model import CampaignEvent, EventKind, TargetAuthor, replace
 from campaignkit.orchestrator import build_simulated_platform, run_campaign
 from conftest import reference_record, small_sim_config
 
@@ -63,6 +57,8 @@ def test_format_event_field_order():
     line = format_event(_call(1))
     assert line.startswith('{"seq":1,"ts":')
     assert '"kind":"OutboundCall"' in line
+    pinned = _event(2, EventKind.ABORT, conversation_id="c1", followup_index=0, members=("a", "b"), text="x")
+    assert format_event(pinned).endswith(',"conv":"c1","q":0,"members":["a","b"],"text":"x"}')
 
 
 # Characters an escaper can get wrong: quote, backslash,
@@ -84,6 +80,7 @@ _events = st.builds(
     text=st.none() | _text,
     partial=st.booleans(),
     followup_index=st.none() | st.integers(),
+    members=st.none() | st.lists(_text, max_size=3).map(tuple),
 )
 
 
@@ -206,6 +203,15 @@ def test_validator_rejects_a_repeated_question():
     assert validate_events(events[:4] + [_followup(5, 1)] + other)
 
 
+def test_validator_rejects_an_abort_that_opens_a_conversation_without_members():
+    abort = _event(2, EventKind.ABORT, conversation_id="c2", text="platform rejected call")
+    with pytest.raises(MalformedLog, match=r"^record 2 \(seq 2\): abort opens c2 without members"):
+        validate_events([_call(1), abort])
+    # The abort of a turn after the call, or of a call that names its group, is fine.
+    assert validate_events([_call(1), replace(abort, conversation_id="c1")])
+    assert validate_events([_call(1), replace(abort, members=("d", "e", "f"))])
+
+
 def test_validator_rejects_interaction_without_target_author():
     retweet = _event(
         2,
@@ -260,6 +266,10 @@ _GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
         '{"seq":2,"ts":2,"kind":"Retweet","actor":"a","target_author":"Anyone"}',
         '{"seq":2,"ts":2,"kind":"Abort"}',
         '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT"} {}',
+        '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","text":5}',
+        '{"seq":2,"ts":2,"kind":"Abort","actor":1}',
+        '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","members":"u1"}',
+        '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","members":[1]}',
     ],
 )
 def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):
@@ -280,23 +290,24 @@ def test_replay_builds_consistent_records(reference_log):
     record = state.records["direct-0000"]
     assert record.strategy == "direct"
     assert record.members == ("d0000x0", "d0000x1", "d0000x2")
-    assert record.state is ConversationState.ENGAGED
+    assert not record.closed
     calls_per_arm = Counter(record.strategy for record in state.records.values())
     assert calls_per_arm == {"direct": 94, "loss": 94, "gain": 94, "solidarity": 94}
     # No orphan replies: every reply lands in a known conversation.
-    total_replies = sum(len(r.replies) for r in state.records.values())
-    assert total_replies == 423
+    replies = [e for e in reference_log if e.kind is EventKind.INBOUND_REPLY]
+    assert len(replies) == 423
+    assert all(state.message_conversations[e.message_id] in state.records for e in replies)
 
 
-def test_replay_registry_marks_contacted_and_replied(reference_log):
-    registry = replay(reference_log).registry()
-    assert registry.state("d0000x0") is ContactState.REPLIED
-    assert registry.state("d0000x1") is ContactState.CONTACTED
-    assert len(registry) == 376 * 3
+def test_replay_folds_every_called_member_into_contacted(reference_log):
+    state = replay(reference_log)
+    assert {"d0000x0", "d0000x1"} <= state.contacted
+    assert state.contacted == {user for record in state.records.values() for user in record.members}
+    assert len(state.contacted) == 376 * 3
 
 
 def test_replay_reconstruction_is_idempotent(reference_log):
     once = replay(reference_log)
     twice = replay(reference_log)
     assert once.records == twice.records
-    assert once.registry() == twice.registry()
+    assert once.contacted == twice.contacted

@@ -14,7 +14,7 @@ from campaignkit.eventlog import (
     validate_events,
     write_events,
 )
-from campaignkit.model import ContactState, ConversationState, EventKind, OUTBOUND_KINDS, replace
+from campaignkit.model import EventKind, OUTBOUND_KINDS, replace
 from campaignkit.orchestrator import (
     AllQuotasExhausted,
     ArmAllocator,
@@ -23,8 +23,9 @@ from campaignkit.orchestrator import (
     build_simulated_platform,
     run_campaign,
 )
-from campaignkit.platform import PlatformRejected, RateLimited
+from campaignkit.platform import InboundItem, ItemKind, PlatformRejected, RateLimited
 from campaignkit.strategy import MessageKind
+from campaignkit.targeting import AdmitResult
 
 from conftest import StubPlatform, public_post, small_sim_config
 
@@ -135,6 +136,19 @@ def _run_with_stub(config, platform):
         return orchestrator, writer.events
 
 
+def _rejecting(platform, rejects):
+    """The platform, made to reject every post for which ``rejects(message)``."""
+    post = platform.post
+
+    def rejecting_post(message, *, turn=0):
+        if rejects(message):
+            raise PlatformRejected("scripted rejection")
+        return post(message, turn=turn)
+
+    platform.post = rejecting_post
+    return platform
+
+
 def test_partial_group_dispatched_and_flagged():
     config = _single_arm_config()
     platform = StubPlatform(_posts(2))
@@ -151,7 +165,9 @@ def test_partial_group_discard_policy():
     platform = StubPlatform(_posts(2))
     orchestrator, events = _run_with_stub(config, platform)
     assert [e for e in events if e.kind is EventKind.OUTBOUND_CALL] == []
-    assert orchestrator.registry.state("user00") is ContactState.QUEUED
+    # Admitted but never called: not contacted, yet not admitted again.
+    assert "user00" not in orchestrator.state.contacted
+    assert orchestrator.registry.admit(_target("user00")) is AdmitResult.DUPLICATE_REJECTED
 
 
 def test_stale_flush_fires_exactly_at_the_timeout():
@@ -185,9 +201,9 @@ def test_platform_rejection_aborts_and_keeps_users_contacted():
     orchestrator, events = _run_with_stub(config, platform)
     aborts = [e for e in events if e.kind is EventKind.ABORT]
     assert len(aborts) == 1
+    assert aborts[0].members == ("user00", "user01", "user02")
     assert not [e for e in events if e.kind is EventKind.OUTBOUND_CALL]
-    for user in ("user00", "user01", "user02"):
-        assert orchestrator.registry.state(user) is ContactState.CONTACTED
+    assert orchestrator.state.contacted == {"user00", "user01", "user02"}
 
 
 def test_rate_limited_post_is_retried():
@@ -221,6 +237,19 @@ def test_rate_limited_quote_retry_keeps_the_call_record():
     assert [e.kind for e in outbound] == [EventKind.OUTBOUND_CALL, EventKind.OUTBOUND_QUOTE]
     record = orchestrator.state.records[outbound[0].conversation_id]
     assert record.sent_messages == [e.message_id for e in outbound]
+
+
+def test_a_reply_in_a_closed_conversation_gets_no_followup():
+    solidarity = next(s for s in fixtures.default_strategies("en") if s.id == "solidarity")
+    config = _single_arm_config(strategies=(solidarity,))
+    reply = InboundItem(
+        ItemKind.REPLY_TO_BOT, "user00", "r1", 2_000_000, in_reply_to="stub00001", text="corrupcion"
+    )
+    platform = _rejecting(StubPlatform(_posts(3) + [reply]), lambda m: m.kind is MessageKind.QUOTE)
+    orchestrator, events = _run_with_stub(config, platform)
+    # The call went out, its quote was rejected: the conversation is closed.
+    assert [e.kind for e in events] == [EventKind.OUTBOUND_CALL, EventKind.ABORT, EventKind.INBOUND_REPLY]
+    assert orchestrator.state.records["c000001"].closed
 
 
 def test_one_user_never_mentioned_in_two_calls_with_duplicate_stream():
@@ -319,29 +348,40 @@ def test_replay_reconstructs_registry_and_records(small_campaign, tmp_path):
     with EventLogWriter(str(tmp_path / "rerun.log")) as writer:
         orchestrator = Orchestrator(config, platform, writer)
         orchestrator.run()
-    assert replay(writer.events).registry() == state.registry()
-    assert state.registry().items() == orchestrator.registry.items()
+    assert replay(writer.events).contacted == state.contacted
+    assert state.contacted == {user for users in conversation_members(events).values() for user in users}
     assert replay(writer.events) == orchestrator.state
 
 
-# More runs whose live state must equal the replay of their log; the seed-5
+# More runs whose live state must equal the replay of their log, each with
+# the conversation whose posts the platform rejects, if any; the seed-5
 # campaign is checked by test_replay_reconstructs_registry_and_records.
 LIVE_RUNS = {
-    "seed21": small_sim_config(seed=21, groups=3, population=500),
-    "partial60": replace(small_sim_config(), partial_groups=model.PartialGroupPolicy(timeout_s=60)),
+    "seed21": (small_sim_config(seed=21, groups=3, population=500), None),
+    "partial60": (
+        replace(small_sim_config(), partial_groups=model.PartialGroupPolicy(timeout_s=60)), None
+    ),
+    "abort": (small_sim_config(seed=21, groups=3, population=500), "c000002"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LIVE_RUNS))
 def test_live_state_equals_replay_of_its_log(name, tmp_path):
-    config = LIVE_RUNS[name]
+    config, rejected = LIVE_RUNS[name]
+    platform = build_simulated_platform(config)
+    if rejected is not None:
+        _rejecting(platform, lambda message: message.conversation_id == rejected)
     out = tmp_path / "live.log"
     with EventLogWriter(str(out)) as writer:
-        orchestrator = Orchestrator(config, build_simulated_platform(config), writer)
+        orchestrator = Orchestrator(config, platform, writer)
         orchestrator.run()
-    replayed = replay(read_events(str(out)))
+    events = read_events(str(out))
+    replayed = replay(events)
     assert replayed == orchestrator.state
-    assert replayed.registry() == orchestrator.registry
+    called = {user for users in conversation_members(events).values() for user in users}
+    aborted = {user for e in events if e.kind is EventKind.ABORT for user in e.members or ()}
+    assert replayed.contacted == called | aborted
+    assert bool(aborted) is (rejected is not None)
     assert any(record.used_followups for record in replayed.records.values())
 
 
@@ -426,37 +466,39 @@ def test_resume_logs_every_post(tmp_path):
     assert logged == {message_id: 1 for message_id in posted}
 
 
-class _RejectsConversation(StubPlatform):
-    """Rejects every post of one conversation."""
-
-    def __init__(self, public, rejected):
-        super().__init__(public)
-        self.rejected = rejected
-
-    def post(self, message, *, turn: int = 0) -> str:
-        if message.conversation_id == self.rejected:
-            raise PlatformRejected("scripted rejection")
-        return super().post(message, turn=turn)
+# The log of the first run below, pinned: its abort names the rejected group
+# under "members", between "q" and "text".
+ABORTED_CALL_LOG = (2, 444, "d815b12719834ae9d3d51e8d07c7ae20a7a8f69b66d7c2eb385d6d8ee63a2a2c")
 
 
 def test_resume_after_an_aborted_call_opens_a_new_conversation(tmp_path):
     config = _single_arm_config()
     out = tmp_path / "aborted.log"
-    run_campaign(config, _RejectsConversation(_posts(6), "c000001"), str(out))
+    platform = _rejecting(StubPlatform(_posts(6)), lambda message: message.conversation_id == "c000001")
+    run_campaign(config, platform, str(out))
     first = read_events(str(out))
+    data = out.read_bytes()
+    assert (len(first), len(data), hashlib.sha256(data).hexdigest()) == ABORTED_CALL_LOG
     assert [(e.kind, e.conversation_id) for e in first] == [
         (EventKind.ABORT, "c000001"),
         (EventKind.OUTBOUND_CALL, "c000002"),
     ]
     aborted = replay(first).records["c000001"]
-    assert (aborted.members, aborted.state) == ((), ConversationState.CLOSED)
-    newcomers = [public_post(f"new{i}", "no mas corrupcion", 5_000_000 + i * 1000) for i in range(3)]
-    events = run_campaign(config, StubPlatform(newcomers), str(out), resume=True)
+    assert (aborted.members, aborted.closed) == (("user00", "user01", "user02"), True)
+    # The aborted group is charged against the quota, like the called one.
+    with EventLogWriter(None) as writer:
+        resumed = Orchestrator(config, StubPlatform(), writer, resume_state=replay(first))
+    assert resumed.allocator.assigned[("corruption", config.strategies[0].id)] == 6
+    # The aborted group posts again before three newcomers: only the
+    # newcomers are called.
+    newcomers = [public_post(f"new{i}", "no mas corrupcion", 6_000_000 + i * 1000) for i in range(3)]
+    events = run_campaign(
+        config, StubPlatform(_posts(3, start_ts=5_000_000) + newcomers), str(out), resume=True
+    )
     calls = [e for e in events[len(first):] if e.kind is EventKind.OUTBOUND_CALL]
     assert [e.conversation_id for e in calls] == ["c000003"]
     assert conversation_members(calls)["c000003"] == ("new0", "new1", "new2")
-    registry = replay(events).registry()
-    assert all(registry.state(f"new{i}") is ContactState.CONTACTED for i in range(3))
+    assert {f"new{i}" for i in range(3)} <= replay(events).contacted
 
 
 def test_resume_after_a_cut_between_out_of_order_calls(tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from campaignkit import fixtures
-from campaignkit.model import ConversationRecord, ConversationState
+from campaignkit.model import ConversationRecord
 from campaignkit.strategy import (
     MessageKind,
     TemplateOverflow,
@@ -101,7 +101,6 @@ def _record(used=(), n_questions=7):
         strategy="direct",
         members=MEMBERS,
         used_followups=set(used),
-        state=ConversationState.ENGAGED,
     )
 
 

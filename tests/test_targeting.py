@@ -2,7 +2,6 @@ import random
 
 from campaignkit import fixtures
 from campaignkit.eventlog import replay
-from campaignkit.model import ContactState
 from campaignkit.targeting import AdmitResult, ContactRegistry, match_target
 
 from conftest import public_post
@@ -44,25 +43,18 @@ def test_admit_fresh_then_duplicate():
     registry = ContactRegistry()
     target = match_target(public_post("maria", "corrupcion", 1000), TOPICS)
     assert registry.admit(target) is AdmitResult.ADMITTED
-    assert registry.state("maria") is ContactState.QUEUED
     again = match_target(public_post("maria", "mas corrupcion", 2000), TOPICS)
     assert registry.admit(again) is AdmitResult.DUPLICATE_REJECTED
 
 
 def test_admit_rejects_after_registry_reload(reference_log):
-    # Resume reloads the registry by replaying the log: a user the log shows
-    # as called to action is never admitted again.
-    reloaded = replay(reference_log).registry()
-    assert reloaded.state("d0000x1") is ContactState.CONTACTED
+    # Resume seeds the registry with the users the replayed log shows as
+    # called to action: they are never admitted again.
+    contacted = replay(reference_log).contacted
+    assert "d0000x1" in contacted
+    reloaded = ContactRegistry(contacted)
     target = match_target(public_post("d0000x1", "corrupcion otra vez", 3000), TOPICS)
     assert reloaded.admit(target) is AdmitResult.DUPLICATE_REJECTED
-
-
-def test_contact_state_never_moves_backwards():
-    registry = ContactRegistry()
-    registry.mark_replied("maria")
-    registry.mark_contacted(["maria"])
-    assert registry.state("maria") is ContactState.REPLIED
 
 
 def test_admitted_users_unique_over_random_streams():
