@@ -82,8 +82,11 @@ def compute_metrics(
 ) -> MetricsReport:
     """Per-arm participation counts and rates from a validated log.
 
-    Replies count when their author is a member of the conversation they
-    landed in; strangers are recorded in the log but are not volunteers.
+    The events are validated first; a sealed ``ValidatedLog`` from
+    ``validate_events`` is taken as it is, with the volunteer replies it
+    computed once. Replies count when their author is a member of the
+    conversation they landed in; strangers are recorded in the log but are
+    not volunteers.
     Totals are computed from the per-arm columns. The cross-arm comparisons
     are one-way ANOVAs over per-conversation unique contributors and over
     per-message reply counts.
@@ -120,7 +123,7 @@ def compute_metrics(
     for event in events:
         strategy = event.strategy or ""
         if event.kind in OUTBOUND_KINDS:
-            b = bucket(strategy)
+            b = counts.get(strategy) or bucket(strategy)
             b["outbound"] += 1
             if event.kind is EventKind.OUTBOUND_CALL:
                 b["calls"] += 1
@@ -135,14 +138,14 @@ def compute_metrics(
                 continue
             conv = event.conversation_id or ""
             strategy = conv_arm.get(conv, strategy)
-            b = bucket(strategy)
+            b = counts.get(strategy) or bucket(strategy)
             b["replies"] += 1
             repliers.setdefault(strategy, set()).add(event.actor)
             conv_contributors.setdefault(conv, set()).add(event.actor)
             if event.in_reply_to in message_replies:
                 message_replies[event.in_reply_to] += 1
         elif event.kind in INTERACTION_KINDS:
-            b = bucket(strategy)
+            b = counts.get(strategy) or bucket(strategy)
             if event.target_author is TargetAuthor.BOT:
                 b["bot_interactions"] += 1
             else:

@@ -87,7 +87,7 @@ def _merged_labels(args) -> Optional[dict]:
 
 
 def cmd_report(args) -> int:
-    events = eventlog.read_events(args.log)
+    events = eventlog.validate_events(eventlog.read_events(args.log))
     labels = _merged_labels(args)
     report = analytics.compute_metrics(events, labels)
     if args.format == "json-lines":
@@ -98,7 +98,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_keyterms(args) -> int:
-    events = eventlog.read_events(args.log)
+    events = eventlog.validate_events(eventlog.read_events(args.log))
     mentioned = {u for users in eventlog.conversation_members(events).values() for u in users}
     repliers = {event.actor for event in eventlog.volunteer_replies(events)}
     non_responders = sorted(mentioned - repliers)

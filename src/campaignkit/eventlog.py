@@ -13,12 +13,22 @@ The codec's contract: :func:`format_event` writes exactly the bytes of
 keys in that order, and :func:`iter_events` raises :class:`MalformedLog`,
 naming the line, on a line that is not a JSON object, whose ``seq``, ``ts``
 or ``q`` is not an integer (``bool`` is not one), whose string keys hold
-anything but strings, or whose ``members`` is not a list of strings.
+anything but strings, whose ``members`` is not a list of strings, or whose
+``partial`` is anything but ``true``.
 
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
 :func:`replay` applies each event it reads, so a live run and a replay of its
 log hold the same conversation records and contacted users.
+
+A log is validated once. :func:`validate_events` returns a
+:class:`ValidatedLog`, a list sealed against change: every mutating method
+raises ``TypeError`` and events are frozen, so the log stays valid, and
+:func:`validate_events` (and so :func:`replay` and
+``analytics.compute_metrics``) takes one back as it is. A sealed log also
+computes its conversation members and volunteer replies once, on first use.
+Its slices, concatenations and copies made with ``list()`` are plain lists
+and are validated again.
 """
 
 from __future__ import annotations
@@ -91,14 +101,15 @@ def record_to_event(record: dict) -> CampaignEvent:
     Raises ValueError unless the record is a JSON object with a known
     ``kind``, a string ``actor``, integer ``seq`` and ``ts`` and, if present,
     an integer ``q``, a known ``target_author``, a list of strings in
-    ``members`` and strings in the other string keys; ``bool`` is not an
-    integer.
+    ``members``, ``true`` in ``partial`` and strings in the other string
+    keys; ``bool`` is not an integer.
     """
     try:
         get = record.get
         seq, ts, q, target = get("seq"), get("ts"), get("q"), get("target_author")
         actor, strategy, topic, conv = record["actor"], get("strategy"), get("topic"), get("conv")
         msg, reply_to, text, members = get("msg"), get("reply_to"), get("text"), get("members")
+        partial = get("partial")
         if (
             type(seq) is int and type(ts) is int and (q is None or type(q) is int)
             and type(actor) is str
@@ -109,11 +120,12 @@ def record_to_event(record: dict) -> CampaignEvent:
             and (reply_to is None or type(reply_to) is str)
             and (text is None or type(text) is str)
             and (members is None or (type(members) is list and all(type(m) is str for m in members)))
+            and (partial is None or partial is True)
         ):
             return CampaignEvent(
                 seq, ts, _KINDS[record["kind"]], actor, strategy, topic, conv, msg, reply_to,
                 None if target is None else _TARGETS[target], text,
-                bool(get("partial")), q, None if members is None else tuple(members),
+                partial is True, q, None if members is None else tuple(members),
             )
     except (AttributeError, KeyError, TypeError):
         pass
@@ -211,7 +223,10 @@ def drop_torn_tail(path: str) -> int:
 
 
 def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str, ...]]:
-    """Conversation members recovered from the mentions of each call."""
+    """Conversation members recovered from the mentions of each call; of a
+    :class:`ValidatedLog`, a fresh copy of the members it computed once."""
+    if isinstance(events, ValidatedLog):
+        return dict(events._index()[0])
     members: dict[str, tuple[str, ...]] = {}
     for event in events:
         if event.kind is EventKind.OUTBOUND_CALL and event.conversation_id is not None:
@@ -222,8 +237,16 @@ def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str
 def volunteer_replies(events: Sequence[CampaignEvent]) -> Iterator[CampaignEvent]:
     """The replies that count: those whose author is a member of the
     conversation they landed in. Strangers' replies are logged, but they
-    make nobody a volunteer."""
-    members = conversation_members(events)
+    make nobody a volunteer. Of a :class:`ValidatedLog`, the replies it
+    found once."""
+    if isinstance(events, ValidatedLog):
+        return iter(events._index()[1])
+    return _replies_by_members(events, conversation_members(events))
+
+
+def _replies_by_members(
+    events: Iterable[CampaignEvent], members: dict[str, tuple[str, ...]]
+) -> Iterator[CampaignEvent]:
     for event in events:
         if event.kind is EventKind.INBOUND_REPLY and event.actor in members.get(
             event.conversation_id or "", ()
@@ -231,25 +254,60 @@ def volunteer_replies(events: Sequence[CampaignEvent]) -> Iterator[CampaignEvent
             yield event
 
 
-def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
+class ValidatedLog(list):
+    """A log that passed :func:`validate_events`, sealed against change.
+
+    Only :func:`validate_events` should build one. Every mutating list method
+    raises ``TypeError``; reading, equality with a list, slicing and ``+``
+    work as for a list, and their results are plain lists. Copies and
+    pickles validate the events again.
+    """
+
+    _indices: Optional[tuple[dict[str, tuple[str, ...]], list[CampaignEvent]]] = None
+
+    def _sealed(self, *args, **kwargs):
+        raise TypeError("a validated log is sealed; edit a list() copy of it")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _sealed
+    append = extend = insert = pop = remove = clear = sort = reverse = _sealed
+
+    def __reduce__(self):
+        return validate_events, (list(self),)
+
+    def _index(self) -> tuple[dict[str, tuple[str, ...]], list[CampaignEvent]]:
+        """Conversation members and volunteer replies, computed on first use."""
+        if self._indices is None:
+            # An iterator, not the log, so conversation_members takes its
+            # plain path: membership has one definition.
+            members = conversation_members(iter(self))
+            self._indices = (members, list(_replies_by_members(self, members)))
+        return self._indices
+
+
+def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
     """Check log invariants; raises MalformedLog on the first violation.
 
-    Enforced: strictly increasing seq; outbound messages authored by the bot
-    and carrying conversation ids; replies reference a message already in
-    the log and belonging to the same conversation; every follow-up is
-    preceded by a reply in its conversation and never repeats a question
-    index (``q``) already asked there; interactions carry a target author;
-    an abort names its conversation, and an abort that opens one (no call
-    for it logged before) names the group it called. Returns the validated
-    list.
+    Enforced: strictly increasing seq; outbound messages authored by the bot,
+    carrying conversation ids and message ids not already in the log;
+    replies reference a message already in the log and belonging to the
+    same conversation; every follow-up is preceded by a reply in its
+    conversation and never repeats a question index (``q``) already asked
+    there; interactions carry a target author; an abort names its
+    conversation, and an abort that opens one (no call for it logged before)
+    names the group it called.
+
+    Returns the events as a sealed :class:`ValidatedLog`. A ValidatedLog is
+    returned as it is, without a second check: it cannot change.
     """
-    validated: list[CampaignEvent] = []
+    if isinstance(events, ValidatedLog):
+        return events
+    log = ValidatedLog(events)
     last_seq = 0
     known_messages: dict[str, str] = {}  # message_id -> conversation_id
     replied_conversations: set[str] = set()
     called: set[str] = set()
     asked: dict[str, set[int]] = {}  # conversation_id -> question indices
-    for i, event in enumerate(events, start=1):
+    for i, event in enumerate(log, start=1):
         try:
             if event.seq <= last_seq:
                 raise MalformedLog("seq not strictly increasing")
@@ -261,6 +319,8 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
                     raise MalformedLog("outbound message missing conv or msg")
                 if event.strategy is None:
                     raise MalformedLog("outbound message missing strategy")
+                if event.message_id in known_messages:
+                    raise MalformedLog(f"message {event.message_id} already in the log")
                 if event.kind is EventKind.OUTBOUND_CALL:
                     called.add(event.conversation_id)
                 elif event.kind is EventKind.OUTBOUND_FOLLOWUP:
@@ -296,8 +356,7 @@ def validate_events(events: Iterable[CampaignEvent]) -> list[CampaignEvent]:
                     raise MalformedLog(f"abort opens {event.conversation_id} without members")
         except MalformedLog as exc:
             raise MalformedLog(f"record {i} (seq {event.seq}): {exc}") from None
-        validated.append(event)
-    return validated
+    return log
 
 
 @dataclass
@@ -348,7 +407,9 @@ class CampaignState:
 
 
 def replay(events: Iterable[CampaignEvent]) -> CampaignState:
-    """Validate a log and fold it into a fresh :class:`CampaignState`."""
+    """Validate a log and fold it into a fresh :class:`CampaignState`.
+
+    A :class:`ValidatedLog` is folded without a second check."""
     state = CampaignState()
     for event in validate_events(events):
         state.apply(event)

@@ -264,9 +264,13 @@ class ConversationRecord:
     closed: bool = False  # an abort was logged for it: no more follow-ups
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CampaignEvent:
-    """One append-only log record; the single source of truth for analytics."""
+    """One append-only log record; the single source of truth for analytics.
+
+    Slotted: a log holds tens of thousands of events, and slots make each
+    one smaller and cheaper to build than an instance ``__dict__``.
+    """
 
     seq: int
     ts: int

@@ -263,8 +263,10 @@ class Orchestrator:
             topic: {arm: [] for arm in self.arm_ids} for topic in self.topic_names
         }
         self.schedule = DispatchSchedule()
-        # A resumed run continues from the state replayed from its log.
+        # A resumed run continues from the state replayed from its log, and
+        # its platform mints no message id the log already holds.
         self.state = resume_state if resume_state is not None else CampaignState()
+        platform.skip_message_ids(self.state.message_conversations)
         self.registry = ContactRegistry(self.state.contacted)
         self.conv_counter = 0
         for record in self.state.records.values():

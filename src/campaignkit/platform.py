@@ -14,11 +14,12 @@ dispatcher thread only.
 from __future__ import annotations
 
 import heapq
+import re
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .model import CampaignError
 from .text import match_keyword
@@ -91,6 +92,10 @@ class Platform(ABC):
         """Deliver one outbound message, at most once per idempotency key
         (conversation, kind, turn); returns the durable message id."""
 
+    def skip_message_ids(self, used: Iterable[str]) -> None:
+        """Never hand out an id in ``used``: a resumed run's log holds them.
+        A no-op for adapters whose ids are unique across runs."""
+
     @abstractmethod
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         """Public posts whose text contains any keyword (folded substring),
@@ -108,6 +113,9 @@ class Platform(ABC):
                 f"message is {len(message.text)} characters, "
                 f"limit is {self.capabilities.char_limit}"
             )
+
+
+_MESSAGE_ID = re.compile(r"m([0-9]+)")
 
 
 class SimulatedPlatform(Platform):
@@ -214,6 +222,13 @@ class SimulatedPlatform(Platform):
                         ):
                             self._push(extra.timestamp, "item", extra)
         return message_id
+
+    def skip_message_ids(self, used: Iterable[str]) -> None:
+        """Mint ids past the highest ``m`` id in ``used``."""
+        for message_id in used:
+            match = _MESSAGE_ID.fullmatch(message_id)
+            if match is not None:
+                self._message_counter = max(self._message_counter, int(match.group(1)))
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         while self._heap:

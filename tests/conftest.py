@@ -141,6 +141,11 @@ class StubPlatform(Platform):
         self.posted.append((message_id, message, turn))
         return message_id
 
+    def skip_message_ids(self, used) -> None:
+        for message_id in used:
+            if message_id.startswith("stub"):
+                self._counter = max(self._counter, int(message_id[4:]))
+
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         from campaignkit.text import match_keyword
 

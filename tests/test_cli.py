@@ -116,3 +116,15 @@ def test_bad_log_is_a_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.log"
     bad.write_text("not json\n")
     assert main(["report", "--log", str(bad)]) == 2
+
+
+def test_keyterms_rejects_a_log_that_does_not_validate(tmp_path, capsys):
+    orphan = model.CampaignEvent(
+        seq=1, ts=1, kind=model.EventKind.INBOUND_REPLY, actor="a",
+        conversation_id="c1", message_id="r1", in_reply_to="m404", text="hi",
+    )
+    log = tmp_path / "orphan.log"
+    eventlog.write_events([orphan], str(log))
+    for command in (["keyterms", "--history", str(tmp_path)], ["report"]):
+        assert main(command + ["--log", str(log)]) == 2
+        assert "reply references unknown message" in capsys.readouterr().err

@@ -1,23 +1,29 @@
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from campaignkit import model
+from campaignkit.analytics import compute_metrics, labels_to_map
 from campaignkit.eventlog import (
     EventLogWriter,
     MalformedLog,
+    ValidatedLog,
     conversation_members,
     format_event,
     read_events,
     record_to_event,
     replay,
     validate_events,
+    volunteer_replies,
     write_events,
 )
 from campaignkit.model import CampaignEvent, EventKind, TargetAuthor, replace
 from campaignkit.orchestrator import build_simulated_platform, run_campaign
+from campaignkit.simulator import derive_labels
 from conftest import reference_record, small_sim_config
 
 
@@ -141,6 +147,75 @@ def test_reference_log_validates(reference_log):
     assert validate_events(reference_log) == list(reference_log)
 
 
+# -- the sealed, validated log ------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda v: v.__setitem__(0, v[0]),
+        lambda v: v.__setitem__(slice(0, 1), v[:1]),
+        lambda v: v.__delitem__(0),
+        lambda v: v.__iadd__([]),
+        lambda v: v.__imul__(2),
+        lambda v: v.append(v[0]),
+        lambda v: v.extend([]),
+        lambda v: v.insert(0, v[0]),
+        lambda v: v.pop(),
+        lambda v: v.remove(v[0]),
+        lambda v: v.clear(),
+        lambda v: v.sort(key=lambda e: e.seq),
+        lambda v: v.reverse(),
+    ],
+)
+def test_a_validated_log_is_sealed(mutate):
+    events = [_call(1), _reply(2)]
+    log = validate_events(events)
+    with pytest.raises(TypeError, match="sealed"):
+        mutate(log)
+    assert log == events
+
+
+def test_a_validated_log_is_not_checked_again_and_reads_like_a_list():
+    events = [_call(1), _reply(2), _reply(3, actor="b")]
+    log = validate_events(events)
+    assert isinstance(log, ValidatedLog)
+    assert validate_events(log) is log
+    assert replay(log).records["c1"].members == ("a", "b", "c")
+    assert log == events and events == log
+    assert type(log[1:]) is list and log[1:] == events[1:]
+    assert type(log + events) is list and log + events == events + events
+    for clone in (copy.copy(log), pickle.loads(pickle.dumps(log))):
+        assert isinstance(clone, ValidatedLog) and clone == events
+
+
+def test_an_edited_copy_of_a_validated_log_is_validated_again():
+    log = validate_events([_call(1), _reply(2)])
+    edited = list(log)
+    edited[1] = replace(edited[1], in_reply_to="nothing")
+    with pytest.raises(MalformedLog, match="unknown message"):
+        replay(edited)
+    with pytest.raises(MalformedLog, match="unknown message"):
+        compute_metrics(edited)
+    with pytest.raises(MalformedLog, match="unknown message"):
+        validate_events(log[:1] + edited[1:])
+
+
+def test_cached_indices_equal_those_of_the_plain_list(small_campaign, tmp_path):
+    reply_heavy = tmp_path / "replies.log"
+    config = _reply_heavy_config()
+    run_campaign(config, build_simulated_platform(config), str(reply_heavy))
+    arms = [spec.id for spec in config.strategies]
+    for path in (small_campaign[2], reply_heavy):
+        plain = read_events(str(path))
+        log = validate_events(plain)
+        assert conversation_members(log) == conversation_members(plain)
+        assert conversation_members(log) is not conversation_members(log)
+        assert list(volunteer_replies(log)) == list(volunteer_replies(plain))
+        labels = labels_to_map(derive_labels(log))
+        assert labels == labels_to_map(derive_labels(plain))
+        assert compute_metrics(log, labels, arms=arms) == compute_metrics(list(log), labels, arms=arms)
+
+
 def test_validator_rejects_seq_regression():
     events = [_call(2), _reply(1, reply_to="m2")]
     with pytest.raises(MalformedLog, match="seq"):
@@ -150,6 +225,13 @@ def test_validator_rejects_seq_regression():
 def test_validator_rejects_orphan_reply():
     with pytest.raises(MalformedLog, match="unknown message"):
         validate_events([_reply(1, reply_to="nothing")])
+
+
+def test_validator_rejects_an_outbound_message_id_already_in_the_log():
+    # A second call under the first call's id, and a follow-up under a reply's id.
+    for reused in (replace(_call(3, conv="c2"), message_id="m1"), replace(_followup(3, 0), message_id="r2")):
+        with pytest.raises(MalformedLog, match=rf"^record 3 \(seq 3\): message {reused.message_id} already in the log"):
+            validate_events([_call(1), _reply(2), reused])
 
 
 def test_validator_rejects_followup_before_reply():
@@ -270,6 +352,9 @@ _GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
         '{"seq":2,"ts":2,"kind":"Abort","actor":1}',
         '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","members":"u1"}',
         '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","members":[1]}',
+        '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","partial":"no"}',
+        '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","partial":false}',
+        '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","partial":1}',
     ],
 )
 def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):

@@ -1,3 +1,7 @@
+import dataclasses
+
+import pytest
+
 from campaignkit import fixtures, model
 from campaignkit.model import (
     CampaignConfig,
@@ -95,6 +99,16 @@ def test_event_round_trip():
         partial=True,
     )
     assert record_to_event(reference_record(event)) == event
+
+
+def test_events_are_frozen_slotted_and_hashable():
+    event = CampaignEvent(seq=1, ts=2, kind=EventKind.ABORT, actor="BOT", conversation_id="c1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.seq = 5
+    assert not hasattr(event, "__dict__")
+    moved = dataclasses.replace(event, seq=5)
+    assert (moved.seq, moved.conversation_id, event.seq) == (5, "c1", 1)
+    assert {event, moved, dataclasses.replace(moved, seq=1)} == {event, moved}
 
 
 def test_strategy_fixture_round_trip():

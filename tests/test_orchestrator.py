@@ -460,10 +460,11 @@ def test_resume_logs_every_post(tmp_path):
 
     platform.post = recording_post
     events = run_campaign(config, platform, str(out), resume=True)
-    # The fresh platform hands out ids the first run already used.
-    assert set(posted) & {e.message_id for e in first}
+    # The fresh platform mints past the ids the first run already used.
+    assert posted and not set(posted) & {e.message_id for e in first}
     logged = Counter(e.message_id for e in events[len(first):] if e.kind in OUTBOUND_KINDS)
     assert logged == {message_id: 1 for message_id in posted}
+    assert validate_events(events) == events
 
 
 # The log of the first run below, pinned: its abort names the rejected group
