@@ -373,6 +373,8 @@ class CampaignState:
     message_conversations: dict[str, str] = field(default_factory=dict)
     last_seq: int = 0
     last_ts: int = 0
+    # When the last outbound message was posted; None before the first.
+    last_outbound_ts: Optional[int] = None
 
     def apply(self, event: CampaignEvent) -> None:
         """Fold one valid event into the state."""
@@ -384,6 +386,7 @@ class CampaignState:
             self.records[conv] = ConversationRecord(conv, event.topic or "", event.strategy or "", members)
             self.contacted.update(members)
         if event.kind in OUTBOUND_KINDS:
+            self.last_outbound_ts = event.ts
             record = self.records.get(conv)
             if record is not None:
                 record.sent_messages.append(event.message_id)

@@ -270,6 +270,13 @@ class CampaignEvent:
 
     Slotted: a log holds tens of thousands of events, and slots make each
     one smaller and cheaper to build than an instance ``__dict__``.
+
+    ``__init__`` is written by hand because every event a run logs and every
+    event a log is read back into is built by it: it sets each slot through
+    the slot's member descriptor, which costs about half of the one
+    ``object.__setattr__`` call per field that the generated frozen
+    ``__init__`` makes. It must list every field, in field order and with
+    the field's default; a field missing from it is never set.
     """
 
     seq: int
@@ -288,6 +295,57 @@ class CampaignEvent:
     followup_index: Optional[int] = None
     # The group of an aborted call (log key ``members``).
     members: Optional[tuple[str, ...]] = None
+
+    def __init__(
+        self,
+        seq: int,
+        ts: int,
+        kind: EventKind,
+        actor: str,
+        strategy: Optional[StrategyId] = None,
+        topic: Optional[str] = None,
+        conversation_id: Optional[str] = None,
+        message_id: Optional[str] = None,
+        in_reply_to: Optional[str] = None,
+        target_author: Optional[TargetAuthor] = None,
+        text: Optional[str] = None,
+        partial: bool = False,
+        followup_index: Optional[int] = None,
+        members: Optional[tuple[str, ...]] = None,
+    ) -> None:
+        _set_seq(self, seq)
+        _set_ts(self, ts)
+        _set_kind(self, kind)
+        _set_actor(self, actor)
+        _set_strategy(self, strategy)
+        _set_topic(self, topic)
+        _set_conversation_id(self, conversation_id)
+        _set_message_id(self, message_id)
+        _set_in_reply_to(self, in_reply_to)
+        _set_target_author(self, target_author)
+        _set_text(self, text)
+        _set_partial(self, partial)
+        _set_followup_index(self, followup_index)
+        _set_members(self, members)
+
+
+# The slot setters CampaignEvent.__init__ calls, one per field in field order.
+(
+    _set_seq,
+    _set_ts,
+    _set_kind,
+    _set_actor,
+    _set_strategy,
+    _set_topic,
+    _set_conversation_id,
+    _set_message_id,
+    _set_in_reply_to,
+    _set_target_author,
+    _set_text,
+    _set_partial,
+    _set_followup_index,
+    _set_members,
+) = (CampaignEvent.__dict__[f.name].__set__ for f in dataclasses.fields(CampaignEvent))
 
 
 @dataclass(frozen=True)

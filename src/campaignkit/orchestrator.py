@@ -17,10 +17,13 @@ topics whenever both topics have work.
 
 The loop does work per inbound item only where it has some. Partial buffers
 and ready groups that wait past the partial-group timeout are flushed, but the
-scan for them runs only once the clock reaches one stored deadline, a lower
+flush is called only once the clock reaches one stored deadline, a lower
 bound on the earliest of them; quota checks read counters the allocator keeps.
-Both skip only work that could not change a decision, so for a given seed the
-log is byte-identical to one that scans after every item.
+A public post is not matched against the keywords once every quota is full,
+and the keywords are folded once per run, not per post. The drain check
+compares the clock with its horizon before it scans the ready groups. Each
+skip leaves out only work that could not change a decision, so for a given
+seed the log is byte-identical to one that does all of it after every item.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from .platform import (
     RateLimited,
 )
 from .strategy import EVENT_KIND_BY_MESSAGE, MessageKind, OutboundMessage, TemplateOverflow
-from .targeting import AdmitResult, ContactRegistry, match_target
+from .targeting import AdmitResult, ContactRegistry, TopicKeywords, match_target
 
 logger = logging.getLogger(__name__)
 
@@ -252,6 +255,7 @@ class Orchestrator:
         self.arm_ids = tuple(s.id for s in config.strategies)
         self.specs = {s.id: s for s in config.strategies}
         self.topic_names = tuple(t.name for t in config.topics)
+        self.topic_keywords = TopicKeywords(config.topics)
         self.allocator = ArmAllocator(
             self.arm_ids,
             self.topic_names,
@@ -273,7 +277,6 @@ class Orchestrator:
             if (record.topic, record.strategy) in self.allocator.assigned:
                 self.allocator.charge(record.topic, record.strategy, len(record.members))
         self.now = max(platform.now_ms(), self.state.last_ts)
-        self.last_outbound: Optional[int] = None
         self._calls_in_flight = 0
         self._last_batch_topic: Optional[str] = None
         self._timeout_ms = config.partial_groups.timeout_s * 1000
@@ -292,7 +295,9 @@ class Orchestrator:
     # -- group formation --------------------------------------------------------
 
     def _handle_public(self, item: InboundItem) -> None:
-        target = match_target(item, self.config.topics)
+        if not self.allocator.any_capacity():
+            return
+        target = match_target(item, self.topic_keywords)
         if target is None:
             return
         if not self.allocator.has_capacity(target.topic):
@@ -422,7 +427,6 @@ class Orchestrator:
                 partial=send.partial and message.kind is MessageKind.CALL,
                 followup_index=send.question if message.kind is MessageKind.FOLLOWUP else None,
             )
-            self.last_outbound = due
         if send.kind == "call":
             self._finish_call(send)
 
@@ -515,14 +519,12 @@ class Orchestrator:
     def _flush_stale(self) -> None:
         """Dispatch partial buffers and stuck ready groups older than the timeout.
 
-        Runs after every loop step but scans only once ``now`` reaches the
-        stale deadline: before it nothing can be stale, so skipping the scan
-        changes no decision and the log stays byte-identical. A scan visits
-        the buffers, then the ready lists by topic and arm, and then sets the
-        deadline to the exact earliest one left.
+        The loop calls it only once ``now`` reaches the stale deadline: before
+        it nothing can be stale, so skipping the call changes no decision and
+        the log stays byte-identical. A call visits the buffers, then the
+        ready lists by topic and arm, and then sets the deadline to the exact
+        earliest one left.
         """
-        if self.now < self._stale_deadline:
-            return
         timeout_ms = self._timeout_ms
         for topic, arm, targets in self.buffers.stale(self.now, timeout_ms):
             self._flush_partial(topic, arm, targets)
@@ -589,7 +591,8 @@ class Orchestrator:
                     self._handle_notification(item)
             else:
                 break
-            self._flush_stale()
+            if self.now >= self._stale_deadline:
+                self._flush_stale()
         self._finalize()
 
     def _drained(self, next_ts: int) -> bool:
@@ -597,10 +600,13 @@ class Orchestrator:
         tail has been given time to arrive."""
         if self.allocator.any_capacity() or len(self.schedule) or self._calls_in_flight:
             return False
-        if any(self.ready[t][a] for t in self.topic_names for a in self.arm_ids):
+        # The window runs from the last outbound message in the log, which a
+        # resumed run holds too, so the stream's own clock never moves it. A
+        # log with no outbound message has no reaction to wait for.
+        last_outbound = self.state.last_outbound_ts
+        if last_outbound is not None and next_ts <= last_outbound + DRAIN_WINDOW_MS:
             return False
-        horizon = (self.last_outbound or self.now) + DRAIN_WINDOW_MS
-        return next_ts > horizon
+        return not any(self.ready[t][a] for t in self.topic_names for a in self.arm_ids)
 
 
 def build_simulated_platform(config: CampaignConfig, seed: Optional[int] = None) -> Platform:

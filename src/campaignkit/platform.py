@@ -22,11 +22,11 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .model import CampaignError
-from .text import match_keyword
+from .strategy import MessageKind, OutboundMessage
+from .text import FoldedKeywords, match_keyword
 
-if TYPE_CHECKING:  # avoid a runtime cycle with the strategy module
+if TYPE_CHECKING:  # the simulator imports this module; this one needs it for hints only
     from .simulator import AgentPopulation
-    from .strategy import OutboundMessage
 
 
 class RateLimited(CampaignError):
@@ -65,15 +65,15 @@ class InboundItem:
     text: str = ""
 
 
-MENTION_SIGIL = "@"
+@dataclass(frozen=True)
+class BotMessageMeta:
+    """What the population needs to know about a delivered bot message."""
 
-
-def format_mention(user_id: str) -> str:
-    return MENTION_SIGIL + user_id
-
-
-def format_mentions(user_ids: Sequence[str]) -> str:
-    return " ".join(format_mention(u) for u in user_ids)
+    message_id: str
+    conversation_id: str
+    strategy: str
+    topic: str
+    solicits: bool  # calls and follow-ups solicit replies; quotes do not
 
 
 class Platform(ABC):
@@ -88,7 +88,7 @@ class Platform(ABC):
         """Move the platform clock forward; a no-op for real-time adapters."""
 
     @abstractmethod
-    def post(self, message: "OutboundMessage", *, turn: int = 0) -> str:
+    def post(self, message: OutboundMessage, *, turn: int = 0) -> str:
         """Deliver one outbound message, at most once per idempotency key
         (conversation, kind, turn); returns the durable message id."""
 
@@ -102,7 +102,7 @@ class Platform(ABC):
         merged with replies to the bot, retweets and favorites, in timestamp
         order; what the campaign loop consumes."""
 
-    def _check_message(self, message: "OutboundMessage") -> None:
+    def _check_message(self, message: OutboundMessage) -> None:
         if len(message.mentions) > self.capabilities.max_mentions_per_message:
             raise PlatformRejected(
                 f"message mentions {len(message.mentions)} users, "
@@ -170,7 +170,7 @@ class SimulatedPlatform(Platform):
 
     # -- port operations --------------------------------------------------------
 
-    def post(self, message: "OutboundMessage", *, turn: int = 0) -> str:
+    def post(self, message: OutboundMessage, *, turn: int = 0) -> str:
         key = (message.conversation_id, message.kind.value, turn)
         already = self._posted.get(key)
         if already is not None:
@@ -183,9 +183,6 @@ class SimulatedPlatform(Platform):
             if len(self._post_times) >= self._posts_limit:
                 raise RateLimited(retry_after_ms=self._post_times[0] + 60_000 - self._now)
             self._post_times.append(self._now)
-
-        from .simulator import BotMessageMeta
-        from .strategy import MessageKind
 
         self._message_counter += 1
         message_id = f"m{self._message_counter:07d}"
@@ -231,13 +228,14 @@ class SimulatedPlatform(Platform):
                 self._message_counter = max(self._message_counter, int(match.group(1)))
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
+        folded = FoldedKeywords(keywords)
         while self._heap:
             ts, _, tag, payload = heapq.heappop(self._heap)
             self._now = max(self._now, ts)
             if tag == "post":
                 item = self.population.make_public_post(payload, ts, self.rng)
                 self._schedule_agent_post(payload, ts)
-                if match_keyword(item.text, keywords) is None:
+                if match_keyword(item.text, folded) is None:
                     continue
                 yield item
             else:

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 import random
+from collections import abc
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .model import CampaignError, Topic, VolunteerLabel, LabelValue
-from .platform import InboundItem, ItemKind
+from .platform import BotMessageMeta, InboundItem, ItemKind
 
 # Machine-readable stance tags appended to generated replies so label
 # fixtures can be derived from a log without human coders.
@@ -30,7 +31,10 @@ Propensity = Union[float, Mapping[str, float]]
 
 
 def resolve_propensity(value: Propensity, strategy: str) -> float:
-    if isinstance(value, Mapping):
+    # Numbers first: a float propensity skips the abstract Mapping check.
+    if isinstance(value, (float, int)):
+        return float(value)
+    if isinstance(value, abc.Mapping):
         if strategy in value:
             return float(value[strategy])
         return float(value.get("default", 0.0))
@@ -93,17 +97,6 @@ class _AgentState:
     on_topic: Optional[bool] = None  # stance drawn at first reply, then fixed
 
 
-@dataclass(frozen=True)
-class BotMessageMeta:
-    """What the population needs to know about a delivered bot message."""
-
-    message_id: str
-    conversation_id: str
-    strategy: str
-    topic: str
-    solicits: bool  # calls and follow-ups solicit replies; quotes do not
-
-
 _POST_PATTERNS = (
     "Ya no soporto la {keyword} en mi ciudad",
     "Otra vez {keyword} en las noticias, que verguenza",
@@ -142,6 +135,11 @@ class AgentPopulation:
         self.agents: list[AgentProfile] = []
         self._states: dict[str, _AgentState] = {}
         self._item_counter = 0
+        # Reply delays are log-uniform between these bounds.
+        self._log_delay_ms = (
+            math.log(profile.reply_delay_min_s * 1000),
+            math.log(profile.reply_delay_max_s * 1000),
+        )
         components = self._mixture_components(profile)
         for i in range(profile.population):
             comp = components[i % len(components)]
@@ -200,9 +198,7 @@ class AgentPopulation:
     # -- reactions ----------------------------------------------------------
 
     def _reply_delay_ms(self, rng: random.Random) -> int:
-        lo = math.log(self.profile.reply_delay_min_s * 1000)
-        hi = math.log(self.profile.reply_delay_max_s * 1000)
-        return int(round(math.exp(rng.uniform(lo, hi))))
+        return int(round(math.exp(rng.uniform(*self._log_delay_ms))))
 
     def react(
         self,

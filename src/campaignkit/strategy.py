@@ -2,8 +2,8 @@
 
 Everything here is stateless given its inputs; randomness comes in through
 the caller's rng so determinism stays the caller's choice. Mention formatting
-(the '@' sigil) is delegated to the platform port so templates remain
-platform-neutral.
+(the '@' sigil) comes from the text module, which also parses mentions back
+out of logged calls, so templates remain platform-neutral.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .model import CampaignError, ConversationRecord, EventKind, StrategyId, StrategySpec
+from .text import format_mentions
 
 
 class TemplateOverflow(CampaignError):
@@ -47,19 +48,12 @@ class OutboundMessage:
     turn: int = 0
 
 
-def _format_mentions(members: Sequence[str]) -> str:
-    # Late import: the platform port owns the mention sigil.
-    from .platform import format_mentions
-
-    return format_mentions(members)
-
-
 def expand_template(
     template: str, *, topic: str, members: Sequence[str], char_limit: int
 ) -> str:
     """Fill ``{topic}``/``{mentions}`` placeholders, prepending mentions when
     the template does not place them itself."""
-    mention_block = _format_mentions(members)
+    mention_block = format_mentions(members)
     if "{mentions}" in template:
         text = template.format(topic=topic, mentions=mention_block)
     else:

@@ -7,30 +7,46 @@ from typing import Iterable, Optional, Sequence
 
 from .model import BOT_ACTOR, TargetUser, Topic
 from .platform import InboundItem, ItemKind
-from .text import match_keyword
+from .text import FoldedKeywords, match_keyword
 
 
-def match_target(item: InboundItem, topics: Sequence[Topic]) -> Optional[TargetUser]:
+class TopicKeywords:
+    """Every topic's keywords, folded once: what :func:`match_target` matches.
+
+    Keywords keep topic order, then their order within the topic; a keyword
+    two topics list belongs to the first.
+    """
+
+    def __init__(self, topics: Sequence[Topic]) -> None:
+        self.topic_of: dict[str, str] = {}
+        for topic in topics:
+            for keyword in topic.keywords:
+                self.topic_of.setdefault(keyword, topic.name)
+        self.folded = FoldedKeywords(self.topic_of)
+
+
+def match_target(item: InboundItem, keywords: TopicKeywords) -> Optional[TargetUser]:
     """Match one public post against the campaign topics.
 
     Returns a fresh TargetUser for the first topic whose keyword appears in
     the text (folded substring), or None when nothing matches or the author
-    is the campaign's own bot (no feedback loops).
+    is the campaign's own bot (no feedback loops). The text is folded once:
+    the first keyword found in topic order is in the first topic that has
+    one.
     """
     if item.kind is not ItemKind.PUBLIC_POST:
         return None
     if item.author == BOT_ACTOR:
         return None
-    for topic in topics:
-        keyword = match_keyword(item.text, topic.keywords)
-        if keyword is not None:
-            return TargetUser(
-                user_id=item.author,
-                matched_keyword=keyword,
-                matched_message_id=item.message_id,
-                topic=topic.name,
-            )
-    return None
+    keyword = match_keyword(item.text, keywords.folded)
+    if keyword is None:
+        return None
+    return TargetUser(
+        user_id=item.author,
+        matched_keyword=keyword,
+        matched_message_id=item.message_id,
+        topic=keywords.topic_of[keyword],
+    )
 
 
 class AdmitResult(str, Enum):

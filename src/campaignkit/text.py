@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import string
 import unicodedata
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence, Union
 
 _EDGE_PUNCT = set(string.punctuation)
 # Leading '#' and '@' are token sigils (hashtags, mentions), not punctuation.
 _LEAD_KEEP = {"#", "@"}
+# The sigil that marks a mention; formatted and parsed only here.
+MENTION_SIGIL = "@"
 
 
 def fold(text: str) -> str:
@@ -20,11 +22,28 @@ def fold(text: str) -> str:
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 
 
-def match_keyword(text: str, keywords: Iterable[str]) -> Optional[str]:
-    """First keyword found in the text as a folded substring, else None."""
+class FoldedKeywords(tuple):
+    """Keywords in order, each paired with its fold, folded once when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, keywords: Iterable[str]) -> "FoldedKeywords":
+        return super().__new__(cls, ((keyword, fold(keyword)) for keyword in keywords))
+
+
+def match_keyword(text: str, keywords: Union[Iterable[str], FoldedKeywords]) -> Optional[str]:
+    """First keyword found in the text as a folded substring, else None.
+
+    The text is folded once per call. Plain keywords are folded again on
+    every call; a caller that matches many texts against one list builds
+    :class:`FoldedKeywords` of it once and passes that, so no keyword is
+    folded twice.
+    """
     haystack = fold(text)
-    for keyword in keywords:
-        if fold(keyword) in haystack:
+    if not isinstance(keywords, FoldedKeywords):
+        keywords = ((keyword, fold(keyword)) for keyword in keywords)
+    for keyword, needle in keywords:
+        if needle in haystack:
             return keyword
     return None
 
@@ -48,11 +67,16 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+def format_mentions(user_ids: Sequence[str]) -> str:
+    """The mention block of a message: each handle with its sigil, space-separated."""
+    return " ".join(MENTION_SIGIL + user_id for user_id in user_ids)
+
+
 def mentions_in_text(text: str) -> list[str]:
     """Handles mentioned in a rendered message ('@' tokens, sigil stripped)."""
     out = []
     for tok in text.split():
-        if tok.startswith("@"):
+        if tok.startswith(MENTION_SIGIL):
             handle = tok[1:]
             while handle and handle[-1] in _EDGE_PUNCT:
                 handle = handle[:-1]

@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import pickle
 
 import pytest
 
@@ -8,6 +10,7 @@ from campaignkit.model import (
     CampaignEvent,
     EventKind,
     LabelValue,
+    TargetAuthor,
     VolunteerLabel,
     replace,
     validate_config,
@@ -109,6 +112,33 @@ def test_events_are_frozen_slotted_and_hashable():
     moved = dataclasses.replace(event, seq=5)
     assert (moved.seq, moved.conversation_id, event.seq) == (5, "c1", 1)
     assert {event, moved, dataclasses.replace(moved, seq=1)} == {event, moved}
+
+
+def test_event_constructor_contract():
+    # The hand-written __init__ must take every field, in field order, with
+    # the field's default, and set each one to its own argument.
+    fields = dataclasses.fields(CampaignEvent)
+    params = list(inspect.signature(CampaignEvent.__init__).parameters.values())[1:]
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, empty if f.default is dataclasses.MISSING else f.default) for f in fields
+    ]
+    values = {
+        "seq": 1, "ts": 2, "kind": EventKind.RETWEET, "actor": "u1", "strategy": "direct",
+        "topic": "corruption", "conversation_id": "c1", "message_id": "x1",
+        "in_reply_to": "m1", "target_author": TargetAuthor.BOT, "text": "hi",
+        "partial": True, "followup_index": 3, "members": ("u1", "u2"),
+    }
+    assert list(values) == [f.name for f in fields]
+    event = CampaignEvent(**values)
+    assert {name: getattr(event, name) for name in values} == values
+    assert CampaignEvent(*values.values()) == event
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(event, name, None)
+    assert hash(CampaignEvent(**values)) == hash(event)
+    assert dataclasses.replace(event, ts=9) == CampaignEvent(**{**values, "ts": 9})
+    assert pickle.loads(pickle.dumps(event)) == event
 
 
 def test_strategy_fixture_round_trip():

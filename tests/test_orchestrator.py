@@ -1,9 +1,14 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import campaignkit
 from campaignkit import fixtures, model
 from campaignkit.eventlog import (
     EventLogWriter,
@@ -388,12 +393,20 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
 # The log of the seed-5 small campaign, pinned: a change that alters what a
 # run writes must update these values and say so in CHANGES.md.
 SMALL_CAMPAIGN_LOG = (448, 99_190, "6bf2905aaaae8a967c2c930b3c0062d104d94b05267c0b3b87db88d75268e8e3")
+# The same campaign with agents that reply and interact often, under one
+# float propensity for every arm instead of the profile's per-arm mappings.
+REPLY_HEAVY_LOG = (2_432, 509_604, "caec411199d0af2bce5cfb2cab69eab9566fb88d8ea9609a6b9a78a40eae572d")
+REPLY_HEAVY_SIMULATION = {"reply_propensity": 0.9, "mean_turns": 6, "interaction_propensity": 0.4}
 
 
-def test_small_campaign_log_matches_golden(small_campaign):
-    _config, events, path = small_campaign
-    data = path.read_bytes()
-    assert (len(events), len(data), hashlib.sha256(data).hexdigest()) == SMALL_CAMPAIGN_LOG
+def test_small_campaign_log_matches_golden(tmp_path):
+    for simulation, golden in ({}, SMALL_CAMPAIGN_LOG), (REPLY_HEAVY_SIMULATION, REPLY_HEAVY_LOG):
+        config = small_sim_config()
+        config = replace(config, simulation={**config.simulation, **simulation})
+        path = tmp_path / f"{len(simulation)}.log"
+        events = run_campaign(config, build_simulated_platform(config), str(path))
+        data = path.read_bytes()
+        assert (len(events), len(data), hashlib.sha256(data).hexdigest()) == golden
 
 
 # Seed-5 small campaigns whose 60 s partial-group timeout fires inside the
@@ -464,6 +477,50 @@ def test_resume_logs_every_post(tmp_path):
     assert posted and not set(posted) & {e.message_id for e in first}
     logged = Counter(e.message_id for e in events[len(first):] if e.kind in OUTBOUND_KINDS)
     assert logged == {message_id: 1 for message_id in posted}
+    assert validate_events(events) == events
+
+
+# Runs with nothing left to post at a one-hour cut, and the calls their cut
+# logs: seed 9 has logged all 32 of its calls; under ``discard`` with a 1 s
+# timeout every target is dropped before its group fills, so nothing is
+# ever posted.
+DRAINED_AT_CUT = {
+    "every_call_logged": (small_sim_config(seed=9, groups=4, population=800), 32),
+    "every_group_discarded": (
+        replace(
+            small_sim_config(groups=1, population=200),
+            partial_groups=model.PartialGroupPolicy(policy="discard", timeout_s=1),
+        ),
+        0,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAINED_AT_CUT))
+def test_resume_with_nothing_left_to_post_ends_without_a_deadline(name, tmp_path):
+    # The resumed run must drain and stop on its own. It runs in a child
+    # process, so that a run which never ends fails the test.
+    config, calls = DRAINED_AT_CUT[name]
+    out = tmp_path / "cut.log"
+    run_campaign(config, build_simulated_platform(config), str(out), max_hours=1.0)
+    first = read_events(str(out))
+    assert sum(e.kind is EventKind.OUTBOUND_CALL for e in first) == calls
+    config_path = tmp_path / "config.yaml"
+    model.dump_config(config, str(config_path))
+    script = (
+        "import sys\n"
+        "from campaignkit.model import load_config\n"
+        "from campaignkit.orchestrator import build_simulated_platform, run_campaign\n"
+        "config = load_config(sys.argv[1])\n"
+        "platform = build_simulated_platform(config, seed=1009)\n"
+        "run_campaign(config, platform, sys.argv[2], resume=True)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(campaignkit.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-c", script, str(config_path), str(out)], env=env, timeout=60, check=True
+    )
+    events = read_events(str(out))
+    assert sum(e.kind is EventKind.OUTBOUND_CALL for e in events) == calls
     assert validate_events(events) == events
 
 

@@ -1,6 +1,10 @@
 import itertools
 import math
 import random
+import typing
+from types import MappingProxyType
+
+from hypothesis import example, given, strategies as st
 
 from campaignkit import fixtures
 from campaignkit.eventlog import conversation_members
@@ -12,11 +16,43 @@ from campaignkit.simulator import (
     BotMessageMeta,
     SimulationProfile,
     derive_labels,
+    resolve_propensity,
 )
 
 from test_platform import make_sim
 
 TOPICS = fixtures.default_topics()
+
+
+def _resolve_reference(value, strategy):
+    if isinstance(value, typing.Mapping):
+        if strategy in value:
+            return float(value[strategy])
+        return float(value.get("default", 0.0))
+    return float(value)
+
+
+_PROBABILITIES = st.floats(min_value=0.0, max_value=1.0)
+_ARMS = st.sampled_from(["direct", "loss", "gain", "solidarity"])
+
+
+@given(st.one_of(_PROBABILITIES, st.integers(-3, 3), st.booleans()), _ARMS)
+def test_number_propensities_resolve_like_the_reference(value, strategy):
+    resolved = resolve_propensity(value, strategy)
+    assert type(resolved) is float and resolved == _resolve_reference(value, strategy)
+
+
+@given(
+    st.dictionaries(st.sampled_from(["direct", "loss", "default"]), _PROBABILITIES),
+    st.booleans(),
+    _ARMS,
+)
+@example({"direct": 0.5, "default": 0.25}, True, "direct")
+@example({"direct": 0.5, "default": 0.25}, True, "loss")
+@example({"direct": 0.5}, False, "loss")
+def test_mapping_propensities_resolve_like_the_reference(mapping, proxied, strategy):
+    value = MappingProxyType(mapping) if proxied else mapping
+    assert resolve_propensity(value, strategy) == _resolve_reference(value, strategy)
 
 
 def test_zero_post_rate_yields_empty_stream():

@@ -1,12 +1,16 @@
 import random
 
+from hypothesis import given, strategies as st
+
 from campaignkit import fixtures
 from campaignkit.eventlog import replay
-from campaignkit.targeting import AdmitResult, ContactRegistry, match_target
+from campaignkit.model import Topic
+from campaignkit.targeting import AdmitResult, ContactRegistry, TopicKeywords, match_target
+from campaignkit.text import fold
 
 from conftest import public_post
 
-TOPICS = fixtures.default_topics()
+TOPICS = TopicKeywords(fixtures.default_topics())
 
 
 def test_match_corrupcion_post():
@@ -74,3 +78,28 @@ def test_admitted_users_unique_over_random_streams():
             if registry.admit(target) is AdmitResult.ADMITTED:
                 admitted.append(target.user_id)
         assert len(admitted) == len(set(admitted))
+
+
+def _target_reference(text, topics):
+    """(topic, keyword) of the first topic with a keyword in the text,
+    folding the text once per topic and every keyword it tries."""
+    for topic in topics:
+        for keyword in topic.keywords:
+            if fold(keyword) in fold(text):
+                return topic.name, keyword
+    return None
+
+
+_WORDS = ["corrupción", "Corrupcion", "IMPUNIDAD", "impunidad", "crimen", "Straße", "ß"]
+
+
+@given(
+    st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_WORDS + ["hola", " ", "SS"]), max_size=4),
+)
+def test_match_target_matches_like_a_per_topic_scan(keyword_lists, words):
+    topics = [Topic(f"t{i}", tuple(keywords)) for i, keywords in enumerate(keyword_lists)]
+    text = " ".join(words)
+    target = match_target(public_post("maria", text, 1000), TopicKeywords(topics))
+    expected = _target_reference(text, topics)
+    assert (None if target is None else (target.topic, target.matched_keyword)) == expected

@@ -2,7 +2,14 @@ import unicodedata
 
 from hypothesis import given, strategies as st
 
-from campaignkit.text import fold, match_keyword, mentions_in_text, tokenize
+from campaignkit.text import (
+    FoldedKeywords,
+    fold,
+    format_mentions,
+    match_keyword,
+    mentions_in_text,
+    tokenize,
+)
 
 
 def _fold_reference(text):
@@ -30,6 +37,44 @@ def test_match_keyword_accented_keyword():
     assert match_keyword("hablando de corrupcion", ["corrupción"]) == "corrupción"
 
 
+def _match_reference(text, keywords):
+    """Folds the text and every keyword it tries on each call."""
+    haystack = fold(text)
+    for keyword in keywords:
+        if fold(keyword) in haystack:
+            return keyword
+    return None
+
+
+_KEYWORDS = st.lists(
+    st.one_of(
+        st.text(min_size=1, max_size=8),
+        st.sampled_from(["Corrupción", "IMPUNIDAD", "corrupcion", "Straße", "İstanbul", "ﬁesta", "Ǆ", "é"]),
+    ),
+    max_size=5,
+)
+
+
+@st.composite
+def _texts_and_keywords(draw):
+    """Keywords, and a text that often holds one of them in another case."""
+    keywords = draw(_KEYWORDS)
+    pieces = [draw(st.text(max_size=12))]
+    if keywords and draw(st.booleans()):
+        keyword = draw(st.sampled_from(keywords))
+        pieces.append(draw(st.sampled_from([keyword, keyword.upper(), keyword.casefold()])))
+        pieces.append(draw(st.text(max_size=12)))
+    return "".join(pieces), keywords
+
+
+@given(_texts_and_keywords())
+def test_folded_keywords_match_like_per_call_folding(case):
+    text, keywords = case
+    expected = _match_reference(text, keywords)
+    assert match_keyword(text, FoldedKeywords(keywords)) == expected
+    assert match_keyword(text, keywords) == expected
+
+
 def test_tokenize_keeps_sigils_strips_edge_punctuation():
     assert tokenize("Vamos! #JusticiaYa, dice @ana_p.") == ["vamos", "#justiciaya", "dice", "@ana_p"]
 
@@ -45,3 +90,8 @@ def test_tokenize_drops_bare_punctuation():
 def test_mentions_in_text():
     text = "@ana @beto_c hola @carla! y no-esto"
     assert mentions_in_text(text) == ["ana", "beto_c", "carla"]
+
+
+def test_formatted_mentions_parse_back():
+    assert format_mentions(["ana", "beto_c"]) == "@ana @beto_c"
+    assert mentions_in_text(format_mentions(["ana", "beto_c"]) + " hola") == ["ana", "beto_c"]
