@@ -106,6 +106,12 @@ def compute_metrics(
     message_replies: dict[str, int] = {}
     message_arm: dict[str, str] = {}
 
+    def on_topic_fraction(volunteers: Iterable[str]) -> Optional[float]:
+        labeled = [u for u in volunteers if u in labels] if labels else []
+        if not labeled:
+            return None
+        return sum(1 for u in labeled if labels[u] is LabelValue.ON_TOPIC) / len(labeled)
+
     def bucket(strategy: str) -> dict[str, int]:
         order(strategy)
         return counts.setdefault(
@@ -158,12 +164,6 @@ def compute_metrics(
             arms_out.append(ArmMetrics(strategy=strategy))
             continue
         volunteers = repliers.get(strategy, set())
-        fraction = None
-        if labels:
-            labeled = [u for u in volunteers if u in labels]
-            if labeled:
-                on = sum(1 for u in labeled if labels[u] is LabelValue.ON_TOPIC)
-                fraction = on / len(labeled)
         arms_out.append(
             ArmMetrics(
                 strategy=strategy,
@@ -174,20 +174,13 @@ def compute_metrics(
                 volunteer_replies=b["replies"],
                 bot_interactions=b["bot_interactions"],
                 volunteer_interactions=b["volunteer_interactions"],
-                on_topic_fraction=fraction,
+                on_topic_fraction=on_topic_fraction(volunteers),
             )
         )
 
     all_volunteers = set()
     for volunteers in repliers.values():
         all_volunteers |= volunteers
-    total_fraction = None
-    if labels:
-        labeled = [u for u in all_volunteers if u in labels]
-        if labeled:
-            total_fraction = sum(
-                1 for u in labeled if labels[u] is LabelValue.ON_TOPIC
-            ) / len(labeled)
     total = ArmMetrics(
         strategy="all",
         calls_to_action=sum(a.calls_to_action for a in arms_out),
@@ -197,7 +190,7 @@ def compute_metrics(
         volunteer_replies=sum(a.volunteer_replies for a in arms_out),
         bot_interactions=sum(a.bot_interactions for a in arms_out),
         volunteer_interactions=sum(a.volunteer_interactions for a in arms_out),
-        on_topic_fraction=total_fraction,
+        on_topic_fraction=on_topic_fraction(all_volunteers),
     )
 
     anova_volunteers = anova_replies = None
@@ -243,7 +236,7 @@ def read_labels(path: str) -> list[VolunteerLabel]:
                 continue
             try:
                 labels.append(VolunteerLabel.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (json.JSONDecodeError, CampaignError) as exc:
                 raise CampaignError(f"{path}:{lineno}: bad label record ({exc})") from exc
     return labels
 

@@ -28,11 +28,15 @@ def _default_log_dir() -> Path:
     return Path(os.environ.get("CAMPAIGN_LOG_DIR", "."))
 
 
-def _load_config(path: str, seed: Optional[int]) -> model.CampaignConfig:
-    config = model.load_config(path)
-    if seed is not None:
-        config = replace(config, random_seed=seed)
-    return config
+def _valid_config(args) -> Optional[model.CampaignConfig]:
+    """The config with --seed applied, or None once its violations are printed."""
+    config = model.load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, random_seed=args.seed)
+    violations = model.validate_config(config)
+    for violation in violations:
+        print(violation, file=sys.stderr)
+    return None if violations else config
 
 
 def cmd_validate(args) -> int:
@@ -47,11 +51,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config, args.seed)
-    violations = model.validate_config(config)
-    if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
+    config = _valid_config(args)
+    if config is None:
         return 1
     out = args.out or str(_default_log_dir() / "campaign.log")
     platform = build_simulated_platform(config)
@@ -61,11 +62,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    config = _load_config(args.config, args.seed)
-    violations = model.validate_config(config)
-    if violations:
-        for violation in violations:
-            print(violation, file=sys.stderr)
+    config = _valid_config(args)
+    if config is None:
         return 1
     platform = build_simulated_platform(config)
     events = run_campaign(config, platform, args.log, resume=True, max_hours=args.max_hours)
@@ -97,12 +95,16 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_keyterms(args) -> int:
-    events = eventlog.validate_events(eventlog.read_events(args.log))
+def _split_responders(events) -> tuple[list[str], list[str]]:
+    """Sorted members who replied, and sorted members who never did."""
     mentioned = {u for users in eventlog.conversation_members(events).values() for u in users}
     repliers = {event.actor for event in eventlog.volunteer_replies(events)}
-    non_responders = sorted(mentioned - repliers)
-    responders = sorted(repliers)
+    return sorted(repliers), sorted(mentioned - repliers)
+
+
+def cmd_keyterms(args) -> int:
+    events = eventlog.validate_events(eventlog.read_events(args.log))
+    responders, non_responders = _split_responders(events)
 
     def read_history(user: str) -> Optional[str]:
         path = Path(args.history) / f"{user}.txt"
@@ -154,7 +156,8 @@ def cmd_fixtures(args) -> int:
     (outdir / "profile_reference.yaml").write_text(
         fixtures._data_text("profile_reference.yaml"), encoding="utf-8"
     )
-    eventlog.write_events(fixtures.build_reference_log(), str(outdir / "reference.log"))
+    reference = fixtures.build_reference_log()
+    eventlog.write_events(reference, str(outdir / "reference.log"))
     events, labels_a, labels_b, labels_c = fixtures.build_label_study()
     eventlog.write_events(events, str(outdir / "label_study.log"))
     analytics.write_labels(labels_a, str(outdir / "labels_coder_a.jsonl"))
@@ -162,11 +165,9 @@ def cmd_fixtures(args) -> int:
     analytics.write_labels(labels_c, str(outdir / "labels_tiebreak.jsonl"))
     history_dir = outdir / "history"
     history_dir.mkdir(exist_ok=True)
-    reference = fixtures.build_reference_log()
-    repliers = {event.actor for event in eventlog.volunteer_replies(reference)}
-    mentioned = {u for users in eventlog.conversation_members(reference).values() for u in users}
+    responders, non_responders = _split_responders(reference)
     histories = fixtures.build_history_fixture(
-        sorted(repliers)[:40], sorted(mentioned - repliers)[:40], tweets_per_user=200
+        responders[:40], non_responders[:40], tweets_per_user=200
     )
     for user, text in histories.items():
         (history_dir / f"{user}.txt").write_text(text, encoding="utf-8")
@@ -225,10 +226,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CampaignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

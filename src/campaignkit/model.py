@@ -5,14 +5,29 @@ is a pure value; the orchestrator owns the only mutable working state
 (conversation records and contacted users folded from the event log, plus
 the users it has admitted) behind a single-writer loop.
 Timestamps are integer milliseconds since the Unix epoch, UTC.
+
+The config records and ``VolunteerLabel`` share one codec, ``FieldCodec``,
+driven by the dataclass fields and their type hints. Decoding: a key is
+required iff its field has no default; null means omitted; types are strict
+(``type(v) is T`` for ``str``, ``int`` and ``bool``, so ``true`` is no int
+and ``"no"`` no bool; a ``tuple[T, ...]`` takes a list of ``T``; records and
+enums recurse; a mapping is copied); a failure raises ``CampaignError``
+naming the key path (``topics[0].keywords: expected a list, got str``).
+Encoding writes fields in declaration order and omits None, so key order is
+field order: ``CampaignConfig`` is keyword-only so that its required
+``bot_identity`` can follow ``jitter``.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
+import string
+import typing
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, TypeVar, Union
 
 import yaml
 
@@ -58,21 +73,76 @@ class LabelValue(str, Enum):
     OFF_TOPIC = "OffTopic"
 
 
+_R = TypeVar("_R", bound="FieldCodec")
+_type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
+
+
+class FieldCodec:
+    """Base of the config and label records: the codec in the module docstring."""
+
+    @classmethod
+    def from_dict(cls: type[_R], raw: Any) -> _R:
+        return _decode(cls, raw, "")
+
+    def to_dict(self) -> dict[str, Any]:
+        values = ((f.name, getattr(self, f.name)) for f in dataclasses.fields(self))
+        return {name: _encode(value) for name, value in values if value is not None}
+
+
+def _expect(ok: bool, what: str, value: Any, path: str) -> None:
+    if not ok:
+        raise CampaignError(f"{path}: expected {what}, got {type(value).__name__}")
+
+
+def _decode(hint: Any, value: Any, path: str) -> Any:
+    """The value at key ``path`` as a ``hint``: scalar, Optional, tuple, Mapping, enum or record."""
+    if hint in (str, int, bool):
+        _expect(type(value) is hint, hint.__name__, value, path)
+        return value
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Union:  # Optional[T]: a null never gets here
+        return _decode(args[0], value, path)
+    if origin is tuple:
+        _expect(isinstance(value, list), "a list", value, path)
+        return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is collections.abc.Mapping:
+        _expect(isinstance(value, Mapping), "a mapping", value, path)
+        return dict(value)
+    if issubclass(hint, Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            choices = [member.value for member in hint]
+            raise CampaignError(f"{path}: expected one of {choices}, got {value!r}") from None
+    _expect(isinstance(value, Mapping), "a mapping", value, path or hint.__name__)
+    hints, kwargs = _type_hints(hint), {}
+    for f in dataclasses.fields(hint):
+        key = f"{path}.{f.name}" if path else f.name
+        if value.get(f.name) is not None:
+            kwargs[f.name] = _decode(hints[f.name], value[f.name], key)
+        elif f.default is f.default_factory is dataclasses.MISSING:  # no default: required
+            raise CampaignError(f"{key}: missing required key")
+    return hint(**kwargs)
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, FieldCodec):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, Mapping):
+        return dict(value)
+    return value.value if isinstance(value, Enum) else value
+
+
 @dataclass(frozen=True)
-class Topic:
+class Topic(FieldCodec):
     name: str
     keywords: tuple[str, ...]
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "Topic":
-        return cls(name=str(raw["name"]), keywords=tuple(str(k) for k in raw["keywords"]))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"name": self.name, "keywords": list(self.keywords)}
-
 
 @dataclass(frozen=True)
-class StrategySpec:
+class StrategySpec(FieldCodec):
     """One framing arm: call-to-action template, follow-up questions, budget.
 
     Templates carry the named placeholders ``{topic}`` and ``{mentions}``;
@@ -84,72 +154,27 @@ class StrategySpec:
     id: StrategyId
     call_to_action: str
     followups: tuple[str, ...]
-    solidarity_quote: Optional[str] = None
     messages_per_turn: int = 1
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "StrategySpec":
-        return cls(
-            id=str(raw["id"]),
-            call_to_action=str(raw["call_to_action"]),
-            followups=tuple(str(q) for q in raw["followups"]),
-            solidarity_quote=(
-                None if raw.get("solidarity_quote") is None else str(raw["solidarity_quote"])
-            ),
-            messages_per_turn=int(raw.get("messages_per_turn", 1)),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "id": self.id,
-            "call_to_action": self.call_to_action,
-            "followups": list(self.followups),
-            "messages_per_turn": self.messages_per_turn,
-        }
-        if self.solidarity_quote is not None:
-            out["solidarity_quote"] = self.solidarity_quote
-        return out
+    solidarity_quote: Optional[str] = None
 
 
 @dataclass(frozen=True)
-class JitterBounds:
+class JitterBounds(FieldCodec):
     """Uniform outbound delay bounds, in seconds."""
 
     min_delay: int = 60
     max_delay: int = 300
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "JitterBounds":
-        return cls(min_delay=int(raw["min_delay"]), max_delay=int(raw["max_delay"]))
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"min_delay": self.min_delay, "max_delay": self.max_delay}
-
 
 @dataclass(frozen=True)
-class BotIdentity:
+class BotIdentity(FieldCodec):
     display_name: str
     bio_text: str
-    is_declared_bot: bool = True
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "BotIdentity":
-        return cls(
-            display_name=str(raw["display_name"]),
-            bio_text=str(raw["bio_text"]),
-            is_declared_bot=bool(raw["is_declared_bot"]),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "display_name": self.display_name,
-            "bio_text": self.bio_text,
-            "is_declared_bot": self.is_declared_bot,
-        }
+    is_declared_bot: bool
 
 
 @dataclass(frozen=True)
-class PartialGroupPolicy:
+class PartialGroupPolicy(FieldCodec):
     """What to do with a group buffer that never fills.
 
     ``dispatch_partial`` sends the undersized group after ``timeout_s`` and
@@ -160,22 +185,17 @@ class PartialGroupPolicy:
     policy: str = "dispatch_partial"
     timeout_s: int = 6 * 3600
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "PartialGroupPolicy":
-        return cls(policy=str(raw.get("policy", "dispatch_partial")), timeout_s=int(raw.get("timeout_s", 6 * 3600)))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"policy": self.policy, "timeout_s": self.timeout_s}
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
+# Keyword-only, so that the required ``bot_identity`` can follow ``jitter``:
+# field order is the key order of a dumped config.
+@dataclass(frozen=True, kw_only=True)
+class CampaignConfig(FieldCodec):
     topics: tuple[Topic, ...]
     strategies: tuple[StrategySpec, ...]
     groups_per_strategy_per_topic: int
-    bot_identity: BotIdentity
     group_size: int = 3
     jitter: JitterBounds = field(default_factory=JitterBounds)
+    bot_identity: BotIdentity
     random_seed: int = 0
     char_limit: int = DEFAULT_CHAR_LIMIT
     max_mentions_per_message: int = 3
@@ -191,46 +211,14 @@ class CampaignConfig:
             out.extend(topic.keywords)
         return tuple(out)
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "CampaignConfig":
-        return cls(
-            topics=tuple(Topic.from_dict(t) for t in raw["topics"]),
-            strategies=tuple(StrategySpec.from_dict(s) for s in raw["strategies"]),
-            groups_per_strategy_per_topic=int(raw["groups_per_strategy_per_topic"]),
-            group_size=int(raw.get("group_size", 3)),
-            jitter=JitterBounds.from_dict(raw.get("jitter", {"min_delay": 60, "max_delay": 300})),
-            bot_identity=BotIdentity.from_dict(raw["bot_identity"]),
-            random_seed=int(raw.get("random_seed", 0)),
-            char_limit=int(raw.get("char_limit", DEFAULT_CHAR_LIMIT)),
-            max_mentions_per_message=int(raw.get("max_mentions_per_message", 3)),
-            supports_favorites=bool(raw.get("supports_favorites", True)),
-            partial_groups=PartialGroupPolicy.from_dict(raw.get("partial_groups", {})),
-            simulation=dict(raw.get("simulation", {})),
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "topics": [t.to_dict() for t in self.topics],
-            "strategies": [s.to_dict() for s in self.strategies],
-            "groups_per_strategy_per_topic": self.groups_per_strategy_per_topic,
-            "group_size": self.group_size,
-            "jitter": self.jitter.to_dict(),
-            "bot_identity": self.bot_identity.to_dict(),
-            "random_seed": self.random_seed,
-            "char_limit": self.char_limit,
-            "max_mentions_per_message": self.max_mentions_per_message,
-            "supports_favorites": self.supports_favorites,
-            "partial_groups": self.partial_groups.to_dict(),
-            "simulation": dict(self.simulation),
-        }
-
 
 def load_config(path: str) -> CampaignConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    if not isinstance(raw, Mapping):
-        raise CampaignError(f"config file {path!r} is not a key/value document")
-    return CampaignConfig.from_dict(raw)
+    """Read a YAML config; a malformed file raises ``CampaignError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return CampaignConfig.from_dict(yaml.safe_load(fh))
+    except (yaml.YAMLError, CampaignError) as exc:
+        raise CampaignError(f"{path}: {exc}") from exc
 
 
 def dump_config(config: CampaignConfig, path: str) -> None:
@@ -349,17 +337,10 @@ class CampaignEvent:
 
 
 @dataclass(frozen=True)
-class VolunteerLabel:
+class VolunteerLabel(FieldCodec):
     user_id: str
     label: LabelValue
     coder_id: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"user_id": self.user_id, "label": self.label.value, "coder_id": self.coder_id}
-
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "VolunteerLabel":
-        return cls(user_id=raw["user_id"], label=LabelValue(raw["label"]), coder_id=raw["coder_id"])
 
 
 @dataclass(frozen=True)
@@ -456,13 +437,8 @@ def _iter_templates(spec: StrategySpec):
 
 
 def _unknown_placeholders(template: str) -> list[str]:
-    import string as _string
-
-    unknown = []
-    for literal, name, spec, conv in _string.Formatter().parse(template):
-        if name is not None and name not in _KNOWN_PLACEHOLDERS:
-            unknown.append(name or "")
-    return unknown
+    names = (name for _, name, _, _ in string.Formatter().parse(template))
+    return [name for name in names if name is not None and name not in _KNOWN_PLACEHOLDERS]
 
 
 def replace(obj, **changes):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import string
 import unicodedata
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 _EDGE_PUNCT = set(string.punctuation)
 # Leading '#' and '@' are token sigils (hashtags, mentions), not punctuation.
@@ -31,17 +31,13 @@ class FoldedKeywords(tuple):
         return super().__new__(cls, ((keyword, fold(keyword)) for keyword in keywords))
 
 
-def match_keyword(text: str, keywords: Union[Iterable[str], FoldedKeywords]) -> Optional[str]:
+def match_keyword(text: str, keywords: FoldedKeywords) -> Optional[str]:
     """First keyword found in the text as a folded substring, else None.
 
-    The text is folded once per call. Plain keywords are folded again on
-    every call; a caller that matches many texts against one list builds
-    :class:`FoldedKeywords` of it once and passes that, so no keyword is
-    folded twice.
+    The text is folded once per call; the keywords were folded once, when
+    their :class:`FoldedKeywords` was built.
     """
     haystack = fold(text)
-    if not isinstance(keywords, FoldedKeywords):
-        keywords = ((keyword, fold(keyword)) for keyword in keywords)
     for keyword, needle in keywords:
         if needle in haystack:
             return keyword

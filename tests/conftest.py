@@ -66,6 +66,45 @@ def reference_record(event: model.CampaignEvent) -> dict:
     return record
 
 
+def reference_config_dict(config: model.CampaignConfig) -> dict:
+    """The reference encoding of a config, written out key by key: the dict
+    ``dump_config`` writes as YAML, in the same key order."""
+
+    def strategy(spec: model.StrategySpec) -> dict:
+        out: dict = {
+            "id": spec.id,
+            "call_to_action": spec.call_to_action,
+            "followups": list(spec.followups),
+            "messages_per_turn": spec.messages_per_turn,
+        }
+        if spec.solidarity_quote is not None:
+            out["solidarity_quote"] = spec.solidarity_quote
+        return out
+
+    identity = config.bot_identity
+    return {
+        "topics": [{"name": t.name, "keywords": list(t.keywords)} for t in config.topics],
+        "strategies": [strategy(s) for s in config.strategies],
+        "groups_per_strategy_per_topic": config.groups_per_strategy_per_topic,
+        "group_size": config.group_size,
+        "jitter": {"min_delay": config.jitter.min_delay, "max_delay": config.jitter.max_delay},
+        "bot_identity": {
+            "display_name": identity.display_name,
+            "bio_text": identity.bio_text,
+            "is_declared_bot": identity.is_declared_bot,
+        },
+        "random_seed": config.random_seed,
+        "char_limit": config.char_limit,
+        "max_mentions_per_message": config.max_mentions_per_message,
+        "supports_favorites": config.supports_favorites,
+        "partial_groups": {
+            "policy": config.partial_groups.policy,
+            "timeout_s": config.partial_groups.timeout_s,
+        },
+        "simulation": dict(config.simulation),
+    }
+
+
 @pytest.fixture(scope="session")
 def reference_log():
     return fixtures.build_reference_log()
@@ -147,11 +186,12 @@ class StubPlatform(Platform):
                 self._counter = max(self._counter, int(message_id[4:]))
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
-        from campaignkit.text import match_keyword
+        from campaignkit.text import FoldedKeywords, match_keyword
 
+        folded = FoldedKeywords(keywords)
         for item in self._public:
             self._now = max(self._now, item.timestamp)
-            if match_keyword(item.text, keywords) is not None:
+            if match_keyword(item.text, folded) is not None:
                 yield item
 
 

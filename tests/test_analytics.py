@@ -124,6 +124,25 @@ def test_label_file_round_trip(tmp_path):
     assert read_labels(str(path)) == labels
 
 
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[1]", "VolunteerLabel: expected a mapping, got list"),
+        ('{"user_id": 5, "label": "OnTopic", "coder_id": "a"}', "user_id: expected str, got int"),
+        ('{"user_id": "u2", "label": "Maybe", "coder_id": "a"}', "label: expected one of"),
+        ('{"user_id": "u2", "label": "OnTopic"}', "coder_id: missing required key"),
+        ("{not json", "Expecting property name"),
+    ],
+    ids=["list", "int_user", "unknown_label", "missing_coder", "not_json"],
+)
+def test_bad_label_record_names_file_and_line(tmp_path, line, reason):
+    path = tmp_path / "labels.jsonl"
+    path.write_text('{"user_id": "u1", "label": "OnTopic", "coder_id": "a"}\n' + line + "\n")
+    with pytest.raises(CampaignError) as info:
+        read_labels(str(path))
+    assert str(info.value).startswith(f"{path}:2: bad label record ({reason}")
+
+
 def test_merge_labels_passthrough_and_tiebreak():
     a = {"u1": LabelValue.ON_TOPIC, "u2": LabelValue.ON_TOPIC}
     b = {"u1": LabelValue.ON_TOPIC, "u2": LabelValue.OFF_TOPIC}

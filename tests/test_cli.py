@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import pytest
+import yaml
 
 from campaignkit import analytics, eventlog, fixtures, model
 from campaignkit.cli import main
@@ -27,6 +28,23 @@ def test_validate_reports_violations_with_exit_one(tmp_path, capsys):
     path = _write_config(tmp_path, model.replace(config, bot_identity=identity))
     assert main(["validate", "--config", str(path)]) == 1
     assert "is_declared_bot" in capsys.readouterr().out
+
+
+def test_validate_names_a_missing_key_with_exit_two(tmp_path, capsys):
+    raw = small_sim_config().to_dict()
+    del raw["bot_identity"]
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: bot_identity: missing required key\n"
+
+
+@pytest.mark.parametrize("text", ["topics: [unclosed\n", "- just\n- a list\n", ""])
+def test_validate_rejects_a_file_that_is_not_a_config_with_exit_two(tmp_path, capsys, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_run_twice_is_byte_identical(tmp_path):
@@ -128,3 +146,32 @@ def test_keyterms_rejects_a_log_that_does_not_validate(tmp_path, capsys):
     for command in (["keyterms", "--history", str(tmp_path)], ["report"]):
         assert main(command + ["--log", str(log)]) == 2
         assert "reply references unknown message" in capsys.readouterr().err
+
+
+# sha256 of every file ``campaign fixtures`` writes; the history files are
+# hashed as one stream, concatenated in sorted file-name order.
+FIXTURE_SHA256 = {
+    "campaign.yaml": "8b6c9e598362b3e88bf19db189a6687867b364059d8dbc6399f7e262c8349680",
+    "strategies.yaml": "1d15f731c8a9b34384effdbf250d332618982f6bdc8d62b1df5cbfdff50eda01",
+    "profile_reference.yaml": "236ec9e7ae43d9511d9a21bdf2044f7a3afea4d997d5073687fef95cc7acb21c",
+    "reference.log": "5a5f50c129e1fc5208cfe00f0d62e32916f23188d2cfa66ce49eaa0c24331664",
+    "label_study.log": "30b117e603e2ee415348c727dafd07a30a3b42be638a87d8b45a026f72ef4ddb",
+    "labels_coder_a.jsonl": "0ab311b9a922cf62cca24a1854de3c8c794e58658e20f3049dcd5069bfe03966",
+    "labels_coder_b.jsonl": "0e68b76c04f6d58b802d9791bc935d2ef495a6c428c4adbe39c15f54e5f91323",
+    "labels_tiebreak.jsonl": "7626f274f25ff5c1987b31b9469faa31093cf0476756eb58edb22b11051f9c8f",
+    "history": "2884ad9e5ff35399d5695df6cb9758c640f9db3b0d2ad29d3fe9eb880f8f2859",
+}
+
+
+def test_fixtures_are_byte_identical_to_the_pinned_files(tmp_path, capsys):
+    outdir = tmp_path / "fixtures"
+    assert main(["fixtures", "--out", str(outdir)]) == 0
+    histories = sorted((outdir / "history").iterdir())
+    assert len(histories) == 80
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in outdir.iterdir()
+        if path.is_file()
+    }
+    digests["history"] = hashlib.sha256(b"".join(p.read_bytes() for p in histories)).hexdigest()
+    assert digests == FIXTURE_SHA256

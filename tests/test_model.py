@@ -1,12 +1,15 @@
 import dataclasses
 import inspect
 import pickle
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from campaignkit import fixtures, model
 from campaignkit.model import (
     CampaignConfig,
+    CampaignError,
     CampaignEvent,
     EventKind,
     LabelValue,
@@ -146,3 +149,124 @@ def test_strategy_fixture_round_trip():
         assert model.StrategySpec.from_dict(spec.to_dict()) == spec
     for spec in fixtures.default_strategies("es"):
         assert model.StrategySpec.from_dict(spec.to_dict()) == spec
+
+
+# (key path named by the error, where to put the value, malformed value)
+MALFORMED = [
+    ("topics[0].keywords", ("topics", 0, "keywords"), "corrupcion"),
+    ("strategies[0].followups", ("strategies", 0, "followups"), "abc"),
+    ("bot_identity.is_declared_bot", ("bot_identity", "is_declared_bot"), "no"),
+    ("supports_favorites", ("supports_favorites",), "false"),
+    ("groups_per_strategy_per_topic", ("groups_per_strategy_per_topic",), 2.9),
+    ("group_size", ("group_size",), True),
+    ("topics[0]", ("topics",), [5]),
+    ("strategies[1].messages_per_turn", ("strategies", 1, "messages_per_turn"), "1"),
+    ("partial_groups", ("partial_groups",), "discard"),
+    ("simulation", ("simulation",), ["reference"]),
+]
+
+
+@pytest.mark.parametrize("path, keys, value", MALFORMED, ids=[case[0] for case in MALFORMED])
+def test_malformed_config_value_fails_naming_its_key(path, keys, value):
+    raw = fixtures.default_config().to_dict()
+    target = raw
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(CampaignError, match="^" + re.escape(path) + ": expected "):
+        CampaignConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("missing", [None, "deleted"])
+def test_required_key_missing_or_null_is_named(missing):
+    raw = fixtures.default_config().to_dict()
+    if missing is None:
+        raw["bot_identity"]["is_declared_bot"] = None
+    else:
+        del raw["bot_identity"]["is_declared_bot"]
+    with pytest.raises(CampaignError, match=r"^bot_identity\.is_declared_bot: missing required key"):
+        CampaignConfig.from_dict(raw)
+
+
+def test_a_document_that_is_not_a_mapping_is_rejected():
+    with pytest.raises(CampaignError, match="^CampaignConfig: expected a mapping, got list"):
+        CampaignConfig.from_dict([fixtures.default_config().to_dict()])
+
+
+def test_null_is_omitted_and_each_jitter_bound_has_its_default():
+    raw = fixtures.default_config().to_dict()
+    raw.update(random_seed=None, simulation=None, partial_groups={"policy": "discard"})
+    raw["jitter"] = {"min_delay": 5}
+    raw["strategies"][3]["solidarity_quote"] = None
+    config = CampaignConfig.from_dict(raw)
+    assert config.random_seed == 0 and config.simulation == {}
+    assert config.jitter == model.JitterBounds(min_delay=5, max_delay=300)
+    assert config.partial_groups == model.PartialGroupPolicy(policy="discard", timeout_s=6 * 3600)
+    assert config.strategies[3].solidarity_quote is None
+
+
+def test_label_value_must_be_a_known_label():
+    with pytest.raises(CampaignError, match=r"^label: expected one of \['OnTopic', 'OffTopic'\]"):
+        VolunteerLabel.from_dict({"user_id": "u1", "label": "Maybe", "coder_id": "a"})
+
+
+_TEXT = st.text(max_size=12)
+
+
+@st.composite
+def _strategy_specs(draw):
+    quote = draw(st.one_of(st.none(), _TEXT))
+    return model.StrategySpec(
+        id=draw(_TEXT),
+        call_to_action=draw(_TEXT),
+        followups=tuple(draw(st.lists(_TEXT, max_size=3))),
+        messages_per_turn=1 if quote is None else 2,
+        solidarity_quote=quote,
+    )
+
+
+@st.composite
+def _configs(draw):
+    ints = st.integers(min_value=-5, max_value=10**6)
+    return CampaignConfig(
+        topics=tuple(
+            model.Topic(name=draw(_TEXT), keywords=tuple(draw(st.lists(_TEXT, max_size=3))))
+            for _ in range(draw(st.integers(0, 3)))
+        ),
+        strategies=tuple(draw(st.lists(_strategy_specs(), max_size=4))),
+        groups_per_strategy_per_topic=draw(ints),
+        group_size=draw(ints),
+        jitter=model.JitterBounds(min_delay=draw(ints), max_delay=draw(ints)),
+        bot_identity=model.BotIdentity(
+            display_name=draw(_TEXT), bio_text=draw(_TEXT), is_declared_bot=draw(st.booleans())
+        ),
+        random_seed=draw(ints),
+        char_limit=draw(ints),
+        max_mentions_per_message=draw(ints),
+        supports_favorites=draw(st.booleans()),
+        partial_groups=model.PartialGroupPolicy(
+            policy=draw(st.sampled_from(["dispatch_partial", "discard"])), timeout_s=draw(ints)
+        ),
+        simulation=draw(
+            st.dictionaries(_TEXT, st.one_of(ints, st.floats(allow_nan=False), _TEXT), max_size=3)
+        ),
+    )
+
+
+def _ordered(value):
+    """Dicts as lists of (key, value) pairs, recursively, so == also checks key order."""
+    if isinstance(value, dict):
+        return [(key, _ordered(v)) for key, v in value.items()]
+    if isinstance(value, list):
+        return [_ordered(v) for v in value]
+    return value
+
+
+@given(_configs())
+def test_config_codec_matches_reference_encoder_and_round_trips(config):
+    from conftest import reference_config_dict
+
+    encoded = config.to_dict()
+    assert list(encoded.items()) == list(reference_config_dict(config).items())
+    assert _ordered(encoded) == _ordered(reference_config_dict(config))
+    assert CampaignConfig.from_dict(encoded) == config

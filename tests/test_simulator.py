@@ -61,12 +61,12 @@ def test_zero_post_rate_yields_empty_stream():
 
 
 def test_every_generated_post_matches_a_keyword():
-    from campaignkit.text import match_keyword
+    from campaignkit.text import FoldedKeywords, match_keyword
 
     sim = make_sim(SimulationProfile(population=40, post_rate=1.0), seed=2)
     keywords = ["corrupcion", "impunidad"]
     for item in itertools.islice(sim.inbound(keywords), 500):
-        assert match_keyword(item.text, keywords) is not None
+        assert match_keyword(item.text, FoldedKeywords(keywords)) is not None
 
 
 def test_poisson_post_volume_within_three_sigma():
