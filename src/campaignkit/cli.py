@@ -2,9 +2,11 @@
 
 Subcommands: run, resume, report, keyterms, validate, fixtures. run and
 resume drive the campaign against the simulated platform. Exit codes:
-0 success, 1 validation failure, 2 runtime error. All output is
-deterministic under a fixed --seed; no subcommand mutates an input file
-other than the designated output log.
+0 success; 1 a violated config invariant (or too few key-term histories);
+2 a config that does not decode, simulation subtree included, or another
+runtime error such as an invalid log. All output is deterministic under a
+fixed --seed; no subcommand mutates an input file other than the designated
+output log.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Optional, Sequence
 from . import analytics, eventlog, fixtures, model
 from .model import CampaignError, replace
 from .orchestrator import build_simulated_platform, run_campaign
+from .simulator import resolve_profile
 
 logger = logging.getLogger("campaignkit")
 
@@ -28,30 +31,31 @@ def _default_log_dir() -> Path:
     return Path(os.environ.get("CAMPAIGN_LOG_DIR", "."))
 
 
-def _valid_config(args) -> Optional[model.CampaignConfig]:
-    """The config with --seed applied, or None once its violations are printed."""
-    config = model.load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, random_seed=args.seed)
+def _valid_config(path, seed=None, out=None) -> Optional[model.CampaignConfig]:
+    """The config with ``seed`` applied, or None once its violations are printed to ``out``;
+    one that does not decode, simulation profile included, raises ``CampaignError``."""
+    config = model.load_config(path)
+    try:
+        resolve_profile(config.simulation)
+    except CampaignError as exc:
+        raise CampaignError(f"{path}: {exc}") from exc
+    if seed is not None:
+        config = replace(config, random_seed=seed)
     violations = model.validate_config(config)
     for violation in violations:
-        print(violation, file=sys.stderr)
+        print(violation, file=out)
     return None if violations else config
 
 
 def cmd_validate(args) -> int:
-    config = model.load_config(args.config)
-    violations = model.validate_config(config)
-    for violation in violations:
-        print(violation)
-    if violations:
+    if _valid_config(args.config) is None:
         return 1
     print("config ok")
     return 0
 
 
 def cmd_run(args) -> int:
-    config = _valid_config(args)
+    config = _valid_config(args.config, args.seed, sys.stderr)
     if config is None:
         return 1
     out = args.out or str(_default_log_dir() / "campaign.log")
@@ -62,7 +66,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    config = _valid_config(args)
+    config = _valid_config(args.config, args.seed, sys.stderr)
     if config is None:
         return 1
     platform = build_simulated_platform(config)
@@ -72,16 +76,13 @@ def cmd_resume(args) -> int:
 
 
 def _merged_labels(args) -> Optional[dict]:
-    if not args.labels:
-        return None
-    labels_a = analytics.labels_to_map(analytics.read_labels(args.labels[0]))
-    if len(args.labels) == 1:
-        return labels_a
-    labels_b = analytics.labels_to_map(analytics.read_labels(args.labels[1]))
-    tiebreak: dict = {}
-    if args.tiebreak:
-        tiebreak = analytics.labels_to_map(analytics.read_labels(args.tiebreak))
-    return analytics.merge_labels(labels_a, labels_b, tiebreak)
+    if len(args.labels) > 2:
+        raise CampaignError(f"--labels takes one or two files, got {len(args.labels)}")
+    coders = [analytics.labels_to_map(analytics.read_labels(path)) for path in args.labels]
+    if len(coders) < 2:
+        return coders[0] if coders else None
+    tiebreak = analytics.labels_to_map(analytics.read_labels(args.tiebreak)) if args.tiebreak else {}
+    return analytics.merge_labels(*coders, tiebreak)
 
 
 def cmd_report(args) -> int:

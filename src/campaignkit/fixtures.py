@@ -52,13 +52,6 @@ def default_strategies(language: str = "en") -> tuple[StrategySpec, ...]:
     return tuple(StrategySpec.from_dict(s) for s in raw[language]["strategies"])
 
 
-def load_profile(name: str) -> dict[str, Any]:
-    """Named simulation profile shipped with the package."""
-    if name not in ("reference",):
-        raise KeyError(f"unknown simulation profile {name!r}")
-    return dict(yaml.safe_load(_data_text(f"profile_{name}.yaml")))
-
-
 def default_topics() -> tuple[Topic, ...]:
     return (
         Topic(name="corruption", keywords=("corrupcion",)),

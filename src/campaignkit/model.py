@@ -6,13 +6,17 @@ is a pure value; the orchestrator owns the only mutable working state
 the users it has admitted) behind a single-writer loop.
 Timestamps are integer milliseconds since the Unix epoch, UTC.
 
-The config records and ``VolunteerLabel`` share one codec, ``FieldCodec``,
-driven by the dataclass fields and their type hints. Decoding: a key is
-required iff its field has no default; null means omitted; types are strict
+The config records, the simulation profile and ``VolunteerLabel`` share one
+codec, ``FieldCodec``, driven by the dataclass fields and their type hints.
+Decoding: a key is required iff its field has no default; null means omitted;
+a key no field names fails, suggesting the nearest field; types are strict
 (``type(v) is T`` for ``str``, ``int`` and ``bool``, so ``true`` is no int
-and ``"no"`` no bool; a ``tuple[T, ...]`` takes a list of ``T``; records and
-enums recurse; a mapping is copied); a failure raises ``CampaignError``
-naming the key path (``topics[0].keywords: expected a list, got str``).
+and ``"no"`` no bool; a ``float`` takes an int, not a bool; a
+``tuple[T, ...]`` takes a list of ``T``; a ``Mapping[str, T]`` decodes its
+values as ``T`` unless ``T`` is ``Any``; a union decodes a mapping as its
+last member, anything else as its first; records and enums recurse); a
+failure raises ``CampaignError`` naming the key path
+(``topics[0].keywords: expected a list, got str``).
 Encoding writes fields in declaration order and omits None, so key order is
 field order: ``CampaignConfig`` is keyword-only so that its required
 ``bot_identity`` can follow ``jitter``.
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import difflib
 import functools
 import string
 import typing
@@ -75,6 +80,7 @@ class LabelValue(str, Enum):
 
 _R = TypeVar("_R", bound="FieldCodec")
 _type_hints = functools.cache(typing.get_type_hints)  # resolved once per class
+_SCALARS = {str: (str,), int: (int,), bool: (bool,), float: (float, int)}  # a float takes an int
 
 
 class FieldCodec:
@@ -95,19 +101,22 @@ def _expect(ok: bool, what: str, value: Any, path: str) -> None:
 
 
 def _decode(hint: Any, value: Any, path: str) -> Any:
-    """The value at key ``path`` as a ``hint``: scalar, Optional, tuple, Mapping, enum or record."""
-    if hint in (str, int, bool):
-        _expect(type(value) is hint, hint.__name__, value, path)
+    """The value at key ``path`` as a ``hint``: scalar, union, tuple, Mapping, enum or record."""
+    if hint in _SCALARS:
+        _expect(type(value) in _SCALARS[hint], hint.__name__, value, path)
         return value
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is Union:  # Optional[T]: a null never gets here
-        return _decode(args[0], value, path)
+    if origin is Union:  # a null never gets here; a mapping member is listed last
+        arms = [arm for arm in args if arm is not type(None)]
+        return _decode(arms[-1] if isinstance(value, Mapping) else arms[0], value, path)
     if origin is tuple:
         _expect(isinstance(value, list), "a list", value, path)
         return tuple(_decode(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is collections.abc.Mapping:
         _expect(isinstance(value, Mapping), "a mapping", value, path)
-        return dict(value)
+        if args[1] is Any:
+            return dict(value)
+        return {k: _decode(args[1], v, f"{path}.{k}") for k, v in value.items()}
     if issubclass(hint, Enum):
         try:
             return hint(value)
@@ -115,9 +124,14 @@ def _decode(hint: Any, value: Any, path: str) -> Any:
             choices = [member.value for member in hint]
             raise CampaignError(f"{path}: expected one of {choices}, got {value!r}") from None
     _expect(isinstance(value, Mapping), "a mapping", value, path or hint.__name__)
-    hints, kwargs = _type_hints(hint), {}
+    hints, kwargs, prefix = _type_hints(hint), {}, f"{path}." if path else ""
+    for key in value:
+        if key not in hints:
+            near = difflib.get_close_matches(str(key), hints, n=1)
+            suggestion = f"; did you mean {near[0]!r}?" if near else ""
+            raise CampaignError(f"{prefix}{key}: unknown key{suggestion}")
     for f in dataclasses.fields(hint):
-        key = f"{path}.{f.name}" if path else f.name
+        key = prefix + f.name
         if value.get(f.name) is not None:
             kwargs[f.name] = _decode(hints[f.name], value[f.name], key)
         elif f.default is f.default_factory is dataclasses.MISSING:  # no default: required
@@ -173,6 +187,11 @@ class BotIdentity(FieldCodec):
     is_declared_bot: bool
 
 
+class PartialPolicy(str, Enum):
+    DISPATCH_PARTIAL = "dispatch_partial"
+    DISCARD = "discard"
+
+
 @dataclass(frozen=True)
 class PartialGroupPolicy(FieldCodec):
     """What to do with a group buffer that never fills.
@@ -182,7 +201,7 @@ class PartialGroupPolicy(FieldCodec):
     never contacted, and the run does not admit them again).
     """
 
-    policy: str = "dispatch_partial"
+    policy: PartialPolicy = PartialPolicy.DISPATCH_PARTIAL
     timeout_s: int = 6 * 3600
 
 
@@ -201,8 +220,8 @@ class CampaignConfig(FieldCodec):
     max_mentions_per_message: int = 3
     supports_favorites: bool = True
     partial_groups: PartialGroupPolicy = field(default_factory=PartialGroupPolicy)
-    # Raw settings subtree for the simulated platform; parsed by the
-    # simulator module so new profile knobs never touch the core model.
+    # Raw settings subtree for the simulated platform, decoded by
+    # ``simulator.resolve_profile`` so profile knobs never touch the core model.
     simulation: Mapping[str, Any] = field(default_factory=dict)
 
     def keywords(self) -> tuple[str, ...]:
@@ -415,10 +434,6 @@ def validate_config(config: CampaignConfig) -> list[Violation]:
                 "bot_identity.is_declared_bot",
                 "must be true: accounts that hide being bots break the campaign's transparency rule",
             )
-        )
-    if config.partial_groups.policy not in ("dispatch_partial", "discard"):
-        violations.append(
-            Violation("partial_groups.policy", "must be 'dispatch_partial' or 'discard'")
         )
     if config.partial_groups.timeout_s < 0:
         violations.append(Violation("partial_groups.timeout_s", "must be non-negative"))

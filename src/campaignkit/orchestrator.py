@@ -612,17 +612,10 @@ class Orchestrator:
 def build_simulated_platform(config: CampaignConfig, seed: Optional[int] = None) -> Platform:
     """Construct the simulated platform described by the config's
     ``simulation`` subtree (optionally a named built-in profile)."""
-    from .fixtures import load_profile
     from .platform import SimulatedPlatform
-    from .simulator import AgentPopulation, SimulationProfile
+    from .simulator import AgentPopulation, resolve_profile
 
-    raw = dict(config.simulation)
-    profile_name = raw.pop("profile", None)
-    if profile_name:
-        base = load_profile(str(profile_name))
-        base.update(raw)
-        raw = base
-    profile = SimulationProfile.from_dict(raw)
+    profile = resolve_profile(config.simulation)
     if seed is None:
         seed = config.random_seed
     rng = random.Random(f"{seed}:platform")

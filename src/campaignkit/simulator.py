@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 import random
-from collections import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from .model import CampaignError, Topic, VolunteerLabel, LabelValue
+import yaml
+
+from .fixtures import _data_text
+from .model import CampaignError, FieldCodec, LabelValue, Topic, VolunteerLabel, replace
 from .platform import BotMessageMeta, InboundItem, ItemKind
 
 # Machine-readable stance tags appended to generated replies so label
@@ -31,19 +34,46 @@ Propensity = Union[float, Mapping[str, float]]
 
 
 def resolve_propensity(value: Propensity, strategy: str) -> float:
-    # Numbers first: a float propensity skips the abstract Mapping check.
     if isinstance(value, (float, int)):
         return float(value)
-    if isinstance(value, abc.Mapping):
-        if strategy in value:
-            return float(value[strategy])
-        return float(value.get("default", 0.0))
-    return float(value)
+    return float(value.get(strategy, value.get("default", 0.0)))
+
+
+class Clock(str, Enum):
+    VIRTUAL = "virtual"  # the only clock: runs are deterministic
 
 
 @dataclass(frozen=True)
-class SimulationProfile:
-    """Config-side description of the agent population."""
+class ReplyDelay(FieldCodec):
+    """Reply and interaction delays are log-uniform between these bounds, in seconds."""
+
+    min_s: int = 60
+    max_s: int = 6 * 3600
+
+
+@dataclass(frozen=True)
+class MixtureComponent(FieldCodec):
+    """A share of the population; each key it sets overrides the profile's."""
+
+    weight: float = 1.0
+    post_rate: Optional[float] = None
+    mean_turns: Optional[float] = None
+    reply_propensity: Optional[Propensity] = None
+    interaction_propensity: Optional[Propensity] = None
+    on_topic_probability: Optional[Propensity] = None
+
+
+@dataclass(frozen=True)
+class SimulationProfile(FieldCodec):
+    """Config-side description of the agent population, decoded from the
+    config's ``simulation`` subtree. Its keys, all optional: ``profile`` (a
+    shipped profile, ``reference``, that the other keys are laid over),
+    ``population``, ``post_rate``, ``mean_turns``, ``reply_propensity``,
+    ``interaction_propensity``, ``on_topic_probability``, ``reply_delay``
+    (``min_s``, ``max_s``), ``posts_per_minute_limit``, ``clock``
+    (``virtual``) and ``mixture`` (a list of components, each a ``weight``
+    and overrides of any keys from ``post_rate`` to ``on_topic_probability``).
+    """
 
     population: int = 1000
     post_rate: float = 0.2  # keyword posts per agent per simulated hour
@@ -51,34 +81,31 @@ class SimulationProfile:
     reply_propensity: Propensity = 0.3
     interaction_propensity: Propensity = 0.1
     on_topic_probability: Propensity = 0.8
-    reply_delay_min_s: int = 60
-    reply_delay_max_s: int = 6 * 3600
+    reply_delay: ReplyDelay = field(default_factory=ReplyDelay)
     posts_per_minute_limit: Optional[int] = None
-    clock: str = "virtual"
-    mixture: tuple[Mapping[str, Any], ...] = ()
+    clock: Clock = Clock.VIRTUAL
+    mixture: tuple[MixtureComponent, ...] = ()
 
-    @classmethod
-    def from_dict(cls, raw: Mapping[str, Any]) -> "SimulationProfile":
-        clock = str(raw.get("clock", "virtual"))
-        if clock != "virtual":
-            raise CampaignError(
-                f"unsupported clock {clock!r}: only the deterministic virtual clock is implemented"
-            )
-        delay = raw.get("reply_delay", {})
-        limit = raw.get("posts_per_minute_limit")
-        return cls(
-            population=int(raw.get("population", 1000)),
-            post_rate=float(raw.get("post_rate", 0.2)),
-            mean_turns=float(raw.get("mean_turns", 2.0)),
-            reply_propensity=raw.get("reply_propensity", 0.3),
-            interaction_propensity=raw.get("interaction_propensity", 0.1),
-            on_topic_probability=raw.get("on_topic_probability", 0.8),
-            reply_delay_min_s=int(delay.get("min_s", 60)),
-            reply_delay_max_s=int(delay.get("max_s", 6 * 3600)),
-            posts_per_minute_limit=None if limit is None else int(limit),
-            clock=clock,
-            mixture=tuple(raw.get("mixture", ())),
-        )
+
+def resolve_profile(simulation: Mapping[str, Any]) -> SimulationProfile:
+    """The ``simulation`` subtree decoded, its keys laid over the named ``profile`` if any.
+    Errors name the key path from ``simulation``; values the simulator cannot run fail too."""
+    raw = dict(simulation)
+    name = raw.pop("profile", None)
+    try:
+        if name is not None:
+            if name != "reference":
+                raise CampaignError(f"profile: expected one of ['reference'], got {name!r}")
+            raw = {**yaml.safe_load(_data_text("profile_reference.yaml")), **raw}
+        profile = SimulationProfile.from_dict(raw)
+        delay, limit = profile.reply_delay, profile.posts_per_minute_limit
+        if not 1 <= delay.min_s <= delay.max_s:
+            raise CampaignError("reply_delay: min_s must be at least 1 and at most max_s")
+        if limit is not None and limit < 1:
+            raise CampaignError("posts_per_minute_limit: must be at least 1")
+    except CampaignError as exc:
+        raise CampaignError(f"simulation.{exc}") from exc
+    return profile
 
 
 @dataclass
@@ -126,50 +153,42 @@ def _geometric(mean: float, rng: random.Random) -> int:
     return n
 
 
+def _component_cycle(profile: SimulationProfile) -> list[SimulationProfile]:
+    """Agent i's profile is item i modulo the cycle's length: the profile with a
+    component's keys laid over it, repeated by the component's weight."""
+    cycle: list[SimulationProfile] = []
+    for comp in profile.mixture:
+        overrides = {k: v for k, v in comp.to_dict().items() if k != "weight"}
+        cycle.extend([replace(profile, **overrides)] * max(1, round(comp.weight * 100)))
+    return cycle or [profile]
+
+
 class AgentPopulation:
     """Deterministic population of simulated platform users."""
 
     def __init__(self, profile: SimulationProfile, topics: Sequence[Topic], rng: random.Random):
-        self.profile = profile
         self.topics = tuple(topics)
         self.agents: list[AgentProfile] = []
         self._states: dict[str, _AgentState] = {}
         self._item_counter = 0
-        # Reply delays are log-uniform between these bounds.
         self._log_delay_ms = (
-            math.log(profile.reply_delay_min_s * 1000),
-            math.log(profile.reply_delay_max_s * 1000),
+            math.log(profile.reply_delay.min_s * 1000),
+            math.log(profile.reply_delay.max_s * 1000),
         )
-        components = self._mixture_components(profile)
+        components = _component_cycle(profile)
         for i in range(profile.population):
             comp = components[i % len(components)]
             agent = AgentProfile(
                 user_id=f"u{i:05d}",
-                reply_propensity=comp.get("reply_propensity", profile.reply_propensity),
-                interaction_propensity=comp.get(
-                    "interaction_propensity", profile.interaction_propensity
-                ),
-                on_topic_probability=comp.get(
-                    "on_topic_probability", profile.on_topic_probability
-                ),
-                max_turns=_geometric(float(comp.get("mean_turns", profile.mean_turns)), rng),
-                post_rate=float(comp.get("post_rate", profile.post_rate)),
+                reply_propensity=comp.reply_propensity,
+                interaction_propensity=comp.interaction_propensity,
+                on_topic_probability=comp.on_topic_probability,
+                max_turns=_geometric(comp.mean_turns, rng),
+                post_rate=comp.post_rate,
             )
             self.agents.append(agent)
             self._states[agent.user_id] = _AgentState()
         self.by_id = {a.user_id: a for a in self.agents}
-
-    @staticmethod
-    def _mixture_components(profile: SimulationProfile) -> list[Mapping[str, Any]]:
-        if not profile.mixture:
-            return [{}]
-        # Expand weights into a small deterministic assignment cycle so the
-        # population fractions track the requested mixture.
-        cycle: list[Mapping[str, Any]] = []
-        for comp in profile.mixture:
-            weight = float(comp.get("weight", 1.0))
-            cycle.extend([comp] * max(1, round(weight * 100)))
-        return cycle
 
     def _mint(self, prefix: str) -> str:
         self._item_counter += 1

@@ -39,6 +39,56 @@ def test_validate_names_a_missing_key_with_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: bot_identity: missing required key\n"
 
 
+def test_validate_names_an_unknown_key_and_its_nearest_field_with_exit_two(tmp_path, capsys):
+    raw = fixtures.default_config().to_dict()
+    raw["group_sise"] = 2
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    assert main(["validate", "--config", str(path)]) == 2
+    expected = f"error: {path}: group_sise: unknown key; did you mean 'group_size'?\n"
+    assert capsys.readouterr().err == expected
+
+
+# (override of the reference profile, error after "simulation.")
+MALFORMED_SIMULATION = [
+    ({"population": 2.9}, "population: expected int, got float"),
+    ({"population": "lots"}, "population: expected int, got str"),
+    ({"reply_propensity": "high"}, "reply_propensity: expected float, got str"),
+    ({"reply_propensity": {"direct": "x"}}, "reply_propensity.direct: expected float, got str"),
+    ({"clock": "wall"}, "clock: expected one of ['virtual'], got 'wall'"),
+    ({"popluation": 10}, "popluation: unknown key; did you mean 'population'?"),
+    ({"reply_delay": {"min_sec": 5}}, "reply_delay.min_sec: unknown key; did you mean 'min_s'?"),
+    (
+        {"mixture": [{"weight": 1.0}, {"weight": 1.0, "post_rat": 0.5}]},
+        "mixture[1].post_rat: unknown key; did you mean 'post_rate'?",
+    ),
+    ({"reply_delay": {"min_s": 0}}, "reply_delay: min_s must be at least 1 and at most max_s"),
+    (
+        {"reply_delay": {"min_s": 600, "max_s": 60}},
+        "reply_delay: min_s must be at least 1 and at most max_s",
+    ),
+    ({"posts_per_minute_limit": 0}, "posts_per_minute_limit: must be at least 1"),
+    ({"profile": "nosuch"}, "profile: expected one of ['reference'], got 'nosuch'"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, message", MALFORMED_SIMULATION, ids=[m.split(":")[0] for _, m in MALFORMED_SIMULATION]
+)
+def test_malformed_simulation_fails_alike_in_validate_run_and_resume(
+    tmp_path, capsys, override, message
+):
+    raw = small_sim_config().to_dict()
+    raw["simulation"] = {**raw["simulation"], **override}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False), encoding="utf-8")
+    log = tmp_path / "run.log"
+    for command in (["validate"], ["run", "--out", str(log)], ["resume", "--log", str(log)]):
+        assert main(command + ["--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: simulation.{message}\n")
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("text", ["topics: [unclosed\n", "- just\n- a list\n", ""])
 def test_validate_rejects_a_file_that_is_not_a_config_with_exit_two(tmp_path, capsys, text):
     path = tmp_path / "config.yaml"
@@ -101,6 +151,9 @@ def test_report_with_label_files(tmp_path, capsys):
         == 0
     )
     assert "On-Topic Volunteers" in capsys.readouterr().out
+    three = ["--labels", str(fa), str(fb), str(fa), "--tiebreak", str(fc)]
+    assert main(["report", "--log", str(log)] + three) == 2
+    assert capsys.readouterr() == ("", "error: --labels takes one or two files, got 3\n")
 
 
 def test_fixtures_and_keyterms_end_to_end(tmp_path, capsys):

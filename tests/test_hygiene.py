@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in src/, tests/ and perfbench/ is used.
+"""Source hygiene: every imported name in src/, tests/ and perfbench/ is
+used, and no class in src/ but ``FieldCodec`` writes its own codec.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -84,5 +85,34 @@ def test_no_unused_imports_in_src_and_tests():
         for top in CHECKED
         for path in sorted((ROOT / top).rglob("*.py"))
         for name, line in unused_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def hand_codecs(source: str) -> list[str]:
+    """``Class.method`` of each from_dict or to_dict defined outside FieldCodec."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and node.name != "FieldCodec"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name in ("from_dict", "to_dict")
+    ]
+
+
+def test_hand_written_codecs_are_detected():
+    source = (
+        "class FieldCodec:\n    def from_dict(cls, raw): ...\n    def to_dict(self): ...\n"
+        "class Profile(FieldCodec):\n    @classmethod\n    def from_dict(cls, raw): ...\n"
+        "def to_dict(x): ...\n"
+    )
+    assert hand_codecs(source) == ["Profile.from_dict"]
+
+
+def test_only_field_codec_decodes_and_encodes_records():
+    offenders = [
+        f"{path.relative_to(ROOT)}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for name in hand_codecs(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -4,6 +4,7 @@ import pickle
 import re
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
 from campaignkit import fixtures, model
@@ -18,6 +19,7 @@ from campaignkit.model import (
     replace,
     validate_config,
 )
+from campaignkit.simulator import SimulationProfile
 
 
 def test_default_config_is_valid():
@@ -162,6 +164,7 @@ MALFORMED = [
     ("topics[0]", ("topics",), [5]),
     ("strategies[1].messages_per_turn", ("strategies", 1, "messages_per_turn"), "1"),
     ("partial_groups", ("partial_groups",), "discard"),
+    ("partial_groups.policy", ("partial_groups", "policy"), "drop"),
     ("simulation", ("simulation",), ["reference"]),
 ]
 
@@ -175,6 +178,38 @@ def test_malformed_config_value_fails_naming_its_key(path, keys, value):
     target[keys[-1]] = value
     with pytest.raises(CampaignError, match="^" + re.escape(path) + ": expected "):
         CampaignConfig.from_dict(raw)
+
+
+# (where the unknown key goes, the key, the error)
+UNKNOWN_KEYS = [
+    ((), "group_sise", "group_sise: unknown key; did you mean 'group_size'?"),
+    (("jitter",), "min_dealy", "jitter.min_dealy: unknown key; did you mean 'min_delay'?"),
+    (("topics", 0), "kewords", "topics[0].kewords: unknown key; did you mean 'keywords'?"),
+    (("bot_identity",), "avatar", "bot_identity.avatar: unknown key"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, key, message", UNKNOWN_KEYS, ids=[m.split(":")[0] for *_, m in UNKNOWN_KEYS]
+)
+def test_unknown_key_fails_naming_its_path_and_the_nearest_field(keys, key, message):
+    raw = fixtures.default_config().to_dict()
+    target = raw
+    for step in keys:
+        target = target[step]
+    target[key] = 2
+    with pytest.raises(CampaignError, match="^" + re.escape(message) + "$"):
+        CampaignConfig.from_dict(raw)
+
+
+def test_shipped_data_files_decode_strictly():
+    profile = yaml.safe_load(fixtures._data_text("profile_reference.yaml"))
+    encoded = SimulationProfile.from_dict(profile).to_dict()
+    assert {key: encoded[key] for key in profile} == profile
+    strategies = yaml.safe_load(fixtures._data_text("strategies.yaml"))
+    for language in ("en", "es"):
+        specs = fixtures.default_strategies(language)
+        assert [spec.to_dict() for spec in specs] == strategies[language]["strategies"]
 
 
 @pytest.mark.parametrize("missing", [None, "deleted"])

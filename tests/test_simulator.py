@@ -14,6 +14,8 @@ from campaignkit.simulator import (
     ON_TOPIC_TAG,
     AgentPopulation,
     BotMessageMeta,
+    MixtureComponent,
+    ReplyDelay,
     SimulationProfile,
     derive_labels,
     resolve_propensity,
@@ -53,6 +55,42 @@ def test_number_propensities_resolve_like_the_reference(value, strategy):
 def test_mapping_propensities_resolve_like_the_reference(mapping, proxied, strategy):
     value = MappingProxyType(mapping) if proxied else mapping
     assert resolve_propensity(value, strategy) == _resolve_reference(value, strategy)
+
+
+_NUMBERS = st.one_of(st.integers(-5, 10**6), st.floats(allow_nan=False))
+_PROPENSITIES = st.one_of(
+    _NUMBERS, st.dictionaries(st.sampled_from(["direct", "loss", "default"]), _NUMBERS)
+)
+
+
+_PROFILES = st.builds(
+    SimulationProfile,
+    population=st.integers(),
+    post_rate=_NUMBERS,
+    mean_turns=_NUMBERS,
+    reply_propensity=_PROPENSITIES,
+    interaction_propensity=_PROPENSITIES,
+    on_topic_probability=_PROPENSITIES,
+    reply_delay=st.builds(ReplyDelay, min_s=st.integers(), max_s=st.integers()),
+    posts_per_minute_limit=st.none() | st.integers(),
+    mixture=st.lists(
+        st.builds(
+            MixtureComponent,
+            weight=_NUMBERS,
+            post_rate=st.none() | _NUMBERS,
+            mean_turns=st.none() | _NUMBERS,
+            reply_propensity=st.none() | _PROPENSITIES,
+            interaction_propensity=st.none() | _PROPENSITIES,
+            on_topic_probability=st.none() | _PROPENSITIES,
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+
+
+@given(_PROFILES)
+def test_simulation_profile_round_trips(profile):
+    assert SimulationProfile.from_dict(profile.to_dict()) == profile
 
 
 def test_zero_post_rate_yields_empty_stream():
@@ -148,7 +186,9 @@ def test_mixture_components_assign_distinct_profiles():
     rng = random.Random(9)
     profile = SimulationProfile(
         population=100, post_rate=1.0,
-        mixture=({"weight": 0.5, "post_rate": 0.0}, {"weight": 0.5, "post_rate": 2.0}),
+        mixture=(
+            MixtureComponent(weight=0.5, post_rate=0.0), MixtureComponent(weight=0.5, post_rate=2.0)
+        ),
     )
     population = AgentPopulation(profile, TOPICS, rng)
     rates = {a.post_rate for a in population.agents}
