@@ -15,13 +15,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .eventlog import validate_events, volunteer_replies
 from .model import (
-    CampaignError,
-    CampaignEvent,
-    EventKind,
-    INTERACTION_KINDS,
-    LabelValue,
-    OUTBOUND_KINDS,
-    TargetAuthor,
+    EVENT_INBOUND_REPLY, EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, INTERACTION_KINDS,
+    LABEL_ON_TOPIC, OUTBOUND_KINDS, TARGET_BOT, CampaignError, CampaignEvent, LabelValue,
     VolunteerLabel,
 )
 from .stats import AnovaResult, DegenerateInput, mann_whitney_rho_sparse, one_way_anova
@@ -110,7 +105,7 @@ def compute_metrics(
         labeled = [u for u in volunteers if u in labels] if labels else []
         if not labeled:
             return None
-        return sum(1 for u in labeled if labels[u] is LabelValue.ON_TOPIC) / len(labeled)
+        return sum(1 for u in labeled if labels[u] is LABEL_ON_TOPIC) / len(labeled)
 
     def bucket(strategy: str) -> dict[str, int]:
         order(strategy)
@@ -127,19 +122,19 @@ def compute_metrics(
         )
 
     for event in events:
-        strategy = event.strategy or ""
-        if event.kind in OUTBOUND_KINDS:
+        strategy, kind = event.strategy or "", event.kind
+        if kind in OUTBOUND_KINDS:
             b = counts.get(strategy) or bucket(strategy)
             b["outbound"] += 1
-            if event.kind is EventKind.OUTBOUND_CALL:
+            if kind is EVENT_OUTBOUND_CALL:
                 b["calls"] += 1
                 conv_arm[event.conversation_id] = strategy
                 conv_contributors.setdefault(event.conversation_id, set())
-            elif event.kind is EventKind.OUTBOUND_FOLLOWUP:
+            elif kind is EVENT_OUTBOUND_FOLLOWUP:
                 b["followups"] += 1
             message_replies[event.message_id] = 0
             message_arm[event.message_id] = strategy
-        elif event.kind is EventKind.INBOUND_REPLY:
+        elif kind is EVENT_INBOUND_REPLY:
             if event.seq not in counted:
                 continue
             conv = event.conversation_id or ""
@@ -150,9 +145,9 @@ def compute_metrics(
             conv_contributors.setdefault(conv, set()).add(event.actor)
             if event.in_reply_to in message_replies:
                 message_replies[event.in_reply_to] += 1
-        elif event.kind in INTERACTION_KINDS:
+        elif kind in INTERACTION_KINDS:
             b = counts.get(strategy) or bucket(strategy)
-            if event.target_author is TargetAuthor.BOT:
+            if event.target_author is TARGET_BOT:
                 b["bot_interactions"] += 1
             else:
                 b["volunteer_interactions"] += 1

@@ -40,14 +40,9 @@ from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 from .model import (
-    BOT_ACTOR,
-    CampaignError,
-    CampaignEvent,
-    ConversationRecord,
-    EventKind,
-    INTERACTION_KINDS,
-    OUTBOUND_KINDS,
-    TargetAuthor,
+    BOT_ACTOR, EVENT_ABORT, EVENT_INBOUND_REPLY, EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP,
+    INTERACTION_KINDS, OUTBOUND_KINDS, CampaignError, CampaignEvent, ConversationRecord,
+    EventKind, TargetAuthor,
 )
 from .text import mentions_in_text
 
@@ -229,7 +224,7 @@ def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str
         return dict(events._index()[0])
     members: dict[str, tuple[str, ...]] = {}
     for event in events:
-        if event.kind is EventKind.OUTBOUND_CALL and event.conversation_id is not None:
+        if event.kind is EVENT_OUTBOUND_CALL and event.conversation_id is not None:
             members[event.conversation_id] = tuple(mentions_in_text(event.text or ""))
     return members
 
@@ -248,7 +243,7 @@ def _replies_by_members(
     events: Iterable[CampaignEvent], members: dict[str, tuple[str, ...]]
 ) -> Iterator[CampaignEvent]:
     for event in events:
-        if event.kind is EventKind.INBOUND_REPLY and event.actor in members.get(
+        if event.kind is EVENT_INBOUND_REPLY and event.actor in members.get(
             event.conversation_id or "", ()
         ):
             yield event
@@ -312,7 +307,8 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
             if event.seq <= last_seq:
                 raise MalformedLog("seq not strictly increasing")
             last_seq = event.seq
-            if event.kind in OUTBOUND_KINDS:
+            kind = event.kind
+            if kind in OUTBOUND_KINDS:
                 if event.actor != BOT_ACTOR:
                     raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
                 if event.conversation_id is None or event.message_id is None:
@@ -321,9 +317,9 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                     raise MalformedLog("outbound message missing strategy")
                 if event.message_id in known_messages:
                     raise MalformedLog(f"message {event.message_id} already in the log")
-                if event.kind is EventKind.OUTBOUND_CALL:
+                if kind is EVENT_OUTBOUND_CALL:
                     called.add(event.conversation_id)
-                elif event.kind is EventKind.OUTBOUND_FOLLOWUP:
+                elif kind is EVENT_OUTBOUND_FOLLOWUP:
                     if event.conversation_id not in replied_conversations:
                         raise MalformedLog(
                             f"follow-up before any reply in {event.conversation_id}"
@@ -337,7 +333,7 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                             )
                         questions.add(event.followup_index)
                 known_messages[event.message_id] = event.conversation_id
-            elif event.kind is EventKind.INBOUND_REPLY:
+            elif kind is EVENT_INBOUND_REPLY:
                 if event.in_reply_to is None or event.in_reply_to not in known_messages:
                     raise MalformedLog("reply references unknown message")
                 conversation = known_messages[event.in_reply_to]
@@ -346,10 +342,10 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                 if event.message_id is not None:
                     known_messages[event.message_id] = conversation
                 replied_conversations.add(conversation)
-            elif event.kind in INTERACTION_KINDS:
+            elif kind in INTERACTION_KINDS:
                 if event.target_author is None:
-                    raise MalformedLog(f"{event.kind.value} missing target_author")
-            elif event.kind is EventKind.ABORT:
+                    raise MalformedLog(f"{kind.value} missing target_author")
+            elif kind is EVENT_ABORT:
                 if event.conversation_id is None:
                     raise MalformedLog("abort missing conversation")
                 if event.conversation_id not in called and not event.members:
@@ -379,13 +375,14 @@ class CampaignState:
     def apply(self, event: CampaignEvent) -> None:
         """Fold one valid event into the state."""
         self.last_seq = event.seq
-        self.last_ts = max(self.last_ts, event.ts)
-        conv = event.conversation_id
-        if event.kind is EventKind.OUTBOUND_CALL:
+        if event.ts > self.last_ts:
+            self.last_ts = event.ts
+        conv, kind = event.conversation_id, event.kind
+        if kind is EVENT_OUTBOUND_CALL:
             members = tuple(mentions_in_text(event.text or ""))
             self.records[conv] = ConversationRecord(conv, event.topic or "", event.strategy or "", members)
             self.contacted.update(members)
-        if event.kind in OUTBOUND_KINDS:
+        if kind in OUTBOUND_KINDS:
             self.last_outbound_ts = event.ts
             record = self.records.get(conv)
             if record is not None:
@@ -393,11 +390,11 @@ class CampaignState:
                 if event.followup_index is not None:
                     record.used_followups.add(event.followup_index)
             self.message_conversations[event.message_id] = conv
-        elif event.kind is EventKind.INBOUND_REPLY:
+        elif kind is EVENT_INBOUND_REPLY:
             if event.message_id:
                 conv = self.message_conversations[event.in_reply_to]
                 self.message_conversations[event.message_id] = conv
-        elif event.kind is EventKind.ABORT:
+        elif kind is EVENT_ABORT:
             # A rejected call leaves a closed record of its group, so its
             # conversation id is never handed out again and its members are
             # contacted.

@@ -20,6 +20,16 @@ failure raises ``CampaignError`` naming the key path
 Encoding writes fields in declaration order and omits None, so key order is
 field order: ``CampaignConfig`` is keyword-only so that its required
 ``bot_identity`` can follow ``jitter``.
+
+Per-item paths avoid two constant costs (``timeit``, Python 3.11.7, Intel
+Xeon). They compare against enum members bound once to module globals next
+to each enum (``EVENT_ABORT``, ``platform.ITEM_PUBLIC_POST``): a lookup such
+as ``EventKind.ABORT`` goes through the enum metaclass, 140-190 ns against
+13 ns for a global, and ``.value`` costs about 250 ns. And they build their
+records (``CampaignEvent``, ``platform.InboundItem`` and ``BotMessageMeta``,
+``strategy.OutboundMessage``) positionally through the ``__init__`` that
+:func:`slot_init` generates: an ``InboundItem`` costs 2.1 us by keyword
+through the frozen dataclass ``__init__``, 0.9 us this way.
 """
 
 from __future__ import annotations
@@ -62,10 +72,14 @@ class EventKind(str, Enum):
     ABORT = "Abort"
 
 
-OUTBOUND_KINDS = frozenset(
-    {EventKind.OUTBOUND_CALL, EventKind.OUTBOUND_QUOTE, EventKind.OUTBOUND_FOLLOWUP}
-)
-INTERACTION_KINDS = frozenset({EventKind.RETWEET, EventKind.FAVORITE})
+# Each member bound once, in declaration order (see the module docstring).
+(
+    EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_QUOTE, EVENT_OUTBOUND_FOLLOWUP, EVENT_INBOUND_REPLY,
+    EVENT_RETWEET, EVENT_FAVORITE, EVENT_ABORT,
+) = EventKind
+
+OUTBOUND_KINDS = frozenset({EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_QUOTE, EVENT_OUTBOUND_FOLLOWUP})
+INTERACTION_KINDS = frozenset({EVENT_RETWEET, EVENT_FAVORITE})
 
 
 class TargetAuthor(str, Enum):
@@ -73,9 +87,15 @@ class TargetAuthor(str, Enum):
     VOLUNTEER = "Volunteer"
 
 
+TARGET_BOT, TARGET_VOLUNTEER = TargetAuthor
+
+
 class LabelValue(str, Enum):
     ON_TOPIC = "OnTopic"
     OFF_TOPIC = "OffTopic"
+
+
+LABEL_ON_TOPIC, LABEL_OFF_TOPIC = LabelValue
 
 
 _R = TypeVar("_R", bound="FieldCodec")
@@ -271,19 +291,48 @@ class ConversationRecord:
     closed: bool = False  # an abort was logged for it: no more follow-ups
 
 
+_C = TypeVar("_C", bound=type)
+
+
+def slot_init(cls: _C) -> _C:
+    """Give a slotted dataclass an ``__init__`` that sets each slot through
+    the slot's member descriptor: every field, in field order, with its
+    default. Apply it above ``@dataclass(..., slots=True)``."""
+    fields = dataclasses.fields(cls)
+    closure: dict[str, Any] = {}  # the setters and defaults the __init__ closes over
+    params = []
+    for i, f in enumerate(fields):
+        if f.default_factory is not dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: slot_init takes no default_factory")
+        closure[f"_set{i}"] = cls.__dict__[f.name].__set__
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            closure[f"_d{i}"] = f.default
+            params.append(f"{f.name}=_d{i}")
+    body = "".join(f"  _set{i}(self, {f.name})\n" for i, f in enumerate(fields))
+    source = (
+        f"def make({', '.join(closure)}):\n"
+        f" def __init__(self, {', '.join(params)}):\n{body}"
+        " return __init__\n"
+    )
+    namespace: dict[str, Any] = {}
+    exec(source, namespace)
+    init = namespace["make"](**closure)
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    return cls
+
+
+@slot_init
 @dataclass(frozen=True, slots=True)
 class CampaignEvent:
     """One append-only log record; the single source of truth for analytics.
 
     Slotted: a log holds tens of thousands of events, and slots make each
-    one smaller and cheaper to build than an instance ``__dict__``.
-
-    ``__init__`` is written by hand because every event a run logs and every
-    event a log is read back into is built by it: it sets each slot through
-    the slot's member descriptor, which costs about half of the one
-    ``object.__setattr__`` call per field that the generated frozen
-    ``__init__`` makes. It must list every field, in field order and with
-    the field's default; a field missing from it is never set.
+    one smaller and cheaper to build than an instance ``__dict__``. Every
+    event a run logs and every event a log is read back into is built by
+    the ``__init__`` that :func:`slot_init` generates.
     """
 
     seq: int
@@ -302,57 +351,6 @@ class CampaignEvent:
     followup_index: Optional[int] = None
     # The group of an aborted call (log key ``members``).
     members: Optional[tuple[str, ...]] = None
-
-    def __init__(
-        self,
-        seq: int,
-        ts: int,
-        kind: EventKind,
-        actor: str,
-        strategy: Optional[StrategyId] = None,
-        topic: Optional[str] = None,
-        conversation_id: Optional[str] = None,
-        message_id: Optional[str] = None,
-        in_reply_to: Optional[str] = None,
-        target_author: Optional[TargetAuthor] = None,
-        text: Optional[str] = None,
-        partial: bool = False,
-        followup_index: Optional[int] = None,
-        members: Optional[tuple[str, ...]] = None,
-    ) -> None:
-        _set_seq(self, seq)
-        _set_ts(self, ts)
-        _set_kind(self, kind)
-        _set_actor(self, actor)
-        _set_strategy(self, strategy)
-        _set_topic(self, topic)
-        _set_conversation_id(self, conversation_id)
-        _set_message_id(self, message_id)
-        _set_in_reply_to(self, in_reply_to)
-        _set_target_author(self, target_author)
-        _set_text(self, text)
-        _set_partial(self, partial)
-        _set_followup_index(self, followup_index)
-        _set_members(self, members)
-
-
-# The slot setters CampaignEvent.__init__ calls, one per field in field order.
-(
-    _set_seq,
-    _set_ts,
-    _set_kind,
-    _set_actor,
-    _set_strategy,
-    _set_topic,
-    _set_conversation_id,
-    _set_message_id,
-    _set_in_reply_to,
-    _set_target_author,
-    _set_text,
-    _set_partial,
-    _set_followup_index,
-    _set_members,
-) = (CampaignEvent.__dict__[f.name].__set__ for f in dataclasses.fields(CampaignEvent))
 
 
 @dataclass(frozen=True)

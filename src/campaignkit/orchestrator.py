@@ -38,25 +38,17 @@ from typing import Optional, Sequence
 from . import strategy as strategy_mod
 from .eventlog import CampaignState, EventLogWriter, replay
 from .model import (
-    BOT_ACTOR,
-    CampaignConfig,
-    CampaignError,
-    CampaignEvent,
-    EventKind,
-    StrategyId,
-    TargetAuthor,
-    TargetUser,
+    BOT_ACTOR, EVENT_ABORT, EVENT_FAVORITE, EVENT_INBOUND_REPLY, EVENT_RETWEET, TARGET_BOT,
+    TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, TargetUser,
     validate_config,
 )
 from .platform import (
-    InboundItem,
-    ItemKind,
-    Platform,
-    PlatformCapabilities,
-    PlatformRejected,
-    RateLimited,
+    ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, InboundItem, Platform,
+    PlatformCapabilities, PlatformRejected, RateLimited,
 )
-from .strategy import EVENT_KIND_BY_MESSAGE, MessageKind, OutboundMessage, TemplateOverflow
+from .strategy import (
+    EVENT_KIND_BY_MESSAGE, MESSAGE_CALL, MESSAGE_FOLLOWUP, OutboundMessage, TemplateOverflow,
+)
 from .targeting import AdmitResult, ContactRegistry, TopicKeywords, match_target
 
 logger = logging.getLogger(__name__)
@@ -286,9 +278,11 @@ class Orchestrator:
 
     # -- event emission -------------------------------------------------------
 
-    def _emit(self, kind: EventKind, ts: int, **fields) -> None:
-        """Append the next event to the log, then fold it into the state."""
-        event = CampaignEvent(seq=self.state.last_seq + 1, ts=ts, kind=kind, **fields)
+    def _emit(self, *fields) -> None:
+        """Append the next event to the log, then fold it into the state.
+
+        ``fields`` are the event's fields after ``seq``, in field order."""
+        event = CampaignEvent(self.state.last_seq + 1, *fields)
         self.writer.append(event)
         self.state.apply(event)
 
@@ -388,7 +382,8 @@ class Orchestrator:
     # -- dispatch -----------------------------------------------------------------
 
     def _dispatch(self, due: int, send: _Send) -> None:
-        self.now = max(self.now, due)
+        if due > self.now:
+            self.now = due
         self.platform.advance_to(due)
         for message in send.messages:
             try:
@@ -400,14 +395,9 @@ class Orchestrator:
                 # A rejected call still counts as the one touch: its abort
                 # names the group, so they are contacted on resume too.
                 self._emit(
-                    EventKind.ABORT,
-                    ts=due,
-                    actor=BOT_ACTOR,
-                    strategy=send.arm,
-                    topic=send.topic,
-                    conversation_id=send.conversation_id,
-                    members=send.members if send.kind == "call" else None,
-                    text=f"platform rejected {message.kind.value}: {exc}",
+                    due, EVENT_ABORT, BOT_ACTOR, send.arm, send.topic, send.conversation_id,
+                    None, None, None, f"platform rejected {message.kind.value}: {exc}", False,
+                    None, send.members if send.kind == "call" else None,
                 )
                 if send.kind == "call":
                     self._finish_call(send)
@@ -415,17 +405,12 @@ class Orchestrator:
             record = self.state.records.get(send.conversation_id)
             if record is not None and message_id in record.sent_messages:
                 continue  # idempotent re-post after a rate-limit retry
+            kind = message.kind
             self._emit(
-                EVENT_KIND_BY_MESSAGE[message.kind],
-                ts=due,
-                actor=BOT_ACTOR,
-                strategy=send.arm,
-                topic=send.topic,
-                conversation_id=send.conversation_id,
-                message_id=message_id,
-                text=message.text,
-                partial=send.partial and message.kind is MessageKind.CALL,
-                followup_index=send.question if message.kind is MessageKind.FOLLOWUP else None,
+                due, EVENT_KIND_BY_MESSAGE[kind], BOT_ACTOR, send.arm, send.topic,
+                send.conversation_id, message_id, None, None, message.text,
+                send.partial and kind is MESSAGE_CALL,
+                send.question if kind is MESSAGE_FOLLOWUP else None,
             )
         if send.kind == "call":
             self._finish_call(send)
@@ -437,7 +422,7 @@ class Orchestrator:
     # -- inbound ------------------------------------------------------------------
 
     def _handle_notification(self, item: InboundItem) -> None:
-        if item.kind is ItemKind.REPLY_TO_BOT:
+        if item.kind is ITEM_REPLY_TO_BOT:
             self._handle_reply(item)
         else:
             self._handle_interaction(item)
@@ -449,15 +434,8 @@ class Orchestrator:
             return
         record = self.state.records[conversation_id]
         self._emit(
-            EventKind.INBOUND_REPLY,
-            ts=item.timestamp,
-            actor=item.author,
-            strategy=record.strategy,
-            topic=record.topic,
-            conversation_id=conversation_id,
-            message_id=item.message_id,
-            in_reply_to=item.in_reply_to,
-            text=item.text,
+            item.timestamp, EVENT_INBOUND_REPLY, item.author, record.strategy, record.topic,
+            conversation_id, item.message_id, item.in_reply_to, None, item.text,
         )
         if record.closed or item.author not in record.members:
             return  # logged, never answered
@@ -499,19 +477,10 @@ class Orchestrator:
             logger.warning("%s toward unknown message %s; ignored", item.kind.value, target_id)
             return
         record = self.state.records[conversation_id]
-        author = (
-            TargetAuthor.BOT if target_id in record.sent_messages else TargetAuthor.VOLUNTEER
-        )
         self._emit(
-            EventKind.RETWEET if item.kind is ItemKind.RETWEET else EventKind.FAVORITE,
-            ts=item.timestamp,
-            actor=item.author,
-            strategy=record.strategy,
-            topic=record.topic,
-            conversation_id=conversation_id,
-            message_id=item.message_id,
-            in_reply_to=target_id,
-            target_author=author,
+            item.timestamp, EVENT_RETWEET if item.kind is ITEM_RETWEET else EVENT_FAVORITE,
+            item.author, record.strategy, record.topic, conversation_id, item.message_id,
+            target_id, TARGET_BOT if target_id in record.sent_messages else TARGET_VOLUNTEER,
         )
 
     # -- staleness and teardown ------------------------------------------------------
@@ -584,8 +553,9 @@ class Orchestrator:
                     break
                 if self._drained(item.timestamp):
                     break
-                self.now = max(self.now, item.timestamp)
-                if item.kind is ItemKind.PUBLIC_POST:
+                if item.timestamp > self.now:
+                    self.now = item.timestamp
+                if item.kind is ITEM_PUBLIC_POST:
                     self._handle_public(item)
                 else:
                     self._handle_notification(item)

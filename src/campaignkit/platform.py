@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .model import CampaignError
-from .strategy import MessageKind, OutboundMessage
+from .model import CampaignError, slot_init
+from .strategy import MESSAGE_CALL, MESSAGE_QUOTE, OutboundMessage
 from .text import FoldedKeywords, match_keyword
 
 if TYPE_CHECKING:  # the simulator imports this module; this one needs it for hints only
@@ -55,7 +55,11 @@ class ItemKind(str, Enum):
     FAVORITE = "Favorite"
 
 
-@dataclass(frozen=True)
+ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, ITEM_FAVORITE = ItemKind
+
+
+@slot_init
+@dataclass(frozen=True, slots=True)
 class InboundItem:
     kind: ItemKind
     author: str
@@ -65,7 +69,8 @@ class InboundItem:
     text: str = ""
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class BotMessageMeta:
     """What the population needs to know about a delivered bot message."""
 
@@ -147,7 +152,9 @@ class SimulatedPlatform(Platform):
         self._posts_limit = posts_per_minute_limit
         self._post_times: deque[int] = deque()
         for agent in population.agents:
-            self._schedule_agent_post(agent, start_ms)
+            gap = population.next_post_gap_ms(agent, rng)
+            if gap is not None:
+                self._push(start_ms + gap, "post", agent)
 
     # -- clock ---------------------------------------------------------------
 
@@ -155,7 +162,8 @@ class SimulatedPlatform(Platform):
         return self._now
 
     def advance_to(self, ts: int) -> None:
-        self._now = max(self._now, ts)
+        if ts > self._now:
+            self._now = ts
 
     # -- internal queue -------------------------------------------------------
 
@@ -163,15 +171,11 @@ class SimulatedPlatform(Platform):
         self._tiebreak += 1
         heapq.heappush(self._heap, (ts, self._tiebreak, tag, payload))
 
-    def _schedule_agent_post(self, agent, base_ts: int) -> None:
-        gap = self.population.next_post_gap_ms(agent, self.rng)
-        if gap is not None:
-            self._push(base_ts + gap, "post", agent)
-
     # -- port operations --------------------------------------------------------
 
     def post(self, message: OutboundMessage, *, turn: int = 0) -> str:
-        key = (message.conversation_id, message.kind.value, turn)
+        kind = message.kind
+        key = (message.conversation_id, kind, turn)
         already = self._posted.get(key)
         if already is not None:
             return already
@@ -188,13 +192,10 @@ class SimulatedPlatform(Platform):
         message_id = f"m{self._message_counter:07d}"
         self._posted[key] = message_id
         meta = BotMessageMeta(
-            message_id=message_id,
-            conversation_id=message.conversation_id,
-            strategy=message.strategy,
-            topic=message.topic,
-            solicits=message.kind is not MessageKind.QUOTE,
+            message_id, message.conversation_id, message.strategy, message.topic,
+            kind is not MESSAGE_QUOTE,
         )
-        if message.kind is MessageKind.CALL:
+        if kind is MESSAGE_CALL:
             self._conversation_members[message.conversation_id] = tuple(message.mentions)
         members = self._conversation_members.get(message.conversation_id, tuple(message.mentions))
         favorites = self.capabilities.supports_favorites
@@ -204,7 +205,7 @@ class SimulatedPlatform(Platform):
             )
             for item in reactions:
                 self._push(item.timestamp, "item", item)
-                if item.kind is ItemKind.REPLY_TO_BOT:
+                if item.kind is ITEM_REPLY_TO_BOT:
                     # Co-members see the reply in their thread and may share it.
                     for other in members:
                         if other == user:
@@ -229,14 +230,24 @@ class SimulatedPlatform(Platform):
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         folded = FoldedKeywords(keywords)
-        while self._heap:
-            ts, _, tag, payload = heapq.heappop(self._heap)
-            self._now = max(self._now, ts)
+        heap, population, rng = self._heap, self.population, self.rng
+        while heap:
+            ts, _, tag, payload = heap[0]
+            if ts > self._now:
+                self._now = ts
             if tag == "post":
-                item = self.population.make_public_post(payload, ts, self.rng)
-                self._schedule_agent_post(payload, ts)
+                # The agent's next post takes this one's place in the heap:
+                # the draws, their order and the tiebreak of a pop and a push.
+                item = population.make_public_post(payload, ts, rng)
+                gap = population.next_post_gap_ms(payload, rng)
+                if gap is None:
+                    heapq.heappop(heap)
+                else:
+                    self._tiebreak += 1
+                    heapq.heapreplace(heap, (ts + gap, self._tiebreak, "post", payload))
                 if match_keyword(item.text, folded) is None:
                     continue
                 yield item
             else:
+                heapq.heappop(heap)
                 yield payload  # a scheduled reaction, already an InboundItem

@@ -18,8 +18,12 @@ from typing import Any, Mapping, Optional, Sequence, Union
 import yaml
 
 from .fixtures import _data_text
-from .model import CampaignError, FieldCodec, LabelValue, Topic, VolunteerLabel, replace
-from .platform import BotMessageMeta, InboundItem, ItemKind
+from .model import (
+    LABEL_OFF_TOPIC, LABEL_ON_TOPIC, CampaignError, FieldCodec, Topic, VolunteerLabel, replace,
+)
+from .platform import (
+    ITEM_FAVORITE, ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, BotMessageMeta, InboundItem,
+)
 
 # Machine-readable stance tags appended to generated replies so label
 # fixtures can be derived from a log without human coders.
@@ -27,6 +31,13 @@ ON_TOPIC_TAG = "#ontopic"
 OFF_TOPIC_TAG = "#offtopic"
 
 HOUR_MS = 3_600_000
+
+# An agent replies at most once per soliciting message, and a conversation
+# sends at most 1 + len(followups) of them (8 for the shipped arms), so a
+# larger mean reply depth changes no run; it only lengthens _geometric's loop.
+MAX_MEAN_TURNS = 100
+# A mixture component fills round(weight * 100) slots of the component cycle.
+MAX_WEIGHT = 100
 
 # A propensity is either one float for every arm or a per-arm mapping with an
 # optional "default" key.
@@ -99,13 +110,28 @@ def resolve_profile(simulation: Mapping[str, Any]) -> SimulationProfile:
             raw = {**yaml.safe_load(_data_text("profile_reference.yaml")), **raw}
         profile = SimulationProfile.from_dict(raw)
         delay, limit = profile.reply_delay, profile.posts_per_minute_limit
+        if profile.population < 1:
+            raise CampaignError("population: must be at least 1")
+        _check_mean_turns("mean_turns", profile.mean_turns)
         if not 1 <= delay.min_s <= delay.max_s:
             raise CampaignError("reply_delay: min_s must be at least 1 and at most max_s")
         if limit is not None and limit < 1:
             raise CampaignError("posts_per_minute_limit: must be at least 1")
+        for i, comp in enumerate(profile.mixture):
+            if not 0 < comp.weight <= MAX_WEIGHT:  # NaN fails every comparison
+                raise CampaignError(
+                    f"mixture[{i}].weight: must be finite, above 0 and at most {MAX_WEIGHT}"
+                )
+            if comp.mean_turns is not None:
+                _check_mean_turns(f"mixture[{i}].mean_turns", comp.mean_turns)
     except CampaignError as exc:
         raise CampaignError(f"simulation.{exc}") from exc
     return profile
+
+
+def _check_mean_turns(key: str, mean: float) -> None:
+    if not -math.inf < mean <= MAX_MEAN_TURNS:  # NaN fails every comparison
+        raise CampaignError(f"{key}: must be finite and at most {MAX_MEAN_TURNS}")
 
 
 @dataclass
@@ -207,11 +233,8 @@ class AgentPopulation:
         keyword = rng.choice(topic.keywords)
         pattern = rng.choice(_POST_PATTERNS)
         return InboundItem(
-            kind=ItemKind.PUBLIC_POST,
-            author=agent.user_id,
-            message_id=self._mint("t"),
-            timestamp=ts,
-            text=pattern.format(keyword=keyword),
+            ITEM_PUBLIC_POST, agent.user_id, self._mint("t"), ts, None,
+            pattern.format(keyword=keyword),
         )
 
     # -- reactions ----------------------------------------------------------
@@ -251,12 +274,12 @@ class AgentPopulation:
                 )
                 items.append(
                     InboundItem(
-                        kind=ItemKind.REPLY_TO_BOT,
-                        author=user_id,
-                        message_id=self._mint("r"),
-                        timestamp=now + self._reply_delay_ms(rng),
-                        in_reply_to=message.message_id,
-                        text=pattern.format(
+                        ITEM_REPLY_TO_BOT,
+                        user_id,
+                        self._mint("r"),
+                        now + self._reply_delay_ms(rng),
+                        message.message_id,
+                        pattern.format(
                             topic=message.topic,
                             tag=ON_TOPIC_TAG if state.on_topic else OFF_TOPIC_TAG,
                         ),
@@ -293,21 +316,15 @@ class AgentPopulation:
         if rng.random() < propensity:
             items.append(
                 InboundItem(
-                    kind=ItemKind.RETWEET,
-                    author=user_id,
-                    message_id=self._mint("x"),
-                    timestamp=base_ts + self._reply_delay_ms(rng),
-                    in_reply_to=target_message_id,
+                    ITEM_RETWEET, user_id, self._mint("x"),
+                    base_ts + self._reply_delay_ms(rng), target_message_id,
                 )
             )
         if favorites_enabled and rng.random() < propensity:
             items.append(
                 InboundItem(
-                    kind=ItemKind.FAVORITE,
-                    author=user_id,
-                    message_id=self._mint("x"),
-                    timestamp=base_ts + self._reply_delay_ms(rng),
-                    in_reply_to=target_message_id,
+                    ITEM_FAVORITE, user_id, self._mint("x"),
+                    base_ts + self._reply_delay_ms(rng), target_message_id,
                 )
             )
         return items
@@ -328,7 +345,7 @@ def derive_labels(events, coder_id: str = "sim") -> list[VolunteerLabel]:
     return [
         VolunteerLabel(
             user_id=user,
-            label=LabelValue.ON_TOPIC if on else LabelValue.OFF_TOPIC,
+            label=LABEL_ON_TOPIC if on else LABEL_OFF_TOPIC,
             coder_id=coder_id,
         )
         for user, on in sorted(stance.items())

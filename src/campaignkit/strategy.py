@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import CampaignError, ConversationRecord, EventKind, StrategyId, StrategySpec
+from .model import (
+    EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, EVENT_OUTBOUND_QUOTE, CampaignError,
+    ConversationRecord, StrategyId, StrategySpec, slot_init,
+)
 from .text import format_mentions
 
 
@@ -27,15 +30,18 @@ class MessageKind(str, Enum):
     FOLLOWUP = "Followup"
 
 
+MESSAGE_CALL, MESSAGE_QUOTE, MESSAGE_FOLLOWUP = MessageKind
+
 # The log event each posted message is recorded as.
 EVENT_KIND_BY_MESSAGE = {
-    MessageKind.CALL: EventKind.OUTBOUND_CALL,
-    MessageKind.QUOTE: EventKind.OUTBOUND_QUOTE,
-    MessageKind.FOLLOWUP: EventKind.OUTBOUND_FOLLOWUP,
+    MESSAGE_CALL: EVENT_OUTBOUND_CALL,
+    MESSAGE_QUOTE: EVENT_OUTBOUND_QUOTE,
+    MESSAGE_FOLLOWUP: EVENT_OUTBOUND_FOLLOWUP,
 }
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True)
 class OutboundMessage:
     kind: MessageKind
     text: str
@@ -80,18 +86,13 @@ def _compose_turn(
     plus the solidarity quote when the strategy sends two tweets per turn."""
     parts = [(kind, template)]
     if spec.messages_per_turn == 2:
-        parts.append((MessageKind.QUOTE, spec.solidarity_quote or ""))
+        parts.append((MESSAGE_QUOTE, spec.solidarity_quote or ""))
+    mentions = tuple(members)
     return [
         OutboundMessage(
-            kind=part_kind,
-            text=expand_template(
-                part_template, topic=topic, members=members, char_limit=char_limit
-            ),
-            mentions=tuple(members),
-            strategy=spec.id,
-            topic=topic,
-            conversation_id=conversation_id,
-            turn=turn,
+            part_kind,
+            expand_template(part_template, topic=topic, members=members, char_limit=char_limit),
+            mentions, spec.id, topic, conversation_id, turn,
         )
         for part_kind, part_template in parts
     ]
@@ -108,7 +109,7 @@ def compose_call(
     """Compose the call to action for a freshly formed group (turn 0)."""
     return _compose_turn(
         spec,
-        MessageKind.CALL,
+        MESSAGE_CALL,
         spec.call_to_action,
         topic,
         members,
@@ -148,7 +149,7 @@ def compose_followup(
         raise IndexError(f"follow-up index {index} out of range for {spec.id}")
     return _compose_turn(
         spec,
-        MessageKind.FOLLOWUP,
+        MESSAGE_FOLLOWUP,
         spec.followups[index],
         topic,
         members,

@@ -6,7 +6,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .model import BOT_ACTOR, TargetUser, Topic
-from .platform import InboundItem, ItemKind
+from .platform import ITEM_PUBLIC_POST, InboundItem
 from .text import FoldedKeywords, match_keyword
 
 
@@ -34,7 +34,7 @@ def match_target(item: InboundItem, keywords: TopicKeywords) -> Optional[TargetU
     the first keyword found in topic order is in the first topic that has
     one.
     """
-    if item.kind is not ItemKind.PUBLIC_POST:
+    if item.kind is not ITEM_PUBLIC_POST:
         return None
     if item.author == BOT_ACTOR:
         return None

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 import yaml
@@ -69,6 +70,18 @@ MALFORMED_SIMULATION = [
     ),
     ({"posts_per_minute_limit": 0}, "posts_per_minute_limit: must be at least 1"),
     ({"profile": "nosuch"}, "profile: expected one of ['reference'], got 'nosuch'"),
+    *(
+        ({"mixture": [{"weight": w}]}, "mixture[0].weight: must be finite, above 0 and at most 100")
+        for w in (math.nan, math.inf, 0, 1e9)
+    ),
+    ({"population": 0}, "population: must be at least 1"),
+    ({"population": -1}, "population: must be at least 1"),
+    ({"mean_turns": 1e7}, "mean_turns: must be finite and at most 100"),
+    ({"mean_turns": math.inf}, "mean_turns: must be finite and at most 100"),
+    (
+        {"mixture": [{"weight": 1.0, "mean_turns": 1e7}]},
+        "mixture[0].mean_turns: must be finite and at most 100",
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in src/, tests/ and perfbench/ is
-used, and no class in src/ but ``FieldCodec`` writes its own codec.
+used; no class in src/ but ``FieldCodec`` writes its own codec; and no
+function body on the per-item paths looks up an enum member by attribute.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -114,5 +115,58 @@ def test_only_field_codec_decodes_and_encodes_records():
         f"{path.relative_to(ROOT)}: {name}"
         for path in sorted((ROOT / "src").rglob("*.py"))
         for name in hand_codecs(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+# Modules on the campaign's and the report's per-item paths, and the enums
+# whose members they must compare against as module globals: an attribute
+# lookup of a member goes through the enum metaclass on every call.
+HOT_MODULES = (
+    "analytics", "eventlog", "orchestrator", "platform", "simulator", "strategy", "targeting",
+)
+ENUMS = {"EventKind", "ItemKind", "MessageKind", "TargetAuthor", "LabelValue"}
+
+
+def enum_member_lookups(source: str) -> list[tuple[int, str]]:
+    """(line, ``Enum.MEMBER``) of each enum member a function body looks up
+    by attribute; module-level tables and default values are not bodies."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = node.body if isinstance(node.body, list) else [node.body]
+            for sub in (sub for stmt in body for sub in ast.walk(stmt)):
+                if (
+                    isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id in ENUMS and sub.attr.isupper()
+                ):
+                    found.add((sub.lineno, f"{sub.value.id}.{sub.attr}"))
+    return sorted(found)
+
+
+def test_enum_member_lookups_in_function_bodies_are_detected():
+    source = (
+        "TABLE = {EventKind.ABORT: 1}\n"
+        "ABORT = EventKind.ABORT\n"
+        "def f(kind, default=ItemKind.RETWEET):\n"
+        "    if kind is ABORT or kind.value == 'x':\n"
+        "        return [m for m in EventKind]\n"
+        "    return lambda k: k is MessageKind.CALL\n"
+        "class C:\n"
+        "    kind = LabelValue.ON_TOPIC\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            return TargetAuthor.BOT\n"
+        "        return h\n"
+    )
+    assert enum_member_lookups(source) == [(6, "MessageKind.CALL"), (11, "TargetAuthor.BOT")]
+
+
+def test_hot_modules_compare_against_bound_enum_members():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {lookup}"
+        for name in HOT_MODULES
+        for path in [ROOT / "src" / "campaignkit" / f"{name}.py"]
+        for line, lookup in enum_member_lookups(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -7,7 +7,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from campaignkit import fixtures, model
+from campaignkit import fixtures, model, platform, strategy
 from campaignkit.model import (
     CampaignConfig,
     CampaignError,
@@ -19,7 +19,9 @@ from campaignkit.model import (
     replace,
     validate_config,
 )
+from campaignkit.platform import BotMessageMeta, InboundItem, ItemKind
 from campaignkit.simulator import SimulationProfile
+from campaignkit.strategy import MessageKind, OutboundMessage
 
 
 def test_default_config_is_valid():
@@ -119,31 +121,76 @@ def test_events_are_frozen_slotted_and_hashable():
     assert {event, moved, dataclasses.replace(moved, seq=1)} == {event, moved}
 
 
-def test_event_constructor_contract():
-    # The hand-written __init__ must take every field, in field order, with
-    # the field's default, and set each one to its own argument.
-    fields = dataclasses.fields(CampaignEvent)
-    params = list(inspect.signature(CampaignEvent.__init__).parameters.values())[1:]
-    empty = inspect.Parameter.empty
-    assert [(p.name, p.default) for p in params] == [
-        (f.name, empty if f.default is dataclasses.MISSING else f.default) for f in fields
-    ]
-    values = {
+# One record of each type built through slot_init, every field set and not
+# at its default, in field order.
+SLOT_RECORDS = [
+    (CampaignEvent, {
         "seq": 1, "ts": 2, "kind": EventKind.RETWEET, "actor": "u1", "strategy": "direct",
         "topic": "corruption", "conversation_id": "c1", "message_id": "x1",
         "in_reply_to": "m1", "target_author": TargetAuthor.BOT, "text": "hi",
         "partial": True, "followup_index": 3, "members": ("u1", "u2"),
-    }
+    }),
+    (InboundItem, {
+        "kind": ItemKind.REPLY_TO_BOT, "author": "u1", "message_id": "r1", "timestamp": 2,
+        "in_reply_to": "m1", "text": "hi",
+    }),
+    (BotMessageMeta, {
+        "message_id": "m1", "conversation_id": "c1", "strategy": "direct",
+        "topic": "corruption", "solicits": True,
+    }),
+    (OutboundMessage, {
+        "kind": MessageKind.FOLLOWUP, "text": "@u1 why?", "mentions": ("u1",),
+        "strategy": "direct", "topic": "corruption", "conversation_id": "c1", "turn": 2,
+    }),
+]
+
+
+@pytest.mark.parametrize("cls, values", SLOT_RECORDS, ids=[c.__name__ for c, _ in SLOT_RECORDS])
+def test_event_constructor_contract(cls, values):
+    # The generated __init__ takes every field, in field order, with the
+    # field's default, and sets each one to its own argument.
+    fields = dataclasses.fields(cls)
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.default) for p in params] == [
+        (f.name, empty if f.default is dataclasses.MISSING else f.default) for f in fields
+    ]
     assert list(values) == [f.name for f in fields]
-    event = CampaignEvent(**values)
-    assert {name: getattr(event, name) for name in values} == values
-    assert CampaignEvent(*values.values()) == event
+    record = cls(**values)
+    assert not hasattr(record, "__dict__")
+    assert {name: getattr(record, name) for name in values} == values
+    assert cls(*values.values()) == record
     for name in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(event, name, None)
-    assert hash(CampaignEvent(**values)) == hash(event)
-    assert dataclasses.replace(event, ts=9) == CampaignEvent(**{**values, "ts": 9})
-    assert pickle.loads(pickle.dumps(event)) == event
+            setattr(record, name, None)
+    assert hash(cls(**values)) == hash(record)
+    first = fields[0].name
+    assert dataclasses.replace(record, **{first: None}) == cls(**{**values, first: None})
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_slot_init_rejects_a_default_factory():
+    with pytest.raises(TypeError, match="default_factory"):
+        model.slot_init(
+            dataclasses.make_dataclass(
+                "Bad", [("xs", list, dataclasses.field(default_factory=list))], slots=True
+            )
+        )
+
+
+@pytest.mark.parametrize(
+    "module, prefix, enum",
+    [
+        (model, "EVENT_", EventKind),
+        (model, "TARGET_", TargetAuthor),
+        (model, "LABEL_", LabelValue),
+        (platform, "ITEM_", ItemKind),
+        (strategy, "MESSAGE_", MessageKind),
+    ],
+)
+def test_bound_enum_members_match_their_names(module, prefix, enum):
+    bound = {name: value for name, value in vars(module).items() if name.startswith(prefix)}
+    assert bound == {prefix + member.name: member for member in enum}
 
 
 def test_strategy_fixture_round_trip():
