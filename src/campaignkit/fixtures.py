@@ -13,8 +13,6 @@ import importlib.resources
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
-import yaml
-
 from . import strategy as strategy_mod
 from .model import (
     BOT_ACTOR,
@@ -28,6 +26,7 @@ from .model import (
     TargetAuthor,
     Topic,
     VolunteerLabel,
+    load_yaml,
 )
 from .strategy import EVENT_KIND_BY_MESSAGE, MessageKind
 
@@ -46,7 +45,7 @@ def default_strategies(language: str = "en") -> tuple[StrategySpec, ...]:
     English texts are the canonical fixture; the Spanish set is a
     back-translation and marked as such in the data file.
     """
-    raw = yaml.safe_load(_data_text("strategies.yaml"))
+    raw = load_yaml(_data_text("strategies.yaml"))
     if language not in raw:
         raise KeyError(f"no strategy fixture for language {language!r}")
     return tuple(StrategySpec.from_dict(s) for s in raw[language]["strategies"])

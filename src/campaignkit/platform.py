@@ -151,10 +151,15 @@ class SimulatedPlatform(Platform):
         self._conversation_members: dict[str, tuple[str, ...]] = {}
         self._posts_limit = posts_per_minute_limit
         self._post_times: deque[int] = deque()
+        heap = self._heap
         for agent in population.agents:
             gap = population.next_post_gap_ms(agent, rng)
             if gap is not None:
-                self._push(start_ms + gap, "post", agent)
+                heap.append((start_ms + gap, len(heap) + 1, "post", agent))
+        self._tiebreak = len(heap)
+        # Pops match one heappush per agent: the (ts, tiebreak) keys are
+        # unique, so they pop in one total order whatever the heap's layout.
+        heapq.heapify(heap)
 
     # -- clock ---------------------------------------------------------------
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping, Optional, Sequence, Union
 
-import yaml
-
 from .fixtures import _data_text
 from .model import (
-    LABEL_OFF_TOPIC, LABEL_ON_TOPIC, CampaignError, FieldCodec, Topic, VolunteerLabel, replace,
+    LABEL_OFF_TOPIC, LABEL_ON_TOPIC, CampaignError, FieldCodec, Topic, VolunteerLabel, load_yaml,
+    replace,
 )
 from .platform import (
     ITEM_FAVORITE, ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, BotMessageMeta, InboundItem,
@@ -107,7 +106,7 @@ def resolve_profile(simulation: Mapping[str, Any]) -> SimulationProfile:
         if name is not None:
             if name != "reference":
                 raise CampaignError(f"profile: expected one of ['reference'], got {name!r}")
-            raw = {**yaml.safe_load(_data_text("profile_reference.yaml")), **raw}
+            raw = {**load_yaml(_data_text("profile_reference.yaml")), **raw}
         profile = SimulationProfile.from_dict(raw)
         delay, limit = profile.reply_delay, profile.posts_per_minute_limit
         if profile.population < 1:
@@ -134,7 +133,7 @@ def _check_mean_turns(key: str, mean: float) -> None:
         raise CampaignError(f"{key}: must be finite and at most {MAX_MEAN_TURNS}")
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentProfile:
     user_id: str
     reply_propensity: Propensity
@@ -144,7 +143,7 @@ class AgentProfile:
     post_rate: float
 
 
-@dataclass
+@dataclass(slots=True)
 class _AgentState:
     replies_made: int = 0
     on_topic: Optional[bool] = None  # stance drawn at first reply, then fixed
@@ -205,12 +204,8 @@ class AgentPopulation:
         for i in range(profile.population):
             comp = components[i % len(components)]
             agent = AgentProfile(
-                user_id=f"u{i:05d}",
-                reply_propensity=comp.reply_propensity,
-                interaction_propensity=comp.interaction_propensity,
-                on_topic_probability=comp.on_topic_probability,
-                max_turns=_geometric(comp.mean_turns, rng),
-                post_rate=comp.post_rate,
+                f"u{i:05d}", comp.reply_propensity, comp.interaction_propensity,
+                comp.on_topic_probability, _geometric(comp.mean_turns, rng), comp.post_rate,
             )
             self.agents.append(agent)
             self._states[agent.user_id] = _AgentState()

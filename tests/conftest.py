@@ -12,6 +12,7 @@ from campaignkit.platform import (
     PlatformCapabilities,
     PlatformRejected,
     RateLimited,
+    SimulatedPlatform,
 )
 
 # Configuration used by the statistical acceptance campaign: 500 groups per
@@ -64,6 +65,19 @@ def reference_record(event: model.CampaignEvent) -> dict:
     if event.text is not None:
         record["text"] = event.text
     return record
+
+
+def reference_platform(population, rng, start_ms: int = 1_430_000_000_000) -> SimulatedPlatform:
+    """A simulated platform whose first post schedule is built the reference
+    way: one heappush per agent, in agent order, with the same draws."""
+    agents, population.agents = population.agents, []
+    platform = SimulatedPlatform(population, rng, start_ms=start_ms)
+    population.agents = agents
+    for agent in agents:
+        gap = population.next_post_gap_ms(agent, rng)
+        if gap is not None:
+            platform._push(start_ms + gap, "post", agent)
+    return platform
 
 
 def reference_config_dict(config: model.CampaignConfig) -> dict:

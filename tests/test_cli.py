@@ -102,12 +102,21 @@ def test_malformed_simulation_fails_alike_in_validate_run_and_resume(
     assert not log.exists()
 
 
-@pytest.mark.parametrize("text", ["topics: [unclosed\n", "- just\n- a list\n", ""])
+@pytest.mark.parametrize(
+    "text", ["topics: [unclosed\n", "- just\n- a list\n", "", "b: [1, 2\nc: 3\n"]
+)
 def test_validate_rejects_a_file_that_is_not_a_config_with_exit_two(tmp_path, capsys, text):
     path = tmp_path / "config.yaml"
     path.write_text(text, encoding="utf-8")
-    assert main(["validate", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    fresh, kept = tmp_path / "fresh.log", tmp_path / "kept.log"
+    kept.write_bytes(b"left as it was\n")
+    for command in (["validate"], ["run", "--out", str(fresh)], ["resume", "--log", str(kept)]):
+        assert main(command + ["--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {path}: ")
+        if text.startswith("b:"):  # libyaml and pure-Python YAML mark the same place
+            assert "line 2, column 2" in err
+    assert not fresh.exists() and kept.read_bytes() == b"left as it was\n"
 
 
 def test_run_twice_is_byte_identical(tmp_path):

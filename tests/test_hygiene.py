@@ -1,6 +1,7 @@
 """Source hygiene: every imported name in src/, tests/ and perfbench/ is
-used; no class in src/ but ``FieldCodec`` writes its own codec; and no
-function body on the per-item paths looks up an enum member by attribute.
+used; no class in src/ but ``FieldCodec`` writes its own codec; no
+function body on the per-item paths looks up an enum member by attribute;
+and nothing in src/ but ``model.load_yaml`` chooses a YAML loader.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -168,5 +169,70 @@ def test_hot_modules_compare_against_bound_enum_members():
         for name in HOT_MODULES
         for path in [ROOT / "src" / "campaignkit" / f"{name}.py"]
         for line, lookup in enum_member_lookups(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+# The one place that decides how YAML is parsed: model.load_yaml and the
+# loader it uses.
+YAML_LOADING = {"model": {"load_yaml", "_LOADER"}}
+YAML_LOADS = ("load", "safe_load")
+
+
+def _yaml_names(node: ast.AST):
+    if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "yaml":
+        yield f"yaml.{node.attr}" if node.attr in YAML_LOADS else node.attr
+    elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+        for alias in node.names:
+            yield f"yaml.{alias.name}" if alias.name in YAML_LOADS else alias.name
+    elif isinstance(node, ast.Name):
+        yield node.id
+    elif isinstance(node, ast.Constant) and str(node.value).endswith("SafeLoader"):
+        yield node.value  # getattr(yaml, "SafeLoader")
+
+
+def yaml_loading(source: str, allowed=frozenset()) -> list[tuple[int, str]]:
+    """(line, name) of each use of ``yaml.load`` or ``yaml.safe_load`` and of
+    each name ending in ``SafeLoader``, outside the top-level definitions
+    named in ``allowed``."""
+    found = set()
+    for top in ast.parse(source).body:
+        targets = getattr(top, "targets", [top])
+        if {getattr(t, "id", getattr(t, "name", None)) for t in targets} & allowed:
+            continue
+        for node in ast.walk(top):
+            for name in _yaml_names(node):
+                if name.startswith("yaml.") or name.endswith("SafeLoader"):
+                    found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_yaml_loading_outside_the_allowed_definitions_is_detected():
+    source = (
+        "import yaml\n"
+        "from yaml import safe_load, dump\n"
+        "LOADER = getattr(yaml, 'CSafeLoader', yaml.SafeLoader)\n"
+        "def load_yaml(text):\n"
+        "    return yaml.load(text, Loader=LOADER)\n"
+        "def other(fh):\n"
+        "    yaml.safe_dump({}, fh)\n"
+        "    return yaml.safe_load(fh), CSafeLoader\n"
+    )
+    assert yaml_loading(source, {"LOADER", "load_yaml"}) == [
+        (2, "yaml.safe_load"), (8, "CSafeLoader"), (8, "yaml.safe_load"),
+    ]
+    assert yaml_loading(source) == [
+        (2, "yaml.safe_load"), (3, "CSafeLoader"), (3, "SafeLoader"), (5, "yaml.load"),
+        (8, "CSafeLoader"), (8, "yaml.safe_load"),
+    ]
+
+
+def test_only_model_load_yaml_loads_yaml():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in yaml_loading(
+            path.read_text(encoding="utf-8"), YAML_LOADING.get(path.stem, frozenset())
+        )
     ]
     assert offenders == []

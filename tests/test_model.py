@@ -259,6 +259,66 @@ def test_shipped_data_files_decode_strictly():
         assert [spec.to_dict() for spec in specs] == strategies[language]["strategies"]
 
 
+# Documents on which the libyaml and pure-Python safe loaders must agree
+# (compared by repr, so NaN equals NaN and 1 differs from 1.0), and
+# documents both must reject.
+YAML_PARITY = {
+    "bom": "\ufeffa: 1\n",
+    "duplicate_keys": "a: 1\na: 2\n",
+    "nan_inf": "a: .nan\nb: -.inf\nc: .Inf\n",
+    "anchors": "a: &x [1, 2]\nb: *x\nc: {<<: {k: 1}, j: 2}\n",
+    "octal": "a: 0o17\nb: 017\nc: 0x1F\n",
+    "date": "a: 2015-05-01\nb: 2015-05-01 10:00:00\n",
+    "underscore": "a: 1_000\nb: 1e3\nc: 1.5e3\n",
+    "bools_and_nulls": "a: yes\nb: off\nc: ~\nd: Null\n",
+    "block_scalars": "a: 'x'\nb: \"\\u00e9\"\nc: |\n  l1\n  l2\nd: >\n  f1\n  f2\n",
+    "empty": "",
+}
+YAML_REJECTED = {
+    "tab_indent": "a:\n\tb: 1\n",
+    "second_document": "a: 1\n---\nb: 2\n",
+    "nul": "a: \x00\n",
+}
+
+
+@pytest.fixture(params=["default", "pure_python"])
+def yaml_loader(request, monkeypatch):
+    """Run a test under the module's loader, then under the fallback loader."""
+    if request.param == "pure_python":
+        monkeypatch.setattr(model, "_LOADER", yaml.SafeLoader)
+    else:
+        assert model._LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    return request.param
+
+
+def test_load_yaml_matches_safe_load_on_the_shipped_and_written_files(yaml_loader, tmp_path):
+    from campaignkit.cli import main
+
+    for name in ("strategies.yaml", "profile_reference.yaml"):
+        text = fixtures._data_text(name)
+        assert model.load_yaml(text) == yaml.safe_load(text)
+    assert main(["fixtures", "--out", str(tmp_path)]) == 0
+    written = sorted(tmp_path.glob("*.yaml"))
+    assert [p.name for p in written] == ["campaign.yaml", "profile_reference.yaml", "strategies.yaml"]
+    for path in written:
+        with open(path, encoding="utf-8") as fh:
+            loaded = model.load_yaml(fh)
+        assert loaded == yaml.safe_load(path.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("text", YAML_PARITY.values(), ids=YAML_PARITY)
+def test_load_yaml_matches_safe_load_on_edge_cases(yaml_loader, text):
+    assert repr(model.load_yaml(text)) == repr(yaml.safe_load(text))
+
+
+@pytest.mark.parametrize("text", YAML_REJECTED.values(), ids=YAML_REJECTED)
+def test_load_yaml_rejects_what_safe_load_rejects(yaml_loader, text):
+    with pytest.raises(yaml.YAMLError):
+        yaml.safe_load(text)
+    with pytest.raises(yaml.YAMLError):
+        model.load_yaml(text)
+
+
 @pytest.mark.parametrize("missing", [None, "deleted"])
 def test_required_key_missing_or_null_is_named(missing):
     raw = fixtures.default_config().to_dict()

@@ -12,7 +12,7 @@ from campaignkit.platform import (
     RateLimited,
     SimulatedPlatform,
 )
-from campaignkit.simulator import AgentPopulation, SimulationProfile
+from campaignkit.simulator import AgentPopulation, MixtureComponent, SimulationProfile
 from campaignkit.strategy import MessageKind, OutboundMessage
 
 TOPICS = fixtures.default_topics()
@@ -154,3 +154,32 @@ def test_sim_streams_are_time_ordered_and_deterministic():
     kinds = [i.kind for i in runs[0]]
     first_notification = next(i for i, k in enumerate(kinds) if k is not ItemKind.PUBLIC_POST)
     assert ItemKind.PUBLIC_POST in kinds[first_notification:]
+
+
+def test_first_post_schedule_pops_as_if_pushed_one_agent_at_a_time():
+    from conftest import reference_platform
+
+    # Weights of 0.01 give each component one slot, so agents cycle through
+    # all three; the middle component never posts.
+    profile = SimulationProfile(population=50, post_rate=1.0, reply_propensity=0.5, mixture=(
+        MixtureComponent(weight=0.01),
+        MixtureComponent(weight=0.01, post_rate=0.0),
+        MixtureComponent(weight=0.01, post_rate=3.0, interaction_propensity=0.5),
+    ))
+    streams, set_ups = [], []
+    for build in (SimulatedPlatform, reference_platform):
+        rng = random.Random("11:platform")
+        sim = build(AgentPopulation(profile, TOPICS, rng), rng)
+        set_ups.append((rng.getstate(), sorted(sim._heap), sim._tiebreak))
+        items = []
+        for item in itertools.islice(sim.inbound(["corrupcion", "impunidad"]), 200):
+            items.append((item.kind, item.author, item.message_id, item.timestamp, item.text))
+            if item.kind is ItemKind.PUBLIC_POST and len(items) % 10 == 0:
+                sim.post(call_message(item.author, f"c{len(items)}"))
+        streams.append(items)
+    assert set_ups[0] == set_ups[1]  # same draws, same keys
+    assert streams[0] == streams[1]
+    kinds = {kind for kind, *_ in streams[0]}
+    assert ItemKind.REPLY_TO_BOT in kinds and len(kinds) > 2
+    posters = {author for kind, author, *_ in streams[0] if kind is ItemKind.PUBLIC_POST}
+    assert len(posters) > 20 and not posters & {f"u{i:05d}" for i in range(1, 50, 3)}
