@@ -2,7 +2,8 @@
 
 Everything here is a pure function over an immutable list of events plus
 optional label files; recomputing over a replayed log gives identical
-results.
+results. ``_COLUMNS`` is the one place where a report column is declared:
+the text table and the JSON both read it.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .eventlog import validate_events, volunteer_replies
 from .model import (
@@ -56,6 +57,11 @@ class ArmMetrics:
         )
 
 
+# The count columns, tallied event by event and summed for the total;
+# ``volunteers`` counts unique repliers instead.
+_TALLIED = tuple(f.name for f in fields(ArmMetrics) if f.type == "int" and f.name != "volunteers")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     arms: tuple[ArmMetrics, ...]
@@ -81,57 +87,41 @@ def compute_metrics(
     ``validate_events`` is taken as it is, with the volunteer replies it
     computed once. Replies count when their author is a member of the
     conversation they landed in; strangers are recorded in the log but are
-    not volunteers.
+    not volunteers. Events with an empty strategy form no arm and add nothing
+    to the total's counts, but their repliers count among its volunteers.
     Totals are computed from the per-arm columns. The cross-arm comparisons
     are one-way ANOVAs over per-conversation unique contributors and over
     per-message reply counts.
     """
     events = validate_events(events)
     counted = {event.seq for event in volunteer_replies(events)}
-    arm_order: list[str] = list(arms) if arms else []
-
-    def order(strategy: str) -> None:
-        if strategy and strategy not in arm_order:
-            arm_order.append(strategy)
-
-    counts: dict[str, dict[str, int]] = {}
+    tallies: dict[str, dict[str, int]] = {arm: dict.fromkeys(_TALLIED, 0) for arm in arms or ()}
     repliers: dict[str, set[str]] = {}
     conv_contributors: dict[str, set[str]] = {}
     conv_arm: dict[str, str] = {}
     message_replies: dict[str, int] = {}
     message_arm: dict[str, str] = {}
 
-    def on_topic_fraction(volunteers: Iterable[str]) -> Optional[float]:
-        labeled = [u for u in volunteers if u in labels] if labels else []
-        if not labeled:
-            return None
-        return sum(1 for u in labeled if labels[u] is LABEL_ON_TOPIC) / len(labeled)
+    def tally(strategy: str) -> dict[str, int]:
+        return tallies.setdefault(strategy, dict.fromkeys(_TALLIED, 0))
 
-    def bucket(strategy: str) -> dict[str, int]:
-        order(strategy)
-        return counts.setdefault(
-            strategy,
-            {
-                "calls": 0,
-                "followups": 0,
-                "outbound": 0,
-                "replies": 0,
-                "bot_interactions": 0,
-                "volunteer_interactions": 0,
-            },
-        )
+    def metrics(strategy: str, counts: dict[str, int], volunteers: Collection[str]) -> ArmMetrics:
+        labeled = [u for u in volunteers if u in labels] if labels else []
+        share = None
+        if labeled:
+            share = sum(labels[u] is LABEL_ON_TOPIC for u in labeled) / len(labeled)
+        return ArmMetrics(strategy, **counts, volunteers=len(volunteers), on_topic_fraction=share)
 
     for event in events:
         strategy, kind = event.strategy or "", event.kind
         if kind in OUTBOUND_KINDS:
-            b = counts.get(strategy) or bucket(strategy)
-            b["outbound"] += 1
+            t = tallies.get(strategy) or tally(strategy)
+            t["outbound_messages"] += 1
             if kind is EVENT_OUTBOUND_CALL:
-                b["calls"] += 1
+                t["calls_to_action"] += 1
                 conv_arm[event.conversation_id] = strategy
-                conv_contributors.setdefault(event.conversation_id, set())
             elif kind is EVENT_OUTBOUND_FOLLOWUP:
-                b["followups"] += 1
+                t["followups"] += 1
             message_replies[event.message_id] = 0
             message_arm[event.message_id] = strategy
         elif kind is EVENT_INBOUND_REPLY:
@@ -139,84 +129,45 @@ def compute_metrics(
                 continue
             conv = event.conversation_id or ""
             strategy = conv_arm.get(conv, strategy)
-            b = counts.get(strategy) or bucket(strategy)
-            b["replies"] += 1
+            t = tallies.get(strategy) or tally(strategy)
+            t["volunteer_replies"] += 1
             repliers.setdefault(strategy, set()).add(event.actor)
             conv_contributors.setdefault(conv, set()).add(event.actor)
             if event.in_reply_to in message_replies:
                 message_replies[event.in_reply_to] += 1
         elif kind in INTERACTION_KINDS:
-            b = counts.get(strategy) or bucket(strategy)
+            t = tallies.get(strategy) or tally(strategy)
             if event.target_author is TARGET_BOT:
-                b["bot_interactions"] += 1
+                t["bot_interactions"] += 1
             else:
-                b["volunteer_interactions"] += 1
+                t["volunteer_interactions"] += 1
 
-    arms_out = []
-    for strategy in arm_order:
-        b = counts.get(strategy)
-        if b is None:
-            arms_out.append(ArmMetrics(strategy=strategy))
-            continue
-        volunteers = repliers.get(strategy, set())
-        arms_out.append(
-            ArmMetrics(
-                strategy=strategy,
-                calls_to_action=b["calls"],
-                followups=b["followups"],
-                outbound_messages=b["outbound"],
-                volunteers=len(volunteers),
-                volunteer_replies=b["replies"],
-                bot_interactions=b["bot_interactions"],
-                volunteer_interactions=b["volunteer_interactions"],
-                on_topic_fraction=on_topic_fraction(volunteers),
-            )
-        )
-
-    all_volunteers = set()
-    for volunteers in repliers.values():
-        all_volunteers |= volunteers
-    total = ArmMetrics(
-        strategy="all",
-        calls_to_action=sum(a.calls_to_action for a in arms_out),
-        followups=sum(a.followups for a in arms_out),
-        outbound_messages=sum(a.outbound_messages for a in arms_out),
-        volunteers=len(all_volunteers),
-        volunteer_replies=sum(a.volunteer_replies for a in arms_out),
-        bot_interactions=sum(a.bot_interactions for a in arms_out),
-        volunteer_interactions=sum(a.volunteer_interactions for a in arms_out),
-        on_topic_fraction=on_topic_fraction(all_volunteers),
+    arm_order = [strategy for strategy in tallies if strategy]
+    arms_out = [metrics(s, tallies[s], repliers.get(s, ())) for s in arm_order]
+    total = metrics(
+        "all",
+        {name: sum(getattr(a, name) for a in arms_out) for name in _TALLIED},
+        set().union(*repliers.values()),
     )
 
-    anova_volunteers = anova_replies = None
+    def by_arm(arm_of: Mapping[str, str], value) -> list[list[float]]:
+        samples: dict[str, list[float]] = {strategy: [] for strategy in arm_order}
+        for key, strategy in arm_of.items():
+            if strategy in samples:
+                samples[strategy].append(float(value(key)))
+        return list(samples.values())
+
+    anovas = {}
     if len(arm_order) >= 2 and conv_arm:
-        volunteer_samples = []
-        for strategy in arm_order:
-            sample = [
-                float(len(conv_contributors.get(conv, set())))
-                for conv, arm in conv_arm.items()
-                if arm == strategy
-            ]
-            volunteer_samples.append(sample)
-        reply_samples = [
-            [float(n) for msg, n in message_replies.items() if message_arm[msg] == strategy]
-            for strategy in arm_order
-        ]
-        try:
-            anova_volunteers = one_way_anova(volunteer_samples)
-        except DegenerateInput:
-            pass
-        try:
-            anova_replies = one_way_anova(reply_samples)
-        except DegenerateInput:
-            pass
-
-    return MetricsReport(
-        arms=tuple(arms_out),
-        total=total,
-        anova_volunteers=anova_volunteers,
-        anova_replies=anova_replies,
-    )
+        for name, samples in (
+            ("anova_volunteers", by_arm(conv_arm, lambda c: len(conv_contributors.get(c, ())))),
+            ("anova_replies", by_arm(message_arm, message_replies.__getitem__)),
+        ):
+            try:
+                anovas[name] = one_way_anova(samples)
+            except DegenerateInput:
+                pass
+    return MetricsReport(tuple(arms_out), total, **anovas)
 
 
 # -- label ingestion -----------------------------------------------------------------
@@ -349,53 +300,47 @@ def mann_whitney_keyterms(
 
 # -- report rendering -------------------------------------------------------------------
 
+def _percent(x: float) -> str:
+    return f"{round(100 * x)}%"
+
+
+# Every report column, in JSON key order: (ArmMetrics attribute and JSON key,
+# table row label or None, table cell formatter). A column whose value is None
+# is left out of an arm's JSON and shown as "-" in the table, and a table row
+# that is None in every column is left out.
+_COLUMNS = (
+    ("calls_to_action", "Calls to Action", str),
+    ("followups", "Followup Questions", str),
+    ("outbound_messages", "Outbound Messages", str),
+    ("volunteers", "Volunteers", str),
+    ("volunteer_replies", "Volunteer Replies", str),
+    ("reply_rate", "Reply Rate", _percent),
+    ("bot_interactions", "Interactions Bot", str),
+    ("volunteer_interactions", "Interactions Volunteers", str),
+    ("bot_interaction_rate", None, None),
+    ("volunteer_interaction_rate", None, None),
+    ("on_topic_fraction", "On-Topic Volunteers", _percent),
+)
+# (MetricsReport attribute and JSON key, name in the table)
+_ANOVAS = (("anova_volunteers", "unique contributors"), ("anova_replies", "replies per message"))
+
+
 def render_table(report: MetricsReport) -> str:
     """Plain-text table, one column per arm plus computed totals."""
-    columns = ["Total"] + [a.strategy for a in report.arms]
-    rows: list[tuple[str, list[str]]] = []
-
-    def pct(x: float) -> str:
-        return f"{round(100 * x)}%"
-
-    arms = [report.total] + list(report.arms)
-    rows.append(("Calls to Action", [str(a.calls_to_action) for a in arms]))
-    rows.append(("Followup Questions", [str(a.followups) for a in arms]))
-    rows.append(("Outbound Messages", [str(a.outbound_messages) for a in arms]))
-    rows.append(("Volunteers", [str(a.volunteers) for a in arms]))
-    rows.append(("Volunteer Replies", [str(a.volunteer_replies) for a in arms]))
-    rows.append(("Reply Rate", [pct(a.reply_rate) for a in arms]))
-    rows.append(("Interactions Bot", [str(a.bot_interactions) for a in arms]))
-    rows.append(("Interactions Volunteers", [str(a.volunteer_interactions) for a in arms]))
-    if any(a.on_topic_fraction is not None for a in arms):
-        rows.append(
-            (
-                "On-Topic Volunteers",
-                [
-                    "-" if a.on_topic_fraction is None else pct(a.on_topic_fraction)
-                    for a in arms
-                ],
-            )
-        )
-
+    arms = (report.total, *report.arms)
+    rows = [("", ["Total"] + [a.strategy for a in report.arms])]
+    for key, label, cell in _COLUMNS:
+        values = [getattr(a, key) for a in arms]
+        if label and any(v is not None for v in values):
+            rows.append((label, ["-" if v is None else cell(v) for v in values]))
     label_width = max(len(label) for label, _ in rows)
-    col_widths = [
-        max(len(columns[i]), max(len(values[i]) for _, values in rows)) for i in range(len(columns))
-    ]
+    widths = [max(len(values[i]) for _, values in rows) for i in range(len(arms))]
     lines = [
-        " " * label_width
-        + "  "
-        + "  ".join(columns[i].rjust(col_widths[i]) for i in range(len(columns)))
+        label.ljust(label_width) + "  " + "  ".join(v.rjust(w) for v, w in zip(values, widths))
+        for label, values in rows
     ]
-    for label, values in rows:
-        lines.append(
-            label.ljust(label_width)
-            + "  "
-            + "  ".join(values[i].rjust(col_widths[i]) for i in range(len(columns)))
-        )
-    for name, anova in (
-        ("unique contributors", report.anova_volunteers),
-        ("replies per message", report.anova_replies),
-    ):
+    for key, name in _ANOVAS:
+        anova = getattr(report, key)
         if anova is not None:
             f_text = "inf" if math.isinf(anova.F) else f"{anova.F:.3f}"
             lines.append(
@@ -407,33 +352,12 @@ def render_table(report: MetricsReport) -> str:
 
 def report_to_dict(report: MetricsReport) -> dict:
     def arm_dict(a: ArmMetrics) -> dict:
-        out = {
-            "strategy": a.strategy,
-            "calls_to_action": a.calls_to_action,
-            "followups": a.followups,
-            "outbound_messages": a.outbound_messages,
-            "volunteers": a.volunteers,
-            "volunteer_replies": a.volunteer_replies,
-            "reply_rate": a.reply_rate,
-            "bot_interactions": a.bot_interactions,
-            "volunteer_interactions": a.volunteer_interactions,
-            "bot_interaction_rate": a.bot_interaction_rate,
-            "volunteer_interaction_rate": a.volunteer_interaction_rate,
-        }
-        if a.on_topic_fraction is not None:
-            out["on_topic_fraction"] = a.on_topic_fraction
-        return out
+        values = ((key, getattr(a, key)) for key, _, _ in _COLUMNS)
+        return {"strategy": a.strategy, **{key: v for key, v in values if v is not None}}
 
     out = {"arms": [arm_dict(a) for a in report.arms], "total": arm_dict(report.total)}
-    for key, anova in (
-        ("anova_volunteers", report.anova_volunteers),
-        ("anova_replies", report.anova_replies),
-    ):
+    for key, _ in _ANOVAS:
+        anova = getattr(report, key)
         if anova is not None:
-            out[key] = {
-                "df_between": anova.df_between,
-                "df_within": anova.df_within,
-                "F": anova.F,
-                "p_value": anova.p_value,
-            }
+            out[key] = asdict(anova)
     return out

@@ -10,6 +10,7 @@ live platform.
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Sequence
 
@@ -315,8 +316,6 @@ def build_label_study() -> tuple[
     Coder B matches the intended final labels; coder A disagrees on every
     tenth volunteer, and the tiebreaker sides with B.
     """
-    import math
-
     counts = {
         arm: ArmCounts(
             calls=math.ceil(v / 3), followups=0, volunteers=v, replies=v,

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
-from .eventlog import CampaignState, EventLogWriter, replay
+from .eventlog import CampaignState, EventLogWriter, drop_torn_tail, read_events, replay
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_FAVORITE, EVENT_INBOUND_REPLY, EVENT_RETWEET, TARGET_BOT,
     TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, TargetUser,
@@ -44,8 +44,9 @@ from .model import (
 )
 from .platform import (
     ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, InboundItem, Platform,
-    PlatformCapabilities, PlatformRejected, RateLimited,
+    PlatformCapabilities, PlatformRejected, RateLimited, SimulatedPlatform,
 )
+from .simulator import AgentPopulation, resolve_profile
 from .strategy import (
     EVENT_KIND_BY_MESSAGE, MESSAGE_CALL, MESSAGE_FOLLOWUP, OutboundMessage, TemplateOverflow,
 )
@@ -307,18 +308,6 @@ class Orchestrator:
             self.ready[target.topic][target.assigned_strategy].append((group, self.now))
             self._try_release_batch()
 
-    def _arm_can_produce(self, topic: str, arm: StrategyId) -> bool:
-        if self.ready[topic][arm]:
-            return True
-        return self.allocator.remaining(topic, arm) > 0
-
-    def _topic_ready(self, topic: str) -> bool:
-        producible = [a for a in self.arm_ids if self._arm_can_produce(topic, a)]
-        return bool(producible) and all(self.ready[topic][a] for a in producible)
-
-    def _topic_alive(self, topic: str) -> bool:
-        return any(self._arm_can_produce(topic, arm) for arm in self.arm_ids)
-
     def _try_release_batch(self) -> None:
         # Serialize batches: the next block of calls goes out only after the
         # previous block was fully posted, keeping arm counts in lockstep.
@@ -332,16 +321,21 @@ class Orchestrator:
             preference = self.topic_names[pivot + 1 :] + self.topic_names[: pivot + 1]
         else:
             preference = self.topic_names
+        # An arm can produce a group if one is ready or it still has quota.
         for topic in preference:
-            if not self._topic_alive(topic):
+            ready = self.ready[topic]
+            producible = [
+                arm for arm in self.arm_ids
+                if ready[arm] or self.allocator.remaining(topic, arm) > 0
+            ]
+            if not producible:
                 continue
-            if not self._topic_ready(topic):
+            if not all(ready[arm] for arm in producible):
                 return  # wait for the preferred topic rather than skip it
             self._last_batch_topic = topic
-            for arm in self.arm_ids:
-                if self.ready[topic][arm]:
-                    group, _formed = self.ready[topic][arm].pop(0)
-                    self._schedule_call(topic, arm, group, partial=False)
+            for arm in producible:
+                group, _formed = ready[arm].pop(0)
+                self._schedule_call(topic, arm, group, partial=False)
             return
 
     def _jitter_ms(self) -> int:
@@ -582,9 +576,6 @@ class Orchestrator:
 def build_simulated_platform(config: CampaignConfig, seed: Optional[int] = None) -> Platform:
     """Construct the simulated platform described by the config's
     ``simulation`` subtree (optionally a named built-in profile)."""
-    from .platform import SimulatedPlatform
-    from .simulator import AgentPopulation, resolve_profile
-
     profile = resolve_profile(config.simulation)
     if seed is None:
         seed = config.random_seed
@@ -619,8 +610,6 @@ def run_campaign(
     resume_state = None
     prior: list[CampaignEvent] = []
     if resume:
-        from .eventlog import drop_torn_tail, read_events
-
         torn = drop_torn_tail(out_path)
         if torn:
             logger.warning("dropped a torn final line (%d bytes) from %s", torn, out_path)

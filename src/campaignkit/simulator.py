@@ -13,8 +13,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from typing import Any, Mapping, Optional, Sequence, Union
 
+from .eventlog import volunteer_replies
 from .fixtures import _data_text
 from .model import (
     LABEL_OFF_TOPIC, LABEL_ON_TOPIC, CampaignError, FieldCodec, Topic, VolunteerLabel, load_yaml,
@@ -35,7 +37,7 @@ HOUR_MS = 3_600_000
 # sends at most 1 + len(followups) of them (8 for the shipped arms), so a
 # larger mean reply depth changes no run; it only lengthens _geometric's loop.
 MAX_MEAN_TURNS = 100
-# A mixture component fills round(weight * 100) slots of the component cycle.
+# Mixture weights are relative shares; the cap keeps them finite.
 MAX_WEIGHT = 100
 
 # A propensity is either one float for every arm or a per-arm mapping with an
@@ -141,10 +143,6 @@ class AgentProfile:
     on_topic_probability: Propensity
     max_turns: int
     post_rate: float
-
-
-@dataclass(slots=True)
-class _AgentState:
     replies_made: int = 0
     on_topic: Optional[bool] = None  # stance drawn at first reply, then fixed
 
@@ -178,14 +176,30 @@ def _geometric(mean: float, rng: random.Random) -> int:
     return n
 
 
-def _component_cycle(profile: SimulationProfile) -> list[SimulationProfile]:
-    """Agent i's profile is item i modulo the cycle's length: the profile with a
-    component's keys laid over it, repeated by the component's weight."""
-    cycle: list[SimulationProfile] = []
-    for comp in profile.mixture:
-        overrides = {k: v for k, v in comp.to_dict().items() if k != "weight"}
-        cycle.extend([replace(profile, **overrides)] * max(1, round(comp.weight * 100)))
-    return cycle or [profile]
+def _agent_profiles(profile: SimulationProfile) -> list[SimulationProfile]:
+    """Each agent's profile, in agent order. In a mixture, an agent takes the
+    profile with the keys of the component furthest below its weighted share
+    so far laid over it, ties to the first (a smooth weighted round-robin on
+    weights scaled to exact integers). Equal weights give agent i component i
+    modulo their number."""
+    if not profile.mixture:
+        return [profile] * profile.population
+    components = [
+        replace(profile, **{k: v for k, v in comp.to_dict().items() if k != "weight"})
+        for comp in profile.mixture
+    ]
+    shares = [Fraction(comp.weight) for comp in profile.mixture]
+    scale = math.lcm(*(share.denominator for share in shares))
+    weights = [int(share * scale) for share in shares]
+    total = sum(weights)
+    credits = [0] * len(weights)
+    out = []
+    for _ in range(profile.population):
+        credits = [credit + weight for credit, weight in zip(credits, weights)]
+        best = credits.index(max(credits))
+        credits[best] -= total
+        out.append(components[best])
+    return out
 
 
 class AgentPopulation:
@@ -193,22 +207,18 @@ class AgentPopulation:
 
     def __init__(self, profile: SimulationProfile, topics: Sequence[Topic], rng: random.Random):
         self.topics = tuple(topics)
-        self.agents: list[AgentProfile] = []
-        self._states: dict[str, _AgentState] = {}
         self._item_counter = 0
         self._log_delay_ms = (
             math.log(profile.reply_delay.min_s * 1000),
             math.log(profile.reply_delay.max_s * 1000),
         )
-        components = _component_cycle(profile)
-        for i in range(profile.population):
-            comp = components[i % len(components)]
-            agent = AgentProfile(
+        self.agents = [
+            AgentProfile(
                 f"u{i:05d}", comp.reply_propensity, comp.interaction_propensity,
                 comp.on_topic_probability, _geometric(comp.mean_turns, rng), comp.post_rate,
             )
-            self.agents.append(agent)
-            self._states[agent.user_id] = _AgentState()
+            for i, comp in enumerate(_agent_profiles(profile))
+        ]
         self.by_id = {a.user_id: a for a in self.agents}
 
     def _mint(self, prefix: str) -> str:
@@ -255,17 +265,16 @@ class AgentPopulation:
         agent = self.by_id.get(user_id)
         if agent is None:
             return []
-        state = self._states[user_id]
         items: list[InboundItem] = []
-        if message.solicits and state.replies_made < agent.max_turns:
+        if message.solicits and agent.replies_made < agent.max_turns:
             if rng.random() < resolve_propensity(agent.reply_propensity, message.strategy):
-                state.replies_made += 1
-                if state.on_topic is None:
-                    state.on_topic = rng.random() < resolve_propensity(
+                agent.replies_made += 1
+                if agent.on_topic is None:
+                    agent.on_topic = rng.random() < resolve_propensity(
                         agent.on_topic_probability, message.strategy
                     )
                 pattern = rng.choice(
-                    _ON_TOPIC_PATTERNS if state.on_topic else _OFF_TOPIC_PATTERNS
+                    _ON_TOPIC_PATTERNS if agent.on_topic else _OFF_TOPIC_PATTERNS
                 )
                 items.append(
                     InboundItem(
@@ -276,7 +285,7 @@ class AgentPopulation:
                         message.message_id,
                         pattern.format(
                             topic=message.topic,
-                            tag=ON_TOPIC_TAG if state.on_topic else OFF_TOPIC_TAG,
+                            tag=ON_TOPIC_TAG if agent.on_topic else OFF_TOPIC_TAG,
                         ),
                     )
                 )
@@ -331,8 +340,6 @@ def derive_labels(events, coder_id: str = "sim") -> list[VolunteerLabel]:
     A volunteer is on-topic when any of their replies carries the on-topic
     tag; simulated agents keep a fixed stance, so first reply decides.
     """
-    from .eventlog import volunteer_replies
-
     stance: dict[str, bool] = {}
     for event in volunteer_replies(events):
         if event.text is not None and event.actor not in stance:

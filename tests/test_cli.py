@@ -250,3 +250,67 @@ def test_fixtures_are_byte_identical_to_the_pinned_files(tmp_path, capsys):
     }
     digests["history"] = hashlib.sha256(b"".join(p.read_bytes() for p in histories)).hexdigest()
     assert digests == FIXTURE_SHA256
+
+
+# sha256 of ``campaign report`` stdout, (table, json-lines), for each input.
+# The file names are those ``campaign fixtures`` writes, plus three made from
+# them: an empty log, the reference log with conversation direct-0000's
+# strategy blanked (an arm the report leaves out), and the seed-5 campaign.
+REPORT_SHA256 = {
+    ("reference.log",): (
+        "52414315960324cace8489bda4947ffb266ca2d0ecc22049ccd186b2fc6a00e0",
+        "5bd6f5a6fa1384ffd646b7cd3af63ba0da0aff06f7b151b122ac31678785ca48",
+    ),
+    (
+        "label_study.log", "--labels", "labels_coder_a.jsonl", "labels_coder_b.jsonl",
+        "--tiebreak", "labels_tiebreak.jsonl",
+    ): (
+        "e2a8a7b58807eb5157e93bd4d25fd02db4745bb64b1927c1d66f24ab6e31dcbc",
+        "6956ac8525a4706e83994795e7c0da624c0a1f9b4a4d3ce276a9c3310790bc82",
+    ),
+    ("label_study.log", "--labels", "labels_coder_a.jsonl"): (
+        "f9adff31c30a8f6abfe27ec39d3eaf94bae1e5a61524d186ba53aae07c6742a2",
+        "9d72fe7a991b1d18c2fb94fdf7aa29fc267f62db180c34aca9a30ff12bbe21f2",
+    ),
+    ("empty.log",): (
+        "be2796a1bb8735235aa838f2b899b63e1cfbfa965bee5e57e18b06a18563d9c3",
+        "db1c9d9be61883c9c561e43ba74f3299b1fb189b2fa87916ab61d604721ce83d",
+    ),
+    ("blank_arm.log",): (
+        "35fc6280c2b5a27cd3d12556bda0d3a2e3dd97f663ac66e4c97644cde415d56c",
+        "a0c1fa2a53b6d9c54a615cedaf9f23c2dfc6b2da1ec2c317f1189f7a5c46bedd",
+    ),
+    ("seed5.log",): (
+        "4042d60d430114389faf568e4d10a45173c13721508ae54b1c6ea952441a37e2",
+        "670ad56480e296712807df5419089142fee215b3f9e9bd964680c9f6dde6a2fb",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def report_inputs(tmp_path_factory, small_campaign):
+    outdir = tmp_path_factory.mktemp("report_inputs")
+    assert main(["fixtures", "--out", str(outdir)]) == 0
+    (outdir / "empty.log").write_text("")
+    reference = (outdir / "reference.log").read_text(encoding="utf-8").splitlines(keepends=True)
+    (outdir / "blank_arm.log").write_text(
+        "".join(
+            line.replace('"strategy":"direct"', '"strategy":""')
+            if '"conv":"direct-0000"' in line else line
+            for line in reference
+        ),
+        encoding="utf-8",
+    )
+    (outdir / "seed5.log").write_bytes(small_campaign[2].read_bytes())
+    return outdir
+
+
+@pytest.mark.parametrize("args", list(REPORT_SHA256))
+def test_report_output_is_byte_identical_to_the_pin(report_inputs, monkeypatch, capsys, args):
+    monkeypatch.chdir(report_inputs)
+    capsys.readouterr()
+    digests = []
+    for fmt in ("table", "json-lines"):
+        assert main(["report", "--log", *args, "--format", fmt]) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == REPORT_SHA256[args]

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in src/, tests/ and perfbench/ is
 used; no class in src/ but ``FieldCodec`` writes its own codec; no
 function body on the per-item paths looks up an enum member by attribute;
-and nothing in src/ but ``model.load_yaml`` chooses a YAML loader.
+nothing in src/ but ``model.load_yaml`` chooses a YAML loader; and no
+function body in src/ imports.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -234,5 +235,41 @@ def test_only_model_load_yaml_loads_yaml():
         for line, name in yaml_loading(
             path.read_text(encoding="utf-8"), YAML_LOADING.get(path.stem, frozenset())
         )
+    ]
+    assert offenders == []
+
+
+def function_imports(source: str) -> list[tuple[int, str]]:
+    """(line, function) of each import inside a function body; module-level
+    imports, those under ``if TYPE_CHECKING:`` included, are not bodies."""
+    return sorted(
+        (sub.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_imports_in_function_bodies_are_detected():
+    source = (
+        "import math\n"
+        "if TYPE_CHECKING:\n"
+        "    from .simulator import AgentPopulation\n"
+        "def f():\n"
+        "    import json\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        if True:\n"
+        "            from .eventlog import replay\n"
+    )
+    assert function_imports(source) == [(5, "f"), (9, "g")]
+
+
+def test_no_function_body_in_src_imports():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in function_imports(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -159,8 +159,8 @@ def test_sim_streams_are_time_ordered_and_deterministic():
 def test_first_post_schedule_pops_as_if_pushed_one_agent_at_a_time():
     from conftest import reference_platform
 
-    # Weights of 0.01 give each component one slot, so agents cycle through
-    # all three; the middle component never posts.
+    # Equal weights put agent i in component i modulo 3, so agents cycle
+    # through all three; the middle component never posts.
     profile = SimulationProfile(population=50, post_rate=1.0, reply_propensity=0.5, mixture=(
         MixtureComponent(weight=0.01),
         MixtureComponent(weight=0.01, post_rate=0.0),

@@ -4,6 +4,7 @@ import random
 import typing
 from types import MappingProxyType
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from campaignkit import fixtures
@@ -18,6 +19,7 @@ from campaignkit.simulator import (
     ReplyDelay,
     SimulationProfile,
     derive_labels,
+    resolve_profile,
     resolve_propensity,
 )
 
@@ -193,6 +195,21 @@ def test_mixture_components_assign_distinct_profiles():
     population = AgentPopulation(profile, TOPICS, rng)
     rates = {a.post_rate for a in population.agents}
     assert rates == {0.0, 2.0}
+
+
+@pytest.mark.parametrize(
+    "weights, population, expected",
+    [((0.7, 0.3), 50, [35, 15]), ((1.0, 1.0), 150, [75, 75])],
+)
+def test_mixture_shares_hold_in_a_population_of_any_size(weights, population, expected):
+    profile = resolve_profile({
+        "population": population,
+        "mixture": [{"weight": w, "post_rate": float(j)} for j, w in enumerate(weights)],
+    })
+    agents = AgentPopulation(profile, TOPICS, random.Random(9)).agents
+    assert [sum(a.post_rate == j for a in agents) for j in range(len(weights))] == expected
+    if len(set(weights)) == 1:  # equal weights cycle through the components
+        assert [a.post_rate for a in agents] == [float(i % len(weights)) for i in range(population)]
 
 
 def test_simulator_never_replies_to_unsent_messages(small_campaign):
