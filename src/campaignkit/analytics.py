@@ -87,11 +87,9 @@ def compute_metrics(
     ``validate_events`` is taken as it is, with the volunteer replies it
     computed once. Replies count when their author is a member of the
     conversation they landed in; strangers are recorded in the log but are
-    not volunteers. Events with an empty strategy form no arm and add nothing
-    to the total's counts, but their repliers count among its volunteers.
-    Totals are computed from the per-arm columns. The cross-arm comparisons
-    are one-way ANOVAs over per-conversation unique contributors and over
-    per-message reply counts.
+    not volunteers. Totals are computed from the per-arm columns. The
+    cross-arm comparisons are one-way ANOVAs over per-conversation unique
+    contributors and over per-message reply counts.
     """
     events = validate_events(events)
     counted = {event.seq for event in volunteer_replies(events)}

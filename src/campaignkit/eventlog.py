@@ -283,7 +283,8 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
     """Check log invariants; raises MalformedLog on the first violation.
 
     Enforced: strictly increasing seq; outbound messages authored by the bot,
-    carrying conversation ids and message ids not already in the log;
+    carrying a non-empty strategy, a conversation id and a message id not
+    already in the log;
     replies reference a message already in the log and belonging to the
     same conversation; every follow-up is preceded by a reply in its
     conversation and never repeats a question index (``q``) already asked
@@ -313,7 +314,7 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                     raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
                 if event.conversation_id is None or event.message_id is None:
                     raise MalformedLog("outbound message missing conv or msg")
-                if event.strategy is None:
+                if not event.strategy:  # an empty strategy names no arm
                     raise MalformedLog("outbound message missing strategy")
                 if event.message_id in known_messages:
                     raise MalformedLog(f"message {event.message_id} already in the log")

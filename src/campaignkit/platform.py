@@ -235,6 +235,9 @@ class SimulatedPlatform(Platform):
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         folded = FoldedKeywords(keywords)
+        # Whether a post text matches, by text: the population formats its
+        # post texts once, so this holds one entry per distinct text.
+        matches: dict[str, bool] = {}
         heap, population, rng = self._heap, self.population, self.rng
         while heap:
             ts, _, tag, payload = heap[0]
@@ -250,9 +253,12 @@ class SimulatedPlatform(Platform):
                 else:
                     self._tiebreak += 1
                     heapq.heapreplace(heap, (ts + gap, self._tiebreak, "post", payload))
-                if match_keyword(item.text, folded) is None:
-                    continue
-                yield item
+                text = item.text
+                keep = matches.get(text)
+                if keep is None:
+                    keep = matches[text] = match_keyword(text, folded) is not None
+                if keep:
+                    yield item
             else:
                 heapq.heappop(heap)
                 yield payload  # a scheduled reaction, already an InboundItem

@@ -5,6 +5,25 @@ messages with per-strategy Bernoulli reply draws, independent retweet and
 favorite draws, and a per-agent conversation-depth cap with a geometric tail.
 Everything is driven by a caller-supplied rng and a virtual clock, so a fixed
 seed yields byte-identical behavior run over run.
+
+Draws, all from the platform's one rng. Set-up draws each agent's turn
+budget (``random()`` until a geometric stop, none for a mean of 1 or less),
+then each agent's first post gap, in agent order. Each public post draws a
+topic index, a keyword index within the topic, a post-pattern index, then
+the gap to the agent's next post. Each bot message delivered to a member
+draws, if it solicits and the member has turns left, the reply draw; on a
+reply, the stance (at the member's first reply only), the reply-pattern
+index and the reply delay. Then come the member's retweet draw and, if it
+hits, its delay, and the favorite draw and, if it hits, its delay (without
+favorites, no favorite draw). After a reply, each co-member of the
+conversation makes the same retweet and favorite draws toward it. The rng's
+``choice``, ``expovariate`` and ``uniform`` are not called; their draws are
+reproduced as CPython 3.10-3.13 makes them. An index below ``n`` is
+``getrandbits(n.bit_length())``, redrawn until below ``n``
+(:func:`draw_index`); a gap is ``-log(1 - random()) / lambd``
+(:func:`draw_exponential`); a delay's logarithm is ``lo + (hi - lo) *
+random()`` (:func:`draw_uniform`). The tests check each against the stdlib
+call it replaces.
 """
 
 from __future__ import annotations
@@ -165,6 +184,28 @@ _OFF_TOPIC_PATTERNS = (
 )
 
 
+def draw_index(rng: random.Random, n: int) -> int:
+    """The index ``rng.choice`` draws from a sequence of ``n`` items, from the
+    same draws: ``getrandbits(n.bit_length())``, redrawn until below ``n``."""
+    if n < 1:
+        raise IndexError("cannot draw an index from an empty sequence")
+    k = n.bit_length()
+    i = rng.getrandbits(k)
+    while i >= n:
+        i = rng.getrandbits(k)
+    return i
+
+
+def draw_exponential(rng: random.Random, lambd: float) -> float:
+    """``rng.expovariate(lambd)`` from the same draw."""
+    return -math.log(1.0 - rng.random()) / lambd
+
+
+def draw_uniform(rng: random.Random, a: float, b: float) -> float:
+    """``rng.uniform(a, b)`` from the same draw."""
+    return a + (b - a) * rng.random()
+
+
 def _geometric(mean: float, rng: random.Random) -> int:
     """Geometric draw on {1, 2, ...} with the given mean."""
     if mean <= 1.0:
@@ -212,6 +253,12 @@ class AgentPopulation:
             math.log(profile.reply_delay.min_s * 1000),
             math.log(profile.reply_delay.max_s * 1000),
         )
+        # Every public post's text, formatted once: [topic][keyword][pattern].
+        self._post_texts = tuple(
+            tuple(tuple(pattern.format(keyword=keyword) for pattern in _POST_PATTERNS)
+                  for keyword in topic.keywords)
+            for topic in self.topics
+        )
         self.agents = [
             AgentProfile(
                 f"u{i:05d}", comp.reply_propensity, comp.interaction_propensity,
@@ -230,22 +277,21 @@ class AgentPopulation:
     def next_post_gap_ms(self, agent: AgentProfile, rng: random.Random) -> Optional[int]:
         if agent.post_rate <= 0:
             return None
-        gap = rng.expovariate(agent.post_rate / HOUR_MS)
-        return max(1, int(round(gap)))
+        return max(1, round(draw_exponential(rng, agent.post_rate / HOUR_MS)))
 
     def make_public_post(self, agent: AgentProfile, ts: int, rng: random.Random) -> InboundItem:
-        topic = rng.choice(self.topics)
-        keyword = rng.choice(topic.keywords)
-        pattern = rng.choice(_POST_PATTERNS)
+        by_topic = self._post_texts
+        by_keyword = by_topic[draw_index(rng, len(by_topic))]
+        texts = by_keyword[draw_index(rng, len(by_keyword))]
         return InboundItem(
             ITEM_PUBLIC_POST, agent.user_id, self._mint("t"), ts, None,
-            pattern.format(keyword=keyword),
+            texts[draw_index(rng, len(texts))],
         )
 
     # -- reactions ----------------------------------------------------------
 
     def _reply_delay_ms(self, rng: random.Random) -> int:
-        return int(round(math.exp(rng.uniform(*self._log_delay_ms))))
+        return round(math.exp(draw_uniform(rng, *self._log_delay_ms)))
 
     def react(
         self,
@@ -273,9 +319,8 @@ class AgentPopulation:
                     agent.on_topic = rng.random() < resolve_propensity(
                         agent.on_topic_probability, message.strategy
                     )
-                pattern = rng.choice(
-                    _ON_TOPIC_PATTERNS if agent.on_topic else _OFF_TOPIC_PATTERNS
-                )
+                patterns = _ON_TOPIC_PATTERNS if agent.on_topic else _OFF_TOPIC_PATTERNS
+                pattern = patterns[draw_index(rng, len(patterns))]
                 items.append(
                     InboundItem(
                         ITEM_REPLY_TO_BOT,

@@ -6,9 +6,8 @@ import string
 import unicodedata
 from typing import Iterable, Optional, Sequence
 
-_EDGE_PUNCT = set(string.punctuation)
 # Leading '#' and '@' are token sigils (hashtags, mentions), not punctuation.
-_LEAD_KEEP = {"#", "@"}
+_LEAD_PUNCT = string.punctuation.replace("#", "").replace("@", "")
 # The sigil that marks a mention; formatted and parsed only here.
 MENTION_SIGIL = "@"
 
@@ -51,16 +50,10 @@ def tokenize(text: str) -> list[str]:
     that a leading '#' or '@' is kept: hashtags and handles are first-class
     terms here.
     """
-    tokens = []
-    for raw in text.split():
-        tok = raw.casefold()
-        while tok and tok[-1] in _EDGE_PUNCT:
-            tok = tok[:-1]
-        while tok and tok[0] in _EDGE_PUNCT and tok[0] not in _LEAD_KEEP:
-            tok = tok[1:]
-        if tok and tok not in _LEAD_KEEP:
-            tokens.append(tok)
-    return tokens
+    return [
+        tok for raw in text.casefold().split()
+        if (tok := raw.rstrip(string.punctuation).lstrip(_LEAD_PUNCT))
+    ]
 
 
 def format_mentions(user_ids: Sequence[str]) -> str:
@@ -73,9 +66,7 @@ def mentions_in_text(text: str) -> list[str]:
     out = []
     for tok in text.split():
         if tok.startswith(MENTION_SIGIL):
-            handle = tok[1:]
-            while handle and handle[-1] in _EDGE_PUNCT:
-                handle = handle[:-1]
+            handle = tok[1:].rstrip(string.punctuation)
             if handle:
                 out.append(handle)
     return out

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import math
 from typing import Iterator, Optional, Sequence
 
 import pytest
 
-from campaignkit import fixtures, model
+from campaignkit import fixtures, model, simulator
 from campaignkit.orchestrator import build_simulated_platform, run_campaign
 from campaignkit.platform import (
     InboundItem,
+    ItemKind,
     Platform,
     PlatformCapabilities,
     PlatformRejected,
@@ -78,6 +80,63 @@ def reference_platform(population, rng, start_ms: int = 1_430_000_000_000) -> Si
         if gap is not None:
             platform._push(start_ms + gap, "post", agent)
     return platform
+
+
+class ReferencePopulation(simulator.AgentPopulation):
+    """The agent population with every draw made by the stdlib call the
+    simulator reproduces: ``choice``, ``expovariate`` and ``uniform`` on the
+    rng, and each text formatted when it is made. Keeps every public post it
+    makes in ``posts``."""
+
+    def __init__(self, profile, topics, rng):
+        super().__init__(profile, topics, rng)
+        self.posts: list[InboundItem] = []
+
+    def next_post_gap_ms(self, agent, rng):
+        if agent.post_rate <= 0:
+            return None
+        return max(1, int(round(rng.expovariate(agent.post_rate / simulator.HOUR_MS))))
+
+    def make_public_post(self, agent, ts, rng):
+        topic = rng.choice(self.topics)
+        keyword = rng.choice(topic.keywords)
+        pattern = rng.choice(simulator._POST_PATTERNS)
+        item = InboundItem(
+            ItemKind.PUBLIC_POST, agent.user_id, self._mint("t"), ts, None,
+            pattern.format(keyword=keyword),
+        )
+        self.posts.append(item)
+        return item
+
+    def _reply_delay_ms(self, rng):
+        return int(round(math.exp(rng.uniform(*self._log_delay_ms))))
+
+    def react(self, user_id, message, now, rng, *, favorites_enabled=True):
+        agent = self.by_id.get(user_id)
+        if agent is None:
+            return []
+        items = []
+        if message.solicits and agent.replies_made < agent.max_turns:
+            if rng.random() < simulator.resolve_propensity(agent.reply_propensity, message.strategy):
+                agent.replies_made += 1
+                if agent.on_topic is None:
+                    agent.on_topic = rng.random() < simulator.resolve_propensity(
+                        agent.on_topic_probability, message.strategy
+                    )
+                pattern = rng.choice(
+                    simulator._ON_TOPIC_PATTERNS if agent.on_topic else simulator._OFF_TOPIC_PATTERNS
+                )
+                tag = simulator.ON_TOPIC_TAG if agent.on_topic else simulator.OFF_TOPIC_TAG
+                items.append(InboundItem(
+                    ItemKind.REPLY_TO_BOT, user_id, self._mint("r"),
+                    now + self._reply_delay_ms(rng), message.message_id,
+                    pattern.format(topic=message.topic, tag=tag),
+                ))
+        items.extend(self.interaction_draws(
+            user_id, message.strategy, message.message_id, now, rng,
+            favorites_enabled=favorites_enabled,
+        ))
+        return items
 
 
 def reference_config_dict(config: model.CampaignConfig) -> dict:
@@ -210,8 +269,6 @@ class StubPlatform(Platform):
 
 
 def public_post(author: str, text: str, ts: int, message_id: Optional[str] = None) -> InboundItem:
-    from campaignkit.platform import ItemKind
-
     return InboundItem(
         kind=ItemKind.PUBLIC_POST,
         author=author,

@@ -253,9 +253,8 @@ def test_fixtures_are_byte_identical_to_the_pinned_files(tmp_path, capsys):
 
 
 # sha256 of ``campaign report`` stdout, (table, json-lines), for each input.
-# The file names are those ``campaign fixtures`` writes, plus three made from
-# them: an empty log, the reference log with conversation direct-0000's
-# strategy blanked (an arm the report leaves out), and the seed-5 campaign.
+# The file names are those ``campaign fixtures`` writes, plus two made from
+# them: an empty log and the seed-5 campaign.
 REPORT_SHA256 = {
     ("reference.log",): (
         "52414315960324cace8489bda4947ffb266ca2d0ecc22049ccd186b2fc6a00e0",
@@ -275,10 +274,6 @@ REPORT_SHA256 = {
     ("empty.log",): (
         "be2796a1bb8735235aa838f2b899b63e1cfbfa965bee5e57e18b06a18563d9c3",
         "db1c9d9be61883c9c561e43ba74f3299b1fb189b2fa87916ab61d604721ce83d",
-    ),
-    ("blank_arm.log",): (
-        "35fc6280c2b5a27cd3d12556bda0d3a2e3dd97f663ac66e4c97644cde415d56c",
-        "a0c1fa2a53b6d9c54a615cedaf9f23c2dfc6b2da1ec2c317f1189f7a5c46bedd",
     ),
     ("seed5.log",): (
         "4042d60d430114389faf568e4d10a45173c13721508ae54b1c6ea952441a37e2",
@@ -314,3 +309,13 @@ def test_report_output_is_byte_identical_to_the_pin(report_inputs, monkeypatch, 
         assert main(["report", "--log", *args, "--format", fmt]) == 0
         digests.append(hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest())
     assert tuple(digests) == REPORT_SHA256[args]
+
+
+def test_report_refuses_a_log_whose_call_has_an_empty_strategy(report_inputs, capsys):
+    # The reference log with conversation direct-0000's strategy blanked: its
+    # call, the log's first record, names no arm, so no report can count it.
+    capsys.readouterr()
+    assert main(["report", "--log", str(report_inputs / "blank_arm.log")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "record 1 (seq 1): outbound message missing strategy" in captured.err

@@ -294,6 +294,12 @@ def test_validator_rejects_an_abort_that_opens_a_conversation_without_members():
     assert validate_events([_call(1), replace(abort, members=("d", "e", "f"))])
 
 
+@pytest.mark.parametrize("strategy", [None, ""])
+def test_validator_rejects_an_outbound_message_without_a_strategy(strategy):
+    with pytest.raises(MalformedLog, match=r"^record 2 \(seq 2\): outbound message missing strategy"):
+        validate_events([_call(1), _call(2, conv="c2", members="@d", strategy=strategy)])
+
+
 def test_validator_rejects_interaction_without_target_author():
     retweet = _event(
         2,

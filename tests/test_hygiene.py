@@ -1,8 +1,9 @@
 """Source hygiene: every imported name in src/, tests/ and perfbench/ is
 used; no class in src/ but ``FieldCodec`` writes its own codec; no
 function body on the per-item paths looks up an enum member by attribute;
-nothing in src/ but ``model.load_yaml`` chooses a YAML loader; and no
-function body in src/ imports.
+nothing in src/ but ``model.load_yaml`` chooses a YAML loader; no
+function body in src/ imports; and no function body in the simulated
+platform calls the rng's ``choice``, ``uniform`` or ``expovariate``.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -271,5 +272,51 @@ def test_no_function_body_in_src_imports():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src").rglob("*.py"))
         for line, name in function_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+# The simulated platform draws through the forms the tests check against the
+# stdlib calls they reproduce (``simulator.draw_index``, ``draw_exponential``
+# and ``draw_uniform``), never through the calls themselves.
+DRAW_MODULES = ("platform", "simulator")
+STDLIB_DRAWS = {"choice", "uniform", "expovariate"}
+
+
+def stdlib_draws(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each call of ``choice``, ``uniform`` or ``expovariate``,
+    as a method or a bare name, inside a function body."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call):
+                    name = getattr(sub.func, "attr", getattr(sub.func, "id", None))
+                    if name in STDLIB_DRAWS:
+                        found.add((sub.lineno, name))
+    return sorted(found)
+
+
+def test_stdlib_draws_in_function_bodies_are_detected():
+    source = (
+        "import random\n"
+        "FIRST = random.choice([1, 2])\n"
+        "def f(rng, seq):\n"
+        "    i = draw_index(rng, len(seq))\n"
+        "    return seq[i], rng.choices(seq), rng.choice(seq)\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        gap = lambda rate: self.rng.expovariate(rate)\n"
+        "        return uniform(0, 1) + gap(2.0)\n"
+    )
+    assert stdlib_draws(source) == [(5, "choice"), (8, "expovariate"), (9, "uniform")]
+
+
+def test_simulated_platform_draws_through_parity_tested_forms():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name in DRAW_MODULES
+        for path in [ROOT / "src" / "campaignkit" / f"{name}.py"]
+        for line, name in stdlib_draws(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -7,11 +7,12 @@ from types import MappingProxyType
 import pytest
 from hypothesis import example, given, strategies as st
 
-from campaignkit import fixtures
+from campaignkit import fixtures, platform
 from campaignkit.eventlog import conversation_members
-from campaignkit.model import EventKind, LabelValue, OUTBOUND_KINDS
-from campaignkit.platform import ItemKind
+from campaignkit.model import EventKind, LabelValue, OUTBOUND_KINDS, Topic
+from campaignkit.platform import ItemKind, SimulatedPlatform
 from campaignkit.simulator import (
+    HOUR_MS,
     ON_TOPIC_TAG,
     AgentPopulation,
     BotMessageMeta,
@@ -19,10 +20,16 @@ from campaignkit.simulator import (
     ReplyDelay,
     SimulationProfile,
     derive_labels,
+    draw_exponential,
+    draw_index,
+    draw_uniform,
     resolve_profile,
     resolve_propensity,
 )
+from campaignkit.strategy import MessageKind, OutboundMessage
+from campaignkit.text import FoldedKeywords, match_keyword
 
+from conftest import ReferencePopulation
 from test_platform import make_sim
 
 TOPICS = fixtures.default_topics()
@@ -101,8 +108,6 @@ def test_zero_post_rate_yields_empty_stream():
 
 
 def test_every_generated_post_matches_a_keyword():
-    from campaignkit.text import FoldedKeywords, match_keyword
-
     sim = make_sim(SimulationProfile(population=40, post_rate=1.0), seed=2)
     keywords = ["corrupcion", "impunidad"]
     for item in itertools.islice(sim.inbound(keywords), 500):
@@ -240,3 +245,111 @@ def test_population_build_is_deterministic():
         population = AgentPopulation(SimulationProfile(population=500), TOPICS, rng)
         profiles.append([(a.user_id, a.max_turns, a.post_rate) for a in population.agents])
     assert profiles[0] == profiles[1]
+
+
+# -- draws: each reproduces a stdlib call, value and rng state alike ------------
+
+_DRAW_SEEDS = (0, 7, 4243, "11:platform")
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+def test_draw_index_draws_what_choice_draws(seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for n in [*range(1, 71), 2**31 - 1, 2**32, 2**32 + 1, 10**12 + 39, 2**62 + 5]:
+        for _ in range(5):
+            assert draw_index(ours, n) == stdlib.choice(range(n))
+            assert ours.getstate() == stdlib.getstate()
+
+
+def test_draw_index_of_nothing_fails_without_drawing():
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(IndexError):
+        random.Random(1).choice(())
+    with pytest.raises(IndexError):
+        draw_index(rng, 0)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("seed", _DRAW_SEEDS)
+def test_exponential_and_uniform_draws_equal_the_stdlib_calls(seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    for lambd in (0.2 / HOUR_MS, 1.0 / HOUR_MS, 3e-9, 0.5, 1.0, 7.25, 1e6):
+        for _ in range(200):
+            assert draw_exponential(ours, lambd) == stdlib.expovariate(lambd)
+            assert ours.getstate() == stdlib.getstate()
+    delays = ReplyDelay()
+    for low, high in (
+        (math.log(delays.min_s * 1000), math.log(delays.max_s * 1000)),
+        (0.0, 1.0), (-3.5, 2.25), (1e-300, 1e300), (5.0, 5.0),
+    ):
+        for _ in range(200):
+            assert draw_uniform(ours, low, high) == stdlib.uniform(low, high)
+            assert ours.getstate() == stdlib.getstate()
+
+
+# Topics whose keyword counts (1, 2 and 5) make the keyword pick redraw
+# differently; the stream keeps the posts with one of _STREAM_KEYWORDS only.
+_STREAM_TOPICS = (
+    Topic("corruption", ("corrupcion", "soborno")),
+    Topic("impunity", ("impunidad",)),
+    Topic("violence", ("violencia", "inseguridad", "asalto", "robo", "extorsion")),
+)
+_STREAM_KEYWORDS = ["Corrupción", "impunidad", "asalto", "robo"]
+_ARMS = ("direct", "loss", "gain", "solidarity")
+
+
+def _bot_stream(population_type, profile, seed, length):
+    """``length`` items of a platform over ``population_type``, with the bot
+    calling every three public posters and following up every reply; returns
+    the items, the population and the rng."""
+    rng = random.Random(f"{seed}:platform")
+    population = population_type(profile, _STREAM_TOPICS, rng)
+    sim = SimulatedPlatform(population, rng)
+    items, posters, sent, turns = [], [], {}, {}
+    for item in itertools.islice(sim.inbound(_STREAM_KEYWORDS), length):
+        items.append(item)
+        if item.kind is ItemKind.PUBLIC_POST:
+            posters.append(item.author)
+            if len(posters) == 3:
+                conv = f"c{len(items)}"
+                call = OutboundMessage(
+                    MessageKind.CALL, "call", tuple(posters), _ARMS[len(items) % 4],
+                    _STREAM_TOPICS[len(items) % 3].name, conv,
+                )
+                sent[sim.post(call)] = call
+                posters = []
+        elif item.kind is ItemKind.REPLY_TO_BOT and item.in_reply_to in sent:
+            asked = sent[item.in_reply_to]
+            turns[asked.conversation_id] = turn = turns.get(asked.conversation_id, 0) + 1
+            followup = OutboundMessage(
+                MessageKind.FOLLOWUP, "question", (item.author,), asked.strategy, asked.topic,
+                asked.conversation_id, turn,
+            )
+            sent[sim.post(followup, turn=turn)] = followup
+    return items, population, rng
+
+
+def test_post_and_reaction_stream_matches_the_stdlib_reference(monkeypatch):
+    profile = SimulationProfile(
+        population=60, post_rate=2.0, mean_turns=3.0, reply_propensity=0.6,
+        interaction_propensity=0.4, on_topic_probability=0.7,
+        mixture=(MixtureComponent(weight=2.0), MixtureComponent(weight=1.0, post_rate=0.0)),
+    )
+    ref_items, reference, ref_rng = _bot_stream(ReferencePopulation, profile, 5, 2000)
+    matched = []
+    monkeypatch.setattr(
+        platform, "match_keyword", lambda text, folded: matched.append(text) or match_keyword(text, folded)
+    )
+    items, _population, rng = _bot_stream(AgentPopulation, profile, 5, 2000)
+    assert items == ref_items
+    assert rng.getstate() == ref_rng.getstate()
+    # The stream keeps exactly the matching posts, matching each text once.
+    folded = FoldedKeywords(_STREAM_KEYWORDS)
+    kept = [p for p in reference.posts if match_keyword(p.text, folded) is not None]
+    assert [i for i in items if i.kind is ItemKind.PUBLIC_POST] == kept
+    assert sorted(matched) == sorted({p.text for p in reference.posts})
+    assert len(kept) < len(reference.posts)
+    assert {i.kind for i in items} == set(ItemKind)
+    repliers = [i.author for i in items if i.kind is ItemKind.REPLY_TO_BOT]
+    assert len(repliers) > len(set(repliers))  # follow-ups drew second replies

@@ -1,3 +1,4 @@
+import string
 import unicodedata
 
 from hypothesis import given, strategies as st
@@ -88,6 +89,49 @@ def test_tokenize_case_folds():
 
 def test_tokenize_drops_bare_punctuation():
     assert tokenize("- # @ !!") == []
+
+
+def _tokenize_reference(text):
+    """Strips one character at a time: trailing punctuation, then leading
+    punctuation other than the sigils '#' and '@'."""
+    tokens = []
+    for raw in text.split():
+        tok = raw.casefold()
+        while tok and tok[-1] in string.punctuation:
+            tok = tok[:-1]
+        while tok and tok[0] in string.punctuation and tok[0] not in "#@":
+            tok = tok[1:]
+        if tok and tok not in ("#", "@"):
+            tokens.append(tok)
+    return tokens
+
+
+def _mentions_reference(text):
+    out = []
+    for tok in text.split():
+        if tok.startswith("@"):
+            handle = tok[1:]
+            while handle and handle[-1] in string.punctuation:
+                handle = handle[:-1]
+            if handle:
+                out.append(handle)
+    return out
+
+
+_PUNCTUATED = st.one_of(
+    st.text(),
+    st.text(alphabet=st.sampled_from(string.punctuation + string.whitespace + "aZ1ÉßΣİﬁ\u3000\x85")),
+)
+
+
+@given(_PUNCTUATED)
+def test_tokenize_and_mentions_match_the_per_character_reference(text):
+    assert tokenize(text) == _tokenize_reference(text)
+    assert mentions_in_text(text) == _mentions_reference(text)
+
+
+def test_tokenize_strips_leading_punctuation_but_not_sigils():
+    assert tokenize("¡(hola) «x» ...#tag! -@ana? '#'") == ["¡(hola", "«x»", "#tag", "@ana"]
 
 
 def test_mentions_in_text():
