@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: run, resume, report, keyterms, validate, fixtures. run and
-resume drive the campaign against the simulated platform. Exit codes:
+resume drive the campaign against the simulated platform; resume re-runs it
+from the start with the interrupted run's --config and --seed, checking it
+against the log, and --max-hours counts from the campaign start. Exit codes:
 0 success; 1 a violated config invariant (or too few key-term histories);
 2 a config that does not decode, simulation subtree included, or another
 runtime error such as an invalid log. All output is deterministic under a
@@ -185,16 +187,16 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int, default=None, help="override the config random_seed")
     run.add_argument("--out", default=None, help="output event log (default $CAMPAIGN_LOG_DIR/campaign.log)")
-    run.add_argument("--max-hours", type=float, default=None, help="virtual deadline")
+    run.add_argument("--max-hours", type=float, default=None, help="virtual deadline from the campaign start")
     run.set_defaults(func=cmd_run)
 
     resume = sub.add_parser(
-        "resume", help="continue an interrupted run on the simulated platform, appending to its log"
+        "resume", help="re-run an interrupted run from its start, checking and then appending to its log"
     )
     resume.add_argument("--log", required=True)
-    resume.add_argument("--config", required=True)
-    resume.add_argument("--seed", type=int, default=None)
-    resume.add_argument("--max-hours", type=float, default=None)
+    resume.add_argument("--config", required=True, help="the interrupted run's config")
+    resume.add_argument("--seed", type=int, default=None, help="the interrupted run's --seed")
+    resume.add_argument("--max-hours", type=float, default=None, help="virtual deadline from the campaign start")
     resume.set_defaults(func=cmd_resume)
 
     report = sub.add_parser("report", help="participation metrics from an event log")

@@ -19,7 +19,9 @@ anything but strings, whose ``members`` is not a list of strings, or whose
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
 :func:`replay` applies each event it reads, so a live run and a replay of its
-log hold the same conversation records and contacted users.
+log hold the same conversation records. A resumed run does not fold its log:
+it runs again from the start, and its :class:`EventLogWriter` checks the
+events it re-produces against the log before it appends.
 
 A log is validated once. :func:`validate_events` returns a
 :class:`ValidatedLog`, a list sealed against change: every mutating method
@@ -131,17 +133,25 @@ class EventLogWriter:
     """Append-only writer; fsyncs every block of records and on close.
 
     A None path keeps the events in memory only (handy for property tests).
+    While ``replaying`` the events already ``logged``, each append must equal
+    the next of them, or :class:`MalformedLog` names its seq; nothing is
+    written until all are re-produced. ``events`` holds them too.
     """
 
-    def __init__(self, path: Optional[str], append: bool = False):
+    def __init__(self, path: Optional[str], append: bool = False, logged: Sequence[CampaignEvent] = ()):
         self.path = path
         self._fh: Optional[IO[str]] = (
             open(path, "a" if append else "w", encoding="utf-8") if path is not None else None
         )
         self._since_sync = 0
         self.events: list[CampaignEvent] = []
+        self._logged = logged
+        self.replaying = bool(logged)
 
     def append(self, event: CampaignEvent) -> None:
+        if self.replaying:
+            self._check(event)
+            return
         self.events.append(event)
         if self._fh is None:
             return
@@ -149,6 +159,13 @@ class EventLogWriter:
         self._since_sync += 1
         if self._since_sync >= _FSYNC_BLOCK:
             self._sync()
+
+    def _check(self, event: CampaignEvent) -> None:
+        logged = self._logged[len(self.events)]
+        if event != logged:
+            raise MalformedLog(f"resume diverged at seq {logged.seq}")
+        self.events.append(event)
+        self.replaying = len(self.events) < len(self._logged)
 
     def _sync(self) -> None:
         if self._fh is None:
@@ -358,31 +375,25 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
 
 @dataclass
 class CampaignState:
-    """Records, contacted users and message routing, folded from the log.
+    """Records and message routing, folded from the log.
 
-    :meth:`apply` is the only writer of records, sent ids, contacted users
-    and message mappings; the orchestrator calls it on every event it writes.
-    A user is contacted once a call names them or an aborted call lists them.
+    :meth:`apply` is the only writer of records, sent ids and message
+    mappings; the orchestrator calls it on every event it writes.
     """
 
     records: dict[str, ConversationRecord] = field(default_factory=dict)
-    contacted: set[str] = field(default_factory=set)
     message_conversations: dict[str, str] = field(default_factory=dict)
     last_seq: int = 0
-    last_ts: int = 0
     # When the last outbound message was posted; None before the first.
     last_outbound_ts: Optional[int] = None
 
     def apply(self, event: CampaignEvent) -> None:
         """Fold one valid event into the state."""
         self.last_seq = event.seq
-        if event.ts > self.last_ts:
-            self.last_ts = event.ts
         conv, kind = event.conversation_id, event.kind
         if kind is EVENT_OUTBOUND_CALL:
             members = tuple(mentions_in_text(event.text or ""))
             self.records[conv] = ConversationRecord(conv, event.topic or "", event.strategy or "", members)
-            self.contacted.update(members)
         if kind in OUTBOUND_KINDS:
             self.last_outbound_ts = event.ts
             record = self.records.get(conv)
@@ -396,15 +407,11 @@ class CampaignState:
                 conv = self.message_conversations[event.in_reply_to]
                 self.message_conversations[event.message_id] = conv
         elif kind is EVENT_ABORT:
-            # A rejected call leaves a closed record of its group, so its
-            # conversation id is never handed out again and its members are
-            # contacted.
-            members = event.members or ()
+            # A rejected call leaves a closed record of the group it named.
             record = self.records.setdefault(
-                conv, ConversationRecord(conv, event.topic or "", event.strategy or "", members)
+                conv, ConversationRecord(conv, event.topic or "", event.strategy or "", event.members or ())
             )
             record.closed = True
-            self.contacted.update(members)
 
 
 def replay(events: Iterable[CampaignEvent]) -> CampaignState:

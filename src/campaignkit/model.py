@@ -2,8 +2,8 @@
 
 Values are plain dataclasses, immutable after construction wherever the type
 is a pure value; the orchestrator owns the only mutable working state
-(conversation records and contacted users folded from the event log, plus
-the users it has admitted) behind a single-writer loop.
+(conversation records folded from the event log, plus the users it has
+admitted) behind a single-writer loop.
 Timestamps are integer milliseconds since the Unix epoch, UTC.
 
 The config records, the simulation profile and ``VolunteerLabel`` share one

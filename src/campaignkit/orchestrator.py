@@ -3,10 +3,13 @@
 One single-writer event loop owns all mutable state: the users it has
 admitted, the arm allocator, the group buffers, the conversation state and
 the append-only log. The platform's one ordered inbound stream feeds it;
-analytics reads log snapshots. The loop adds no conversation record, sent id,
-contacted user or message mapping itself: it appends an event and applies it
-to its ``CampaignState``, the same fold that ``replay`` runs over a log, so a
-resumed run starts from the state the interrupted one had at the cut.
+analytics reads log snapshots. The loop adds no conversation record, sent id
+or message mapping itself: it appends an event and applies it to its
+``CampaignState``, the same fold that ``replay`` runs over a log. A resume
+runs the same path from the start on a platform rebuilt from the seed, so
+every state comes back and the joined log is the uninterrupted one. A
+``max_hours`` deadline stops the loop and flushes nothing: the cut log is a
+byte prefix of the uninterrupted log, without the calls not yet posted.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -36,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
-from .eventlog import CampaignState, EventLogWriter, drop_torn_tail, read_events, replay
+from .eventlog import CampaignState, EventLogWriter, MalformedLog, drop_torn_tail, read_events
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_FAVORITE, EVENT_INBOUND_REPLY, EVENT_RETWEET, TARGET_BOT,
     TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, TargetUser,
@@ -90,7 +93,7 @@ class ArmAllocator:
         self.assigned: dict[tuple[str, str], int] = {
             (topic, arm): 0 for topic in self.topics for arm in self.arms
         }
-        # Arms with quota left, per topic and in total; kept by ``charge``.
+        # Arms with quota left, per topic and in total; kept by ``assign``.
         self._open = {topic: len(self.arms) if self.quota > 0 else 0 for topic in self.topics}
         self._open_total = sum(self._open.values())
         self._block: list[StrategyId] = []
@@ -110,18 +113,11 @@ class ArmAllocator:
     def any_capacity(self) -> bool:
         return self._open_total > 0
 
-    def charge(self, topic: str, arm: StrategyId, users: int = 1) -> None:
-        """Count ``users`` more targets against the (topic, arm) quota.
+    def assign(self, topic: str) -> StrategyId:
+        """The next arm with quota left for ``topic``, charged one target.
 
         The only writer of ``assigned``, so the capacity counters stay exact.
         """
-        had_room = self.remaining(topic, arm) > 0
-        self.assigned[(topic, arm)] += users
-        if had_room and self.remaining(topic, arm) <= 0:
-            self._open[topic] -= 1
-            self._open_total -= 1
-
-    def assign(self, topic: str) -> StrategyId:
         if not self.has_capacity(topic):
             raise AllQuotasExhausted(topic)
         while True:
@@ -130,7 +126,10 @@ class ArmAllocator:
             arm = self._block[self._cursor]
             self._cursor += 1
             if self.remaining(topic, arm) > 0:
-                self.charge(topic, arm)
+                self.assigned[(topic, arm)] += 1
+                if self.remaining(topic, arm) == 0:
+                    self._open[topic] -= 1
+                    self._open_total -= 1
                 return arm
 
 
@@ -164,7 +163,7 @@ class GroupBuffer:
         return None
 
     def stale(self, now: int, timeout_ms: int) -> list[tuple[str, str, list[TargetUser]]]:
-        """Pop every partial buffer older than the timeout."""
+        """Pop every partial buffer older than the timeout (every one at 0)."""
         out = []
         for (topic, arm), buf in self._buffers.items():
             if buf.targets and buf.oldest_ts is not None and now - buf.oldest_ts >= timeout_ms:
@@ -176,15 +175,6 @@ class GroupBuffer:
     def oldest(self) -> Optional[int]:
         """When the oldest target still queued was added, or None if all are empty."""
         return min((b.oldest_ts for b in self._buffers.values() if b.oldest_ts is not None), default=None)
-
-    def drain(self) -> list[tuple[str, str, list[TargetUser]]]:
-        out = []
-        for (topic, arm), buf in self._buffers.items():
-            if buf.targets:
-                out.append((topic, arm, buf.targets))
-                buf.targets = []
-                buf.oldest_ts = None
-        return out
 
 
 @dataclass(frozen=True)
@@ -226,14 +216,7 @@ class DispatchSchedule:
 class Orchestrator:
     """Drives one campaign run against a platform adapter."""
 
-    def __init__(
-        self,
-        config: CampaignConfig,
-        platform: Platform,
-        writer: EventLogWriter,
-        *,
-        resume_state: Optional[CampaignState] = None,
-    ):
+    def __init__(self, config: CampaignConfig, platform: Platform, writer: EventLogWriter):
         violations = validate_config(config)
         if violations:
             raise CampaignError(f"invalid config: {violations[0]}")
@@ -260,16 +243,10 @@ class Orchestrator:
             topic: {arm: [] for arm in self.arm_ids} for topic in self.topic_names
         }
         self.schedule = DispatchSchedule()
-        # A resumed run continues from the state replayed from its log, and
-        # its platform mints no message id the log already holds.
-        self.state = resume_state if resume_state is not None else CampaignState()
-        platform.skip_message_ids(self.state.message_conversations)
-        self.registry = ContactRegistry(self.state.contacted)
+        self.state = CampaignState()
+        self.registry = ContactRegistry()
         self.conv_counter = 0
-        for record in self.state.records.values():
-            if (record.topic, record.strategy) in self.allocator.assigned:
-                self.allocator.charge(record.topic, record.strategy, len(record.members))
-        self.now = max(platform.now_ms(), self.state.last_ts)
+        self.now = platform.now_ms()
         self._calls_in_flight = 0
         self._last_batch_topic: Optional[str] = None
         self._timeout_ms = config.partial_groups.timeout_s * 1000
@@ -345,14 +322,8 @@ class Orchestrator:
     def _schedule_call(
         self, topic: str, arm: StrategyId, group: list[TargetUser], *, partial: bool
     ) -> None:
-        # Skip ids the log already holds: a resumed log can have gaps, since
-        # a batch's calls are posted out of id order and a crash can fall
-        # between them; aborted calls keep their ids as closed records.
-        while True:
-            self.conv_counter += 1
-            conversation_id = f"c{self.conv_counter:06d}"
-            if conversation_id not in self.state.records:
-                break
+        self.conv_counter += 1
+        conversation_id = f"c{self.conv_counter:06d}"
         members = tuple(t.user_id for t in group)
         messages = strategy_mod.compose_call(
             self.specs[arm],
@@ -381,13 +352,13 @@ class Orchestrator:
         self.platform.advance_to(due)
         for message in send.messages:
             try:
-                message_id = self.platform.post(message, turn=message.turn)
+                message_id = self.platform.post(message)
             except RateLimited as exc:
                 self.schedule.push(due + max(1, exc.retry_after_ms), send)
                 return
             except PlatformRejected as exc:
                 # A rejected call still counts as the one touch: its abort
-                # names the group, so they are contacted on resume too.
+                # names the group.
                 self._emit(
                     due, EVENT_ABORT, BOT_ACTOR, send.arm, send.topic, send.conversation_id,
                     None, None, None, f"platform rejected {message.kind.value}: {exc}", False,
@@ -512,13 +483,13 @@ class Orchestrator:
         self._schedule_call(topic, arm, targets, partial=True)
 
     def _finalize(self) -> None:
-        """End of stream or deadline: flush buffers, then drain the schedule."""
+        """End of stream or drained: flush buffers, then drain the schedule."""
         for topic in self.topic_names:
             for arm in self.arm_ids:
                 for group, _formed in self.ready[topic][arm]:
                     self._schedule_call(topic, arm, group, partial=False)
                 self.ready[topic][arm] = []
-        for topic, arm, targets in self.buffers.drain():
+        for topic, arm, targets in self.buffers.stale(self.now, 0):
             self._flush_partial(topic, arm, targets)
         while len(self.schedule):
             due, send = self.schedule.pop()
@@ -527,6 +498,8 @@ class Orchestrator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self, max_hours: Optional[float] = None) -> None:
+        """Run to the end of the stream or the drain, then finalize; or stop
+        at the first item ``max_hours`` past the start, flushing nothing."""
         deadline = None if max_hours is None else self.now + int(max_hours * 3_600_000)
         stream = self.platform.inbound(list(self.config.keywords()))
         pending: Optional[InboundItem] = None
@@ -544,7 +517,7 @@ class Orchestrator:
                 item = pending
                 pending = None
                 if deadline is not None and item.timestamp > deadline:
-                    break
+                    return
                 if self._drained(item.timestamp):
                     break
                 if item.timestamp > self.now:
@@ -564,22 +537,20 @@ class Orchestrator:
         tail has been given time to arrive."""
         if self.allocator.any_capacity() or len(self.schedule) or self._calls_in_flight:
             return False
-        # The window runs from the last outbound message in the log, which a
-        # resumed run holds too, so the stream's own clock never moves it. A
-        # log with no outbound message has no reaction to wait for.
+        # The window runs from the last outbound message in the log. A log
+        # with no outbound message has no reaction to wait for.
         last_outbound = self.state.last_outbound_ts
         if last_outbound is not None and next_ts <= last_outbound + DRAIN_WINDOW_MS:
             return False
         return not any(self.ready[t][a] for t in self.topic_names for a in self.arm_ids)
 
 
-def build_simulated_platform(config: CampaignConfig, seed: Optional[int] = None) -> Platform:
+def build_simulated_platform(config: CampaignConfig) -> Platform:
     """Construct the simulated platform described by the config's
-    ``simulation`` subtree (optionally a named built-in profile)."""
+    ``simulation`` subtree (optionally a named built-in profile), seeded by
+    its ``random_seed``."""
     profile = resolve_profile(config.simulation)
-    if seed is None:
-        seed = config.random_seed
-    rng = random.Random(f"{seed}:platform")
+    rng = random.Random(f"{config.random_seed}:platform")
     population = AgentPopulation(profile, config.topics, rng)
     capabilities = PlatformCapabilities(
         char_limit=config.char_limit,
@@ -602,20 +573,26 @@ def run_campaign(
     resume: bool = False,
     max_hours: Optional[float] = None,
 ) -> list[CampaignEvent]:
-    """Drive a full campaign and return the events written to ``out_path``.
+    """Drive a full campaign and return the events of the log at ``out_path``.
 
-    With ``resume`` the run continues the log at ``out_path``: a torn final
-    line left by a crash is dropped (with a warning) before the log is read.
+    With ``resume`` the run continues that log. A torn final line left by a
+    crash is dropped (with a warning), the rest is read, and the campaign is
+    re-executed from its start on ``platform``, which must be built afresh
+    from the interrupted run's config and seed. Events the log already holds
+    are checked, not written; the run raises ``MalformedLog`` if one differs,
+    or if it stops before it has re-produced them all (a ``max_hours`` that
+    ends before the cut, say). ``max_hours`` counts from the campaign start.
     """
-    resume_state = None
-    prior: list[CampaignEvent] = []
+    logged: list[CampaignEvent] = []
     if resume:
         torn = drop_torn_tail(out_path)
         if torn:
             logger.warning("dropped a torn final line (%d bytes) from %s", torn, out_path)
-        prior = read_events(out_path)
-        resume_state = replay(prior)
-    with EventLogWriter(out_path, append=resume) as writer:
-        orchestrator = Orchestrator(config, platform, writer, resume_state=resume_state)
-        orchestrator.run(max_hours=max_hours)
-        return prior + list(writer.events)
+        logged = read_events(out_path)
+    with EventLogWriter(out_path, append=resume, logged=logged) as writer:
+        Orchestrator(config, platform, writer).run(max_hours=max_hours)
+        if writer.replaying:
+            raise MalformedLog(
+                f"resume stopped before seq {logged[len(writer.events)].seq} of the log"
+            )
+        return list(writer.events)

@@ -14,12 +14,11 @@ dispatcher thread only.
 from __future__ import annotations
 
 import heapq
-import re
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .model import CampaignError, slot_init
 from .strategy import MESSAGE_CALL, MESSAGE_QUOTE, OutboundMessage
@@ -82,7 +81,13 @@ class BotMessageMeta:
 
 
 class Platform(ABC):
-    """Port every adapter implements."""
+    """Port every adapter implements.
+
+    A campaign resumes by re-running on an adapter rebuilt from its seed, so
+    only one that replays (the same stream and message ids for the same
+    posts), like the simulated platform, can be resumed. A real network
+    adapter cannot until the log records write-ahead call intents.
+    """
 
     capabilities: PlatformCapabilities
 
@@ -93,13 +98,9 @@ class Platform(ABC):
         """Move the platform clock forward; a no-op for real-time adapters."""
 
     @abstractmethod
-    def post(self, message: OutboundMessage, *, turn: int = 0) -> str:
+    def post(self, message: OutboundMessage) -> str:
         """Deliver one outbound message, at most once per idempotency key
         (conversation, kind, turn); returns the durable message id."""
-
-    def skip_message_ids(self, used: Iterable[str]) -> None:
-        """Never hand out an id in ``used``: a resumed run's log holds them.
-        A no-op for adapters whose ids are unique across runs."""
 
     @abstractmethod
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
@@ -118,9 +119,6 @@ class Platform(ABC):
                 f"message is {len(message.text)} characters, "
                 f"limit is {self.capabilities.char_limit}"
             )
-
-
-_MESSAGE_ID = re.compile(r"m([0-9]+)")
 
 
 class SimulatedPlatform(Platform):
@@ -178,9 +176,9 @@ class SimulatedPlatform(Platform):
 
     # -- port operations --------------------------------------------------------
 
-    def post(self, message: OutboundMessage, *, turn: int = 0) -> str:
+    def post(self, message: OutboundMessage) -> str:
         kind = message.kind
-        key = (message.conversation_id, kind, turn)
+        key = (message.conversation_id, kind, message.turn)
         already = self._posted.get(key)
         if already is not None:
             return already
@@ -225,13 +223,6 @@ class SimulatedPlatform(Platform):
                         ):
                             self._push(extra.timestamp, "item", extra)
         return message_id
-
-    def skip_message_ids(self, used: Iterable[str]) -> None:
-        """Mint ids past the highest ``m`` id in ``used``."""
-        for message_id in used:
-            match = _MESSAGE_ID.fullmatch(message_id)
-            if match is not None:
-                self._message_counter = max(self._message_counter, int(match.group(1)))
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         folded = FoldedKeywords(keywords)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import BOT_ACTOR, TargetUser, Topic
 from .platform import ITEM_PUBLIC_POST, InboundItem
@@ -57,14 +57,13 @@ class AdmitResult(str, Enum):
 class ContactRegistry:
     """The users the campaign has seen; each is admitted at most once.
 
-    Seeded with the users a log shows as contacted (``CampaignState.contacted``),
-    so after a resume nobody called or aborted before the cut is admitted
-    again. Admitted users that were not yet called are not in the log, so a
-    resumed registry does not hold them.
+    It starts empty on every run. A resumed run re-executes the campaign from
+    its start, so it admits again exactly the users the interrupted run had
+    admitted, called or not.
     """
 
-    def __init__(self, contacted: Iterable[str] = ()) -> None:
-        self._seen = set(contacted)
+    def __init__(self) -> None:
+        self._seen: set[str] = set()
 
     def admit(self, target: TargetUser) -> AdmitResult:
         if target.user_id in self._seen:

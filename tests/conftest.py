@@ -237,26 +237,21 @@ class StubPlatform(Platform):
     def advance_to(self, ts: int) -> None:
         self._now = max(self._now, ts)
 
-    def post(self, message, *, turn: int = 0) -> str:
+    def post(self, message) -> str:
         if self._reject_all:
             raise PlatformRejected("scripted rejection")
         if self._rate_limit_first > 0:
             self._rate_limit_first -= 1
             raise RateLimited(retry_after_ms=1000)
-        key = (message.conversation_id, message.kind.value, turn)
+        key = (message.conversation_id, message.kind.value, message.turn)
         if key in self._seen:
             return self._seen[key]
         self._check_message(message)
         self._counter += 1
         message_id = f"stub{self._counter:05d}"
         self._seen[key] = message_id
-        self.posted.append((message_id, message, turn))
+        self.posted.append((message_id, message))
         return message_id
-
-    def skip_message_ids(self, used) -> None:
-        for message_id in used:
-            if message_id.startswith("stub"):
-                self._counter = max(self._counter, int(message_id[4:]))
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         from campaignkit.text import FoldedKeywords, match_keyword

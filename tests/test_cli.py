@@ -197,12 +197,26 @@ def test_fixtures_and_keyterms_end_to_end(tmp_path, capsys):
 
 def test_resume_cli(tmp_path, capsys):
     path = _write_config(tmp_path)
+    whole, out = tmp_path / "whole.log", tmp_path / "run.log"
+    assert main(["run", "--config", str(path), "--seed", "12", "--out", str(whole)]) == 0
+    assert main(["run", "--config", str(path), "--seed", "12", "--out", str(out), "--max-hours", "0.5"]) == 0
+    cut = out.read_bytes()
+    assert 0 < len(cut) < len(whole.read_bytes())
+    capsys.readouterr()
+    assert main(["resume", "--log", str(out), "--config", str(path), "--seed", "12"]) == 0
+    assert out.read_bytes() == whole.read_bytes()
+    assert capsys.readouterr().out == f"log {out} now holds {len(eventlog.read_events(str(whole)))} events\n"
+
+
+def test_resume_on_another_seed_exits_two_naming_the_seq(tmp_path, capsys):
+    path = _write_config(tmp_path)
     out = tmp_path / "run.log"
-    assert main(["run", "--config", str(path), "--out", str(out), "--max-hours", "0.1"]) == 0
-    first = len(eventlog.read_events(str(out)))
-    assert main(["resume", "--log", str(out), "--config", str(path), "--seed", "99"]) == 0
-    assert len(eventlog.read_events(str(out))) >= first
-    assert eventlog.validate_events(eventlog.read_events(str(out)))
+    assert main(["run", "--config", str(path), "--seed", "12", "--out", str(out), "--max-hours", "0.5"]) == 0
+    cut = out.read_bytes()
+    capsys.readouterr()
+    assert main(["resume", "--log", str(out), "--config", str(path), "--seed", "99"]) == 2
+    assert capsys.readouterr() == ("", "error: resume diverged at seq 1\n")
+    assert out.read_bytes() == cut
 
 
 def test_bad_log_is_a_runtime_error(tmp_path, capsys):

@@ -143,6 +143,35 @@ def test_writer_append_mode(tmp_path):
     assert [e.seq for e in events] == [1, 2]
 
 
+def test_writer_checks_the_logged_events_then_appends(tmp_path):
+    path = tmp_path / "log.jsonl"
+    logged = [_call(1), _reply(2)]
+    write_events(logged, str(path))
+    before = path.read_bytes()
+    with EventLogWriter(str(path), append=True, logged=logged) as writer:
+        for event in logged:
+            assert writer.replaying
+            writer.append(replace(event))  # equal, not the same object
+        assert not writer.replaying
+        assert path.read_bytes() == before  # re-produced events are not written again
+        writer.append(_reply(3, actor="b"))
+    assert read_events(str(path)) == logged + [_reply(3, actor="b")]
+    assert writer.events == read_events(str(path))
+
+
+def test_writer_raises_at_the_first_event_that_differs_from_the_log(tmp_path):
+    path = tmp_path / "log.jsonl"
+    logged = [_call(1), _reply(2), _reply(3, actor="b")]
+    write_events(logged, str(path))
+    before = path.read_bytes()
+    with EventLogWriter(str(path), append=True, logged=logged) as writer:
+        writer.append(logged[0])
+        with pytest.raises(MalformedLog, match="resume diverged at seq 2$"):
+            writer.append(replace(logged[1], text="another idea"))
+        assert writer.replaying
+    assert path.read_bytes() == before
+
+
 def test_reference_log_validates(reference_log):
     assert validate_events(reference_log) == list(reference_log)
 
@@ -390,15 +419,14 @@ def test_replay_builds_consistent_records(reference_log):
     assert all(state.message_conversations[e.message_id] in state.records for e in replies)
 
 
-def test_replay_folds_every_called_member_into_contacted(reference_log):
+def test_replay_folds_every_called_member_into_its_record(reference_log):
     state = replay(reference_log)
-    assert {"d0000x0", "d0000x1"} <= state.contacted
-    assert state.contacted == {user for record in state.records.values() for user in record.members}
-    assert len(state.contacted) == 376 * 3
+    members = [user for record in state.records.values() for user in record.members]
+    assert {"d0000x0", "d0000x1"} <= set(members)
+    assert len(members) == len(set(members)) == 376 * 3
 
 
 def test_replay_reconstruction_is_idempotent(reference_log):
     once = replay(reference_log)
     twice = replay(reference_log)
-    assert once.records == twice.records
-    assert once.contacted == twice.contacted
+    assert once == twice

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from campaignkit import fixtures
+from campaignkit.model import replace
 from campaignkit.platform import (
     ItemKind,
     PlatformCapabilities,
@@ -78,13 +79,13 @@ def test_post_idempotency_key():
                                 interaction_propensity=0.0, mean_turns=1.0)
     sim = make_sim(profile)
     message = call_message("u00000", "c1")
-    first = sim.post(message, turn=0)
-    second = sim.post(message, turn=0)
+    first = sim.post(message)
+    second = sim.post(message)
     assert first == second
     replies = [i for i in sim.inbound([]) if i.kind is ItemKind.REPLY_TO_BOT]
     assert len(replies) == 1  # delivered at most once
     # A different turn is a different key.
-    assert sim.post(call_message("u00001", "c1"), turn=1) != first
+    assert sim.post(replace(call_message("u00001", "c1"), turn=1)) != first
 
 
 def test_post_enforces_capabilities():

@@ -326,7 +326,7 @@ def _bot_stream(population_type, profile, seed, length):
                 MessageKind.FOLLOWUP, "question", (item.author,), asked.strategy, asked.topic,
                 asked.conversation_id, turn,
             )
-            sent[sim.post(followup, turn=turn)] = followup
+            sent[sim.post(followup)] = followup
     return items, population, rng
 
 

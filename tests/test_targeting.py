@@ -3,7 +3,6 @@ import random
 from hypothesis import given, strategies as st
 
 from campaignkit import fixtures
-from campaignkit.eventlog import replay
 from campaignkit.model import Topic
 from campaignkit.targeting import AdmitResult, ContactRegistry, TopicKeywords, match_target
 from campaignkit.text import fold
@@ -49,16 +48,6 @@ def test_admit_fresh_then_duplicate():
     assert registry.admit(target) is AdmitResult.ADMITTED
     again = match_target(public_post("maria", "mas corrupcion", 2000), TOPICS)
     assert registry.admit(again) is AdmitResult.DUPLICATE_REJECTED
-
-
-def test_admit_rejects_after_registry_reload(reference_log):
-    # Resume seeds the registry with the users the replayed log shows as
-    # called to action: they are never admitted again.
-    contacted = replay(reference_log).contacted
-    assert "d0000x1" in contacted
-    reloaded = ContactRegistry(contacted)
-    target = match_target(public_post("d0000x1", "corrupcion otra vez", 3000), TOPICS)
-    assert reloaded.admit(target) is AdmitResult.DUPLICATE_REJECTED
 
 
 def test_admitted_users_unique_over_random_streams():
