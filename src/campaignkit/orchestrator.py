@@ -22,11 +22,14 @@ The loop does work per inbound item only where it has some. Partial buffers
 and ready groups that wait past the partial-group timeout are flushed, but the
 flush is called only once the clock reaches one stored deadline, a lower
 bound on the earliest of them; quota checks read counters the allocator keeps.
-A public post is not matched against the keywords once every quota is full,
-and the keywords are folded once per run, not per post. The drain check
-compares the clock with its horizon before it scans the ready groups. Each
-skip leaves out only work that could not change a decision, so for a given
-seed the log is byte-identical to one that does all of it after every item.
+The keywords are folded once per run, not per post. The drain check compares
+the clock with its horizon before it scans the ready groups. Each skip leaves
+out only work that could not change a decision, so for a given seed the log
+is byte-identical to one that does all of it after every item.
+
+The admit that fills the last quota closes the platform's public stream; the
+loop then reads only reactions, and asks the stream again after each dispatch,
+since a post may restart a stream that has stopped.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ class Orchestrator:
 
     def _handle_public(self, item: InboundItem) -> None:
         if not self.allocator.any_capacity():
-            return
+            return  # a post that an adapter delivers after the close
         target = match_target(item, self.topic_keywords)
         if target is None:
             return
@@ -277,6 +280,8 @@ class Orchestrator:
         if self.registry.admit(target) is AdmitResult.DUPLICATE_REJECTED:
             return
         target.assigned_strategy = self.allocator.assign(target.topic)
+        if not self.allocator.any_capacity():
+            self.platform.close_public()
         group = self.buffers.add(target, self.now)
         # Every buffer start and every ready group's formation time is the
         # ``now`` of some add, so this keeps the deadline a lower bound.
@@ -498,17 +503,16 @@ class Orchestrator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self, max_hours: Optional[float] = None) -> None:
-        """Run to the end of the stream or the drain, then finalize; or stop
-        at the first item ``max_hours`` past the start, flushing nothing."""
+        """Run until the stream stops with nothing scheduled, or to the drain,
+        then finalize; or stop at the first item ``max_hours`` past the start,
+        flushing nothing."""
         deadline = None if max_hours is None else self.now + int(max_hours * 3_600_000)
         stream = self.platform.inbound(list(self.config.keywords()))
         pending: Optional[InboundItem] = None
-        stream_done = False
         while True:
-            if pending is None and not stream_done:
+            if pending is None:
+                # Asked again after each dispatch: a post may restart a stopped stream.
                 pending = next(stream, None)
-                if pending is None:
-                    stream_done = True
             due = self.schedule.peek_due()
             if due is not None and (pending is None or due <= pending.timestamp):
                 due, send = self.schedule.pop()

@@ -1,14 +1,16 @@
 """The boundary to a social platform.
 
-The port contract: post one message, and consume one inbound stream that
-merges the public posts matching the campaign keywords with the bot's
-notifications (replies to the bot, retweets, favorites) in timestamp order.
-One concrete adapter ships: a deterministic SimulatedPlatform driven by the
-agent population model. A real HTTP adapter would implement the same
-surface; credentials and network clients are out of scope here.
+The port contract: post one message, consume one inbound stream that merges
+the public posts matching the campaign keywords with the bot's notifications
+(replies to the bot, retweets, favorites) in timestamp order, and close the
+public half of that stream once the campaign needs no more targets. One
+concrete adapter ships: a deterministic SimulatedPlatform driven by the agent
+population model. A real HTTP adapter would implement the same surface;
+credentials and network clients are out of scope here.
 
 The stream is single-consumer and ordered; post() must be called from one
-dispatcher thread only.
+dispatcher thread only. It may stop while nothing is pending and yield again
+after a post.
 """
 
 from __future__ import annotations
@@ -106,7 +108,13 @@ class Platform(ABC):
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         """Public posts whose text contains any keyword (folded substring),
         merged with replies to the bot, retweets and favorites, in timestamp
-        order; what the campaign loop consumes."""
+        order; what the campaign loop consumes. It may stop while nothing is
+        pending and yield again after a later ``post``."""
+
+    def close_public(self) -> None:
+        """Stop delivering public posts; notifications keep coming. Called
+        once, when every quota is full. A no-op by default; a real adapter
+        would close its keyword-filter stream."""
 
     def _check_message(self, message: OutboundMessage) -> None:
         if len(message.mentions) > self.capabilities.max_mentions_per_message:
@@ -126,7 +134,8 @@ class SimulatedPlatform(Platform):
 
     One master queue orders every pending item (agent posts and scheduled
     reactions); consuming items or posting messages advances the clock, never
-    the wall clock. A fixed rng makes two runs byte-identical.
+    the wall clock. A fixed rng makes two runs byte-identical. The close
+    drops every agent's next post from the queue, so no post is drawn after it.
     """
 
     def __init__(
@@ -225,31 +234,54 @@ class SimulatedPlatform(Platform):
         return message_id
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
-        folded = FoldedKeywords(keywords)
+        return _SimulatedStream(self, keywords)
+
+    def close_public(self) -> None:
+        # Reactions keep their unique (ts, tiebreak) keys, so they pop in the
+        # same order from the re-heapified queue.
+        heap = self._heap
+        heap[:] = [entry for entry in heap if entry[2] != "post"]
+        heapq.heapify(heap)
+
+
+class _SimulatedStream:
+    """The simulated platform's inbound stream: pops its queue in order and
+    drops public posts that match no keyword. ``next`` raises StopIteration
+    while the queue is empty, and yields again once a post refills it."""
+
+    def __init__(self, platform: SimulatedPlatform, keywords: Sequence[str]):
+        self._platform = platform
+        self._folded = FoldedKeywords(keywords)
         # Whether a post text matches, by text: the population formats its
         # post texts once, so this holds one entry per distinct text.
-        matches: dict[str, bool] = {}
-        heap, population, rng = self._heap, self.population, self.rng
+        self._matches: dict[str, bool] = {}
+
+    def __iter__(self) -> "_SimulatedStream":
+        return self
+
+    def __next__(self) -> InboundItem:
+        sim = self._platform
+        heap, population, rng = sim._heap, sim.population, sim.rng
         while heap:
             ts, _, tag, payload = heap[0]
-            if ts > self._now:
-                self._now = ts
-            if tag == "post":
-                # The agent's next post takes this one's place in the heap:
-                # the draws, their order and the tiebreak of a pop and a push.
-                item = population.make_public_post(payload, ts, rng)
-                gap = population.next_post_gap_ms(payload, rng)
-                if gap is None:
-                    heapq.heappop(heap)
-                else:
-                    self._tiebreak += 1
-                    heapq.heapreplace(heap, (ts + gap, self._tiebreak, "post", payload))
-                text = item.text
-                keep = matches.get(text)
-                if keep is None:
-                    keep = matches[text] = match_keyword(text, folded) is not None
-                if keep:
-                    yield item
-            else:
+            if ts > sim._now:
+                sim._now = ts
+            if tag != "post":
                 heapq.heappop(heap)
-                yield payload  # a scheduled reaction, already an InboundItem
+                return payload  # a scheduled reaction, already an InboundItem
+            # The agent's next post takes this one's place in the heap: the
+            # draws, their order and the tiebreak of a pop and a push.
+            item = population.make_public_post(payload, ts, rng)
+            gap = population.next_post_gap_ms(payload, rng)
+            if gap is None:
+                heapq.heappop(heap)
+            else:
+                sim._tiebreak += 1
+                heapq.heapreplace(heap, (ts + gap, sim._tiebreak, "post", payload))
+            text = item.text
+            keep = self._matches.get(text)
+            if keep is None:
+                keep = self._matches[text] = match_keyword(text, self._folded) is not None
+            if keep:
+                return item
+        raise StopIteration

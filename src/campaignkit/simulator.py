@@ -16,12 +16,13 @@ reply, the stance (at the member's first reply only), the reply-pattern
 index and the reply delay. Then come the member's retweet draw and, if it
 hits, its delay, and the favorite draw and, if it hits, its delay (without
 favorites, no favorite draw). After a reply, each co-member of the
-conversation makes the same retweet and favorite draws toward it. The rng's
-``choice``, ``expovariate`` and ``uniform`` are not called; their draws are
-reproduced as CPython 3.10-3.13 makes them. An index below ``n`` is
-``getrandbits(n.bit_length())``, redrawn until below ``n``
-(:func:`draw_index`); a gap is ``-log(1 - random()) / lambd``
-(:func:`draw_exponential`); a delay's logarithm is ``lo + (hi - lo) *
+conversation makes the same retweet and favorite draws toward it. Once the
+platform's public stream is closed no post draw is made, and reactions go on
+drawing from the same rng. The rng's ``choice``, ``expovariate`` and
+``uniform`` are not called; their draws are reproduced as CPython 3.10-3.13
+makes them. An index below ``n`` is ``getrandbits(n.bit_length())``, redrawn
+until below ``n`` (:func:`draw_index`); a gap is ``-log(1 - random()) /
+lambd`` (:func:`draw_exponential`); a delay's logarithm is ``lo + (hi - lo) *
 random()`` (:func:`draw_uniform`). The tests check each against the stdlib
 call it replaces.
 """

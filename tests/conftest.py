@@ -211,7 +211,8 @@ class StubPlatform(Platform):
     """Scripted adapter for orchestrator unit tests.
 
     Yields a fixed list of public posts, generates no reactions, and can be
-    told to rate-limit or reject the first N posts.
+    told to rate-limit or reject the first N posts. Keeps delivering posts
+    after ``close_public``, which records the clock in ``closes``.
     """
 
     def __init__(
@@ -229,6 +230,7 @@ class StubPlatform(Platform):
         self._reject_all = reject_all
         self._counter = 0
         self.posted: list = []
+        self.closes: list[int] = []
         self._seen: dict[tuple, str] = {}
 
     def now_ms(self) -> int:
@@ -252,6 +254,9 @@ class StubPlatform(Platform):
         self._seen[key] = message_id
         self.posted.append((message_id, message))
         return message_id
+
+    def close_public(self) -> None:
+        self.closes.append(self._now)
 
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:
         from campaignkit.text import FoldedKeywords, match_keyword

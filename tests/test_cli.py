@@ -290,8 +290,8 @@ REPORT_SHA256 = {
         "db1c9d9be61883c9c561e43ba74f3299b1fb189b2fa87916ab61d604721ce83d",
     ),
     ("seed5.log",): (
-        "4042d60d430114389faf568e4d10a45173c13721508ae54b1c6ea952441a37e2",
-        "670ad56480e296712807df5419089142fee215b3f9e9bd964680c9f6dde6a2fb",
+        "ddd2c15637a882975f8a4e590ebf65f2e841b70c80d5d6513a6f5a56f00bde95",
+        "5c02ba99daf520a56d24770d1e42355337259a3c24d1e1ae368ccae1106dd05a",
     ),
 }
 

@@ -265,6 +265,21 @@ def test_a_reply_in_a_closed_conversation_gets_no_followup():
     assert orchestrator.state.records["c000001"].closed
 
 
+def test_the_admit_that_fills_the_last_quota_closes_the_public_stream():
+    config = _single_arm_config()  # one (topic, arm) pair: a quota of 15 users
+    posts = _posts(20)
+    platform = StubPlatform(posts)
+    _orch, events = _run_with_stub(config, platform)
+    assert platform.closes == [posts[14].timestamp]
+    assert sum(e.kind is EventKind.OUTBOUND_CALL for e in events) == 5
+
+
+def test_a_run_whose_quotas_never_fill_never_closes_the_public_stream():
+    platform = StubPlatform(_posts(14))
+    _run_with_stub(_single_arm_config(), platform)
+    assert platform.closes == []
+
+
 def test_one_user_never_mentioned_in_two_calls_with_duplicate_stream():
     config = _single_arm_config()
     posts = _posts(3) + _posts(3, start_ts=2_000_000) + _posts(3, start_ts=3_000_000)
@@ -283,12 +298,44 @@ def test_campaign_log_validates(small_campaign):
     assert validate_events(events)
 
 
+def _assert_one_touch(events):
+    mentioned = [user for users in conversation_members(events).values() for user in users]
+    assert len(mentioned) == len(set(mentioned))
+
+
+def _assert_budget(config, events):
+    budget = {s.id: s.messages_per_turn for s in config.strategies}
+    per_arm = Counter()
+    for event in events:
+        if event.kind in OUTBOUND_KINDS:
+            per_arm[(event.strategy, event.kind)] += 1
+    for arm, messages_per_turn in budget.items():
+        calls = per_arm[(arm, EventKind.OUTBOUND_CALL)]
+        followups = per_arm[(arm, EventKind.OUTBOUND_FOLLOWUP)]
+        quotes = per_arm[(arm, EventKind.OUTBOUND_QUOTE)]
+        assert quotes == (calls + followups) * (messages_per_turn - 1)
+
+
+def _assert_balance(events):
+    counts = Counter()
+    for event in events:
+        if event.kind is EventKind.OUTBOUND_CALL:
+            counts[event.strategy] += 1
+            assert max(counts.values()) - min(counts[a] for a in ARMS) <= 1
+
+
+def _assert_quotas(config, events):
+    calls = Counter(
+        (e.topic, e.strategy) for e in events if e.kind is EventKind.OUTBOUND_CALL
+    )
+    for topic in ("corruption", "impunity"):
+        for arm in ARMS:
+            assert calls[(topic, arm)] == config.groups_per_strategy_per_topic
+
+
 def test_one_touch_end_to_end(small_campaign):
     _config, events, _path = small_campaign
-    mentioned = []
-    for users in conversation_members(events).values():
-        mentioned.extend(users)
-    assert len(mentioned) == len(set(mentioned))
+    _assert_one_touch(events)
 
 
 def test_every_followup_preceded_by_reply(small_campaign):
@@ -303,35 +350,17 @@ def test_every_followup_preceded_by_reply(small_campaign):
 
 def test_message_budget_per_turn(small_campaign):
     config, events, _path = small_campaign
-    budget = {s.id: s.messages_per_turn for s in config.strategies}
-    per_arm = Counter()
-    for event in events:
-        if event.kind in OUTBOUND_KINDS:
-            per_arm[(event.strategy, event.kind)] += 1
-    for arm, messages_per_turn in budget.items():
-        calls = per_arm[(arm, EventKind.OUTBOUND_CALL)]
-        followups = per_arm[(arm, EventKind.OUTBOUND_FOLLOWUP)]
-        quotes = per_arm[(arm, EventKind.OUTBOUND_QUOTE)]
-        assert quotes == (calls + followups) * (messages_per_turn - 1)
+    _assert_budget(config, events)
 
 
 def test_arm_balance_at_every_prefix(small_campaign):
     _config, events, _path = small_campaign
-    counts = Counter()
-    for event in events:
-        if event.kind is EventKind.OUTBOUND_CALL:
-            counts[event.strategy] += 1
-            assert max(counts.values()) - min(counts[a] for a in ARMS) <= 1
+    _assert_balance(events)
 
 
 def test_quotas_met_exactly(small_campaign):
     config, events, _path = small_campaign
-    calls = Counter(
-        (e.topic, e.strategy) for e in events if e.kind is EventKind.OUTBOUND_CALL
-    )
-    for topic in ("corruption", "impunity"):
-        for arm in ARMS:
-            assert calls[(topic, arm)] == config.groups_per_strategy_per_topic
+    _assert_quotas(config, events)
 
 
 def test_batch_calls_within_one_jitter_window(small_campaign):
@@ -397,18 +426,25 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
 
 # The log of the seed-5 small campaign, pinned: a change that alters what a
 # run writes must update these values and say so in CHANGES.md.
-SMALL_CAMPAIGN_LOG = (448, 99_190, "6bf2905aaaae8a967c2c930b3c0062d104d94b05267c0b3b87db88d75268e8e3")
+SMALL_CAMPAIGN_LOG = (438, 96_821, "4bf9731d25373809007e3ac605c0fa7f45424587a35ce8419f6fb4a0adf76ab5")
 # The same campaign with agents that reply and interact often, under one
 # float propensity for every arm instead of the profile's per-arm mappings.
-REPLY_HEAVY_LOG = (2_432, 509_604, "caec411199d0af2bce5cfb2cab69eab9566fb88d8ea9609a6b9a78a40eae572d")
+REPLY_HEAVY_LOG = (2_498, 522_319, "c3dba21ddf628ef316526ab56d54419a93f0fefa1c181f186acae1cd02d09809")
 REPLY_HEAVY_SIMULATION = {"reply_propensity": 0.9, "mean_turns": 6, "interaction_propensity": 0.4}
+# The seed-7 campaign of the benchmark's scan workload (perfbench/workloads.py
+# ``scan_config``): 100 groups per arm and topic, 3,000 agents.
+SCAN_LOG = (5_023, 1_118_755, "d926d3cff95fb63163eceae5b4ea55fd42f488a465ff6fdb73be524115d75041")
 
 
 def test_small_campaign_log_matches_golden(tmp_path):
-    for simulation, golden in ({}, SMALL_CAMPAIGN_LOG), (REPLY_HEAVY_SIMULATION, REPLY_HEAVY_LOG):
-        config = small_sim_config()
-        config = replace(config, simulation={**config.simulation, **simulation})
-        path = tmp_path / f"{len(simulation)}.log"
+    small = small_sim_config()
+    for name, config, golden in (
+        ("small", small, SMALL_CAMPAIGN_LOG),
+        ("reply_heavy", replace(small, simulation={**small.simulation, **REPLY_HEAVY_SIMULATION}),
+         REPLY_HEAVY_LOG),
+        ("scan", small_sim_config(seed=7, groups=100, population=3000), SCAN_LOG),
+    ):
+        path = tmp_path / f"{name}.log"
         events = run_campaign(config, build_simulated_platform(config), str(path))
         data = path.read_bytes()
         assert (len(events), len(data), hashlib.sha256(data).hexdigest()) == golden
@@ -418,8 +454,8 @@ def test_small_campaign_log_matches_golden(tmp_path):
 # loop: dispatch_partial makes 123 stale partial calls and 6 solo calls of
 # ready groups stuck waiting for a batch peer.
 STALE_FLUSH_LOGS = {
-    "dispatch_partial": (476, 109_077, "07cae7987b53d7b1385cfcee335383afdfb51a9bd02a0513791886947edd69fa"),
-    "discard": (35, 7_654, "51de8fdbdbacd2c271ceac098bf3db9ebaa80b530f64e05b4d23a14707ee5369"),
+    "dispatch_partial": (473, 108_351, "3f7cd324664911b8f2f207c03fe5456b14a0586f9b4e289ab96deb986f2ec802"),
+    "discard": (30, 6_555, "518cf8a607bcebabd9218f6473dc57cab9f1a355e0260131341b5b2b1bae4f2a"),
 }
 
 
@@ -702,3 +738,67 @@ def test_resume_rejects_a_line_that_is_not_an_event(tmp_path):
     out.write_bytes(b"\n".join(lines))
     with pytest.raises(MalformedLog, match="line 4: not an event record"):
         _run(config, out, resume=True)
+
+
+# -- the public stream's close ------------------------------------------------------------------
+
+# Seed-5, 9, 11 and 13 small campaigns, and one whose quotas fill before its
+# first call goes out, so that it posts follow-ups while the platform's queue
+# is empty and their replies come after the stream has stopped once.
+STREAM_END_RUNS = {
+    "seed5": small_sim_config(),
+    **{f"seed{seed}": _resumable(seed) for seed in (9, 11, 13)},
+    "dry": small_sim_config(groups=1, population=200),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_END_RUNS))
+def test_the_stream_is_read_to_the_end(name, tmp_path):
+    config = STREAM_END_RUNS[name]
+    platform = build_simulated_platform(config)
+    dry = []  # follow-ups posted while the queue was empty
+    post = platform.post
+
+    def recording_post(message):
+        empty = not platform._heap
+        message_id = post(message)
+        if empty and message.kind is MessageKind.FOLLOWUP:
+            dry.append(message_id)
+        return message_id
+
+    platform.post = recording_post
+    events = run_campaign(config, platform, str(tmp_path / "campaign.log"))
+    assert platform._heap == []  # no reaction left unread, no post drawn
+    answered = {e.in_reply_to for e in events if e.kind is EventKind.INBOUND_REPLY}
+    assert bool(answered.intersection(dry)) is (name == "dry")
+
+
+# The seed-5 small campaign's log on a platform whose close does nothing:
+# its public posts go on to the drain, as before the close existed.
+OPEN_STREAM_LOG = (448, 99_190, "6bf2905aaaae8a967c2c930b3c0062d104d94b05267c0b3b87db88d75268e8e3")
+
+
+def test_the_close_leaves_the_log_before_it_unchanged(tmp_path):
+    config = small_sim_config()
+    logs, closed_after = {}, []
+    for name in ("closed", "open"):
+        platform = build_simulated_platform(config)
+        out = tmp_path / f"{name}.log"
+        with EventLogWriter(str(out)) as writer:
+            close = platform.close_public
+
+            def recording_close():
+                closed_after.append(len(writer.events))
+                close()
+
+            platform.close_public = recording_close if name == "closed" else lambda: None
+            Orchestrator(config, platform, writer).run()
+        _assert_one_touch(writer.events)
+        _assert_balance(writer.events)
+        _assert_budget(config, writer.events)
+        _assert_quotas(config, writer.events)
+        logs[name] = out.read_bytes()
+    [seq] = closed_after
+    closed, open_ = (logs[name].splitlines(keepends=True) for name in ("closed", "open"))
+    assert closed[:seq] == open_[:seq] and closed != open_
+    assert (len(open_), len(logs["open"]), hashlib.sha256(logs["open"]).hexdigest()) == OPEN_STREAM_LOG

@@ -157,6 +157,34 @@ def test_sim_streams_are_time_ordered_and_deterministic():
     assert ItemKind.PUBLIC_POST in kinds[first_notification:]
 
 
+def test_closed_stream_yields_only_reactions_in_time_order_and_restarts_after_a_post(monkeypatch):
+    profile = SimulationProfile(population=30, post_rate=1.0, reply_propensity=1.0,
+                                interaction_propensity=0.5)
+    sim = make_sim(profile, seed=6)
+    stream = sim.inbound(["corrupcion", "impunidad"])
+    items = list(itertools.islice(stream, 40))
+    called = sorted({i.author for i in items if i.kind is ItemKind.PUBLIC_POST})
+    for user in called:
+        sim.post(call_message(user, f"c{user}"))
+    made = []
+    monkeypatch.setattr(sim.population, "make_public_post", lambda *args: made.append(args))
+    sim.close_public()
+    assert [tag for _, _, tag, _ in sim._heap if tag == "post"] == []
+    reactions = list(stream)
+    assert next(stream, None) is None  # stopped while nothing is pending
+    # A post after the stream stopped is answered on the same stream.
+    uncalled = next(a.user_id for a in sim.population.agents if a.user_id not in called)
+    message_id = sim.post(call_message(uncalled, "late"))
+    late = list(stream)
+    assert [i.in_reply_to for i in late if i.kind is ItemKind.REPLY_TO_BOT] == [message_id]
+    assert made == []
+    assert reactions and {i.kind for i in reactions + late} <= {
+        ItemKind.REPLY_TO_BOT, ItemKind.RETWEET, ItemKind.FAVORITE
+    }
+    stamps = [i.timestamp for i in items + reactions + late]
+    assert stamps == sorted(stamps)
+
+
 def test_first_post_schedule_pops_as_if_pushed_one_agent_at_a_time():
     from conftest import reference_platform
 
