@@ -29,7 +29,8 @@ is byte-identical to one that does all of it after every item.
 
 The admit that fills the last quota closes the platform's public stream; the
 loop then reads only reactions, and asks the stream again after each dispatch,
-since a post may restart a stream that has stopped.
+since a post may restart a stream that has stopped. A stream that stops while
+a group waits for its timeout moves the clock to that timeout.
 """
 
 from __future__ import annotations
@@ -503,9 +504,9 @@ class Orchestrator:
     # -- main loop ------------------------------------------------------------------
 
     def run(self, max_hours: Optional[float] = None) -> None:
-        """Run until the stream stops with nothing scheduled, or to the drain,
-        then finalize; or stop at the first item ``max_hours`` past the start,
-        flushing nothing."""
+        """Run until the stream stops with nothing scheduled or waiting for its
+        timeout, or to the drain, then finalize; or stop at the first item or
+        timeout ``max_hours`` past the start, flushing nothing."""
         deadline = None if max_hours is None else self.now + int(max_hours * 3_600_000)
         stream = self.platform.inbound(list(self.config.keywords()))
         pending: Optional[InboundItem] = None
@@ -530,6 +531,14 @@ class Orchestrator:
                     self._handle_public(item)
                 else:
                     self._handle_notification(item)
+            elif self._stale_deadline != _NO_DEADLINE:
+                # The stream has stopped with a group still waiting: move the
+                # clock to its timeout, so it goes out then and its reactions
+                # are read.
+                if deadline is not None and self._stale_deadline > deadline:
+                    return
+                self.now = self._stale_deadline
+                self.platform.advance_to(self.now)
             else:
                 break
             if self.now >= self._stale_deadline:
