@@ -22,15 +22,17 @@ The loop does work per inbound item only where it has some. Partial buffers
 and ready groups that wait past the partial-group timeout are flushed, but the
 flush is called only once the clock reaches one stored deadline, a lower
 bound on the earliest of them; quota checks read counters the allocator keeps.
-The keywords are folded once per run, not per post. The drain check compares
-the clock with its horizon before it scans the ready groups. Each skip leaves
-out only work that could not change a decision, so for a given seed the log
-is byte-identical to one that does all of it after every item.
+The keywords are folded once per run, not per post. Each skip leaves out only
+work that could not change a decision, so for a given seed the log is
+byte-identical to one that does all of it after every item.
 
 The admit that fills the last quota closes the platform's public stream; the
 loop then reads only reactions, and asks the stream again after each dispatch,
 since a post may restart a stream that has stopped. A stream that stops while
-a group waits for its timeout moves the clock to that timeout.
+a group waits for its timeout moves the clock to that timeout. A run ends only
+with nothing buffered, ready or scheduled, once the stream stops or, on one
+that never stops, the drain window has passed: every call it posts has its
+reactions read, and nothing is flushed on the way out.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import heapq
 import logging
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
@@ -61,9 +63,10 @@ from .targeting import AdmitResult, ContactRegistry, TopicKeywords, match_target
 
 logger = logging.getLogger(__name__)
 
-# How long after the last outbound message the loop keeps draining inbound
-# reactions before closing the log. Covers a reply at the maximum simulated
-# delay plus an interaction with that reply at the maximum delay again.
+# How long after the last outbound message a stream that never stops is read
+# before the run ends. Covers a reply at the maximum simulated delay plus an
+# interaction with that reply at the maximum delay again, as long as
+# ``reply_delay.max_s`` is at most 6.5 h (the reference profile uses 6 h).
 DRAIN_WINDOW_MS = 13 * 3600 * 1000
 
 # Stale deadline while no target is buffered and no group waits.
@@ -167,7 +170,7 @@ class GroupBuffer:
         return None
 
     def stale(self, now: int, timeout_ms: int) -> list[tuple[str, str, list[TargetUser]]]:
-        """Pop every partial buffer older than the timeout (every one at 0)."""
+        """Pop every partial buffer older than the timeout."""
         out = []
         for (topic, arm), buf in self._buffers.items():
             if buf.targets and buf.oldest_ts is not None and now - buf.oldest_ts >= timeout_ms:
@@ -298,7 +301,8 @@ class Orchestrator:
             return
         # Strict topic alternation at group granularity: hold a topic's batch
         # while a less recently served topic can still produce one. Stuck
-        # groups are rescued by the staleness flush, and finalize drains all.
+        # groups are rescued by the staleness flush; the run does not end
+        # while one waits.
         if self._last_batch_topic in self.topic_names:
             pivot = self.topic_names.index(self._last_batch_topic)
             preference = self.topic_names[pivot + 1 :] + self.topic_names[: pivot + 1]
@@ -356,11 +360,12 @@ class Orchestrator:
         if due > self.now:
             self.now = due
         self.platform.advance_to(due)
-        for message in send.messages:
+        for i, message in enumerate(send.messages):
             try:
                 message_id = self.platform.post(message)
             except RateLimited as exc:
-                self.schedule.push(due + max(1, exc.retry_after_ms), send)
+                rest = replace(send, messages=send.messages[i:])  # from the refused one
+                self.schedule.push(due + max(1, exc.retry_after_ms), rest)
                 return
             except PlatformRejected as exc:
                 # A rejected call still counts as the one touch: its abort
@@ -373,9 +378,6 @@ class Orchestrator:
                 if send.kind == "call":
                     self._finish_call(send)
                 return
-            record = self.state.records.get(send.conversation_id)
-            if record is not None and message_id in record.sent_messages:
-                continue  # idempotent re-post after a rate-limit retry
             kind = message.kind
             self._emit(
                 due, EVENT_KIND_BY_MESSAGE[kind], BOT_ACTOR, send.arm, send.topic,
@@ -454,7 +456,7 @@ class Orchestrator:
             target_id, TARGET_BOT if target_id in record.sent_messages else TARGET_VOLUNTEER,
         )
 
-    # -- staleness and teardown ------------------------------------------------------
+    # -- staleness ------------------------------------------------------------------
 
     def _flush_stale(self) -> None:
         """Dispatch partial buffers and stuck ready groups older than the timeout.
@@ -466,8 +468,12 @@ class Orchestrator:
         earliest one left.
         """
         timeout_ms = self._timeout_ms
+        discard = self.config.partial_groups.policy == "discard"
         for topic, arm, targets in self.buffers.stale(self.now, timeout_ms):
-            self._flush_partial(topic, arm, targets)
+            if discard:
+                logger.info("discarding %d queued targets for (%s, %s)", len(targets), topic, arm)
+            else:
+                self._schedule_call(topic, arm, targets, partial=True)
         earliest = self.buffers.oldest()
         # Full groups stuck waiting for a batch peer go out alone.
         for topic in self.topic_names:
@@ -482,31 +488,13 @@ class Orchestrator:
                 self.ready[topic][arm] = kept
         self._stale_deadline = _NO_DEADLINE if earliest is None else earliest + timeout_ms
 
-    def _flush_partial(self, topic: str, arm: StrategyId, targets: list[TargetUser]) -> None:
-        if self.config.partial_groups.policy == "discard":
-            logger.info("discarding %d queued targets for (%s, %s)", len(targets), topic, arm)
-            return
-        self._schedule_call(topic, arm, targets, partial=True)
-
-    def _finalize(self) -> None:
-        """End of stream or drained: flush buffers, then drain the schedule."""
-        for topic in self.topic_names:
-            for arm in self.arm_ids:
-                for group, _formed in self.ready[topic][arm]:
-                    self._schedule_call(topic, arm, group, partial=False)
-                self.ready[topic][arm] = []
-        for topic, arm, targets in self.buffers.stale(self.now, 0):
-            self._flush_partial(topic, arm, targets)
-        while len(self.schedule):
-            due, send = self.schedule.pop()
-            self._dispatch(due, send)
-
     # -- main loop ------------------------------------------------------------------
 
     def run(self, max_hours: Optional[float] = None) -> None:
-        """Run until the stream stops with nothing scheduled or waiting for its
-        timeout, or to the drain, then finalize; or stop at the first item or
-        timeout ``max_hours`` past the start, flushing nothing."""
+        """Run until nothing is buffered, ready or scheduled, and then either
+        the stream has stopped or, on a stream that never stops, the drain
+        window has passed; or stop at the first item or timeout ``max_hours``
+        past the start, flushing nothing."""
         deadline = None if max_hours is None else self.now + int(max_hours * 3_600_000)
         stream = self.platform.inbound(list(self.config.keywords()))
         pending: Optional[InboundItem] = None
@@ -518,44 +506,44 @@ class Orchestrator:
             if due is not None and (pending is None or due <= pending.timestamp):
                 due, send = self.schedule.pop()
                 self._dispatch(due, send)
-            elif pending is not None:
-                item = pending
-                pending = None
-                if deadline is not None and item.timestamp > deadline:
-                    return
-                if self._drained(item.timestamp):
-                    break
-                if item.timestamp > self.now:
-                    self.now = item.timestamp
-                if item.kind is ITEM_PUBLIC_POST:
-                    self._handle_public(item)
-                else:
-                    self._handle_notification(item)
-            elif self._stale_deadline != _NO_DEADLINE:
-                # The stream has stopped with a group still waiting: move the
-                # clock to its timeout, so it goes out then and its reactions
-                # are read.
-                if deadline is not None and self._stale_deadline > deadline:
-                    return
-                self.now = self._stale_deadline
-                self.platform.advance_to(self.now)
             else:
-                break
+                # Next comes the pending item or, once the stream has stopped,
+                # the timeout of a group still waiting, so that it goes out
+                # then and its reactions are read.
+                next_ts = self._stale_deadline if pending is None else pending.timestamp
+                if next_ts == _NO_DEADLINE:
+                    return  # the stream stopped with nothing scheduled or waiting
+                if deadline is not None and next_ts > deadline:
+                    return
+                if pending is None:
+                    self.now = next_ts
+                    self.platform.advance_to(next_ts)
+                else:
+                    item, pending = pending, None
+                    if self._drained(next_ts):
+                        return
+                    if next_ts > self.now:
+                        self.now = next_ts
+                    if item.kind is ITEM_PUBLIC_POST:
+                        self._handle_public(item)
+                    else:
+                        self._handle_notification(item)
             if self.now >= self._stale_deadline:
                 self._flush_stale()
-        self._finalize()
 
     def _drained(self, next_ts: int) -> bool:
-        """True once quotas are met, nothing is scheduled, and the reaction
-        tail has been given time to arrive."""
-        if self.allocator.any_capacity() or len(self.schedule) or self._calls_in_flight:
+        """True once quotas are met, nothing is buffered, ready or scheduled,
+        and the reaction tail has been given time to arrive."""
+        if self.allocator.any_capacity() or len(self.schedule):
             return False
         # The window runs from the last outbound message in the log. A log
         # with no outbound message has no reaction to wait for.
         last_outbound = self.state.last_outbound_ts
         if last_outbound is not None and next_ts <= last_outbound + DRAIN_WINDOW_MS:
             return False
-        return not any(self.ready[t][a] for t in self.topic_names for a in self.arm_ids)
+        return self.buffers.oldest() is None and not any(
+            self.ready[t][a] for t in self.topic_names for a in self.arm_ids
+        )
 
 
 def build_simulated_platform(config: CampaignConfig) -> Platform:

@@ -109,7 +109,9 @@ class Platform(ABC):
         """Public posts whose text contains any keyword (folded substring),
         merged with replies to the bot, retweets and favorites, in timestamp
         order; what the campaign loop consumes. It may stop while nothing is
-        pending and yield again after a later ``post``."""
+        pending and yield again after a later ``post``. A run on a stream that
+        never stops ends once the drain window has passed since its last
+        outbound message."""
 
     def close_public(self) -> None:
         """Stop delivering public posts; notifications keep coming. Called

@@ -268,6 +268,13 @@ class StubPlatform(Platform):
                 yield item
 
 
+def keep_stream_open(platform: Platform) -> Platform:
+    """Make the platform's ``close_public`` a no-op, so its public stream goes
+    on past the last quota, as a stream that never stops would."""
+    platform.close_public = lambda: None
+    return platform
+
+
 def public_post(author: str, text: str, ts: int, message_id: Optional[str] = None) -> InboundItem:
     return InboundItem(
         kind=ItemKind.PUBLIC_POST,

@@ -22,6 +22,7 @@ from campaignkit.eventlog import (
 )
 from campaignkit.model import EventKind, OUTBOUND_KINDS, replace
 from campaignkit.orchestrator import (
+    DRAIN_WINDOW_MS,
     AllQuotasExhausted,
     ArmAllocator,
     GroupBuffer,
@@ -33,7 +34,7 @@ from campaignkit.platform import InboundItem, ItemKind, PlatformRejected, RateLi
 from campaignkit.strategy import MessageKind
 from campaignkit.targeting import AdmitResult
 
-from conftest import StubPlatform, public_post, small_sim_config
+from conftest import StubPlatform, keep_stream_open, public_post, small_sim_config
 
 ARMS = ("direct", "loss", "gain", "solidarity")
 
@@ -229,11 +230,17 @@ def test_rate_limited_post_is_retried():
 
 
 class _QuoteRateLimitedOnce(StubPlatform):
-    """Rate-limits the first attempt at a quote, after its call went out."""
+    """Rate-limits the first attempt at a quote, after its call went out.
+    Counts the attempts to post each kind of message."""
 
     quote_limited = False
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.attempts: Counter = Counter()
+
     def post(self, message) -> str:
+        self.attempts[message.kind] += 1
         if message.kind is MessageKind.QUOTE and not self.quote_limited:
             self.quote_limited = True
             raise RateLimited(retry_after_ms=1000)
@@ -246,6 +253,8 @@ def test_rate_limited_quote_retry_keeps_the_call_record():
     platform = _QuoteRateLimitedOnce(_posts(3))
     orchestrator, events = _run_with_stub(config, platform)
     assert platform.quote_limited
+    # The retry posts the quote again, not the call that already went out.
+    assert platform.attempts == {MessageKind.CALL: 1, MessageKind.QUOTE: 2}
     outbound = [e for e in events if e.kind in OUTBOUND_KINDS]
     assert [e.kind for e in outbound] == [EventKind.OUTBOUND_CALL, EventKind.OUTBOUND_QUOTE]
     record = orchestrator.state.records[outbound[0].conversation_id]
@@ -414,6 +423,11 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     with EventLogWriter(str(out)) as writer:
         orchestrator = Orchestrator(config, platform, writer)
         orchestrator.run()
+    # The run ends with nothing buffered, ready, scheduled or in flight.
+    assert orchestrator.buffers.oldest() is None
+    assert not any(ready for arms in orchestrator.ready.values() for ready in arms.values())
+    assert len(orchestrator.schedule) == 0
+    assert orchestrator._calls_in_flight == 0
     events = read_events(str(out))
     replayed = replay(events)
     assert replayed == orchestrator.state
@@ -804,7 +818,10 @@ def test_the_close_leaves_the_log_before_it_unchanged(tmp_path):
                 closed_after.append(len(writer.events))
                 close()
 
-            platform.close_public = recording_close if name == "closed" else lambda: None
+            if name == "closed":
+                platform.close_public = recording_close
+            else:
+                keep_stream_open(platform)
             Orchestrator(config, platform, writer).run()
         _assert_one_touch(writer.events)
         _assert_balance(writer.events)
@@ -815,3 +832,23 @@ def test_the_close_leaves_the_log_before_it_unchanged(tmp_path):
     closed, open_ = (logs[name].splitlines(keepends=True) for name in ("closed", "open"))
     assert closed[:seq] == open_[:seq] and closed != open_
     assert (len(open_), len(logs["open"]), hashlib.sha256(logs["open"]).hexdigest()) == OPEN_STREAM_LOG
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4])
+def test_a_stream_that_never_stops_drains_only_when_nothing_waits(seed, tmp_path):
+    # One group per arm and few, slow posters: partial groups wait out a
+    # timeout longer than the drain window, past the last quota.
+    config = small_sim_config(seed=seed, groups=1, population=40)
+    config = replace(
+        config,
+        simulation={**config.simulation, "post_rate": 0.02},
+        partial_groups=model.PartialGroupPolicy(timeout_s=14 * 3600),
+    )
+    platform = keep_stream_open(build_simulated_platform(config))
+    with EventLogWriter(str(tmp_path / "campaign.log")) as writer:
+        orchestrator = Orchestrator(config, platform, writer)
+        orchestrator.run()
+    bot = {e.message_id for e in writer.events if e.kind in OUTBOUND_KINDS}
+    unread = [p for _ts, _n, tag, p in platform._heap if tag == "item" and p.in_reply_to in bot]
+    assert unread == []
+    assert platform.now_ms() - orchestrator.state.last_outbound_ts > DRAIN_WINDOW_MS
