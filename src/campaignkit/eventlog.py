@@ -11,10 +11,12 @@ fsynced so a crashed run leaves a valid prefix.
 The codec's contract: :func:`format_event` writes exactly the bytes of
 ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))`` with the
 keys in that order, and :func:`iter_events` raises :class:`MalformedLog`,
-naming the line, on a line that is not a JSON object, whose ``seq``, ``ts``
-or ``q`` is not an integer (``bool`` is not one), whose string keys hold
-anything but strings, whose ``members`` is not a list of strings, or whose
-``partial`` is anything but ``true``.
+naming the line, on a line that is not valid UTF-8 (its number counted as
+the text reader splits lines, so a raw U+2028 does not end one), that is not
+a JSON object, that holds an integer longer than the interpreter converts
+(4,300 digits), whose ``seq``, ``ts`` or ``q`` is not an integer (``bool``
+is not one), whose string keys hold anything but strings, whose ``members``
+is not a list of strings, or whose ``partial`` is anything but ``true``.
 
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Optional, Sequence
@@ -59,6 +62,7 @@ _TARGETS = {target.value: target for target in TargetAuthor}
 _KIND_JSON = {kind: encode_basestring(kind.value) for kind in EventKind}
 _TARGET_JSON = {target: encode_basestring(target.value) for target in TargetAuthor}
 _parse = json.JSONDecoder().raw_decode
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a bad byte to
 
 
 def format_event(event: CampaignEvent) -> str:
@@ -195,20 +199,33 @@ def write_events(events: Iterable[CampaignEvent], path: str) -> None:
 
 def iter_events(path: str) -> Iterator[CampaignEvent]:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record, end = _parse(line)
-                if end != len(line):
-                    raise json.JSONDecodeError("Extra data", line, end)
-            except json.JSONDecodeError as exc:
-                raise MalformedLog(f"line {lineno}: not valid JSON ({exc})") from exc
-            try:
-                yield record_to_event(record)
-            except ValueError as exc:
-                raise MalformedLog(f"line {lineno}: {exc}") from exc
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record, end = _parse(line)
+                    if end != len(line):
+                        raise json.JSONDecodeError("Extra data", line, end)
+                except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+                    raise MalformedLog(f"line {lineno}: not valid JSON ({exc})") from exc
+                try:
+                    yield record_to_event(record)
+                except ValueError as exc:
+                    raise MalformedLog(f"line {lineno}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # The reader decodes a chunk at a time, so the error's position
+            # is inside the chunk; the line is found again only here.
+            raise MalformedLog(f"line {_undecodable_line(path)}: not valid UTF-8") from exc
+
+
+def _undecodable_line(path: str) -> int:
+    """The number of the first line that is not UTF-8, its lines split as
+    :func:`iter_events` reads them: each undecodable byte reads as a lone
+    surrogate."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return next(n for n, line in enumerate(fh, start=1) if _ESCAPED_BYTE.search(line))
 
 
 def read_events(path: str) -> list[CampaignEvent]:

@@ -27,9 +27,9 @@ to each enum (``EVENT_ABORT``, ``platform.ITEM_PUBLIC_POST``): a lookup such
 as ``EventKind.ABORT`` goes through the enum metaclass, 140-190 ns against
 13 ns for a global, and ``.value`` costs about 250 ns. And they build their
 records (``CampaignEvent``, ``platform.InboundItem`` and ``BotMessageMeta``,
-``strategy.OutboundMessage``) positionally through the ``__init__`` that
-:func:`slot_init` generates: an ``InboundItem`` costs 2.1 us by keyword
-through the frozen dataclass ``__init__``, 0.9 us this way.
+``strategy.OutboundMessage``) positionally through the ``__new__`` that
+:func:`slot_init` generates: an ``InboundItem`` costs 1.5 us by keyword
+through the frozen dataclass ``__init__``, 0.6 us this way.
 Set-up parses YAML through :func:`load_yaml` with libyaml's loader (the
 shipped data files: 12.1 ms with ``SafeLoader``, 1.2 ms) and builds agents
 positionally (0.3 us, 0.8 us by keyword) and slotted (80 bytes, not 176).
@@ -306,44 +306,68 @@ _C = TypeVar("_C", bound=type)
 
 
 def slot_init(cls: _C) -> _C:
-    """Give a slotted dataclass an ``__init__`` that sets each slot through
-    the slot's member descriptor: every field, in field order, with its
-    default. Apply it above ``@dataclass(..., slots=True)``."""
+    """Give a frozen slotted dataclass a ``__new__`` that builds it whole:
+    every field, in field order, with its default. Apply it above
+    ``@dataclass(frozen=True, slots=True, init=False)``.
+
+    The ``__new__`` allocates an instance of the class's twin,
+    ``_<Name>Fill``: a class with the same ``__slots__`` and no
+    ``__setattr__``, so each field is a plain attribute store. It then
+    assigns ``__class__``, which CPython allows between the two because
+    their layouts match, and the record is frozen from then on. Without an
+    ``__init__`` of its own, ``type.__call__`` ends in ``object.__init__``,
+    which ignores the arguments of a class that overrides ``__new__``; a
+    dataclass ``__init__`` would set every field a second time, so a class
+    that has one is refused. ``__reduce__`` rebuilds a record from its
+    field values, so pickle and ``copy`` go through the ``__new__`` too
+    instead of calling it with no arguments."""
+    if "__init__" in cls.__dict__:
+        raise TypeError(f"{cls.__name__}: slot_init needs @dataclass(init=False)")
     fields = dataclasses.fields(cls)
-    closure: dict[str, Any] = {}  # the setters and defaults the __init__ closes over
+    # The class and twin, then the defaults, that the __new__ closes over.
+    closure: dict[str, Any] = {
+        "_cls": cls, "_fill": type(f"_{cls.__name__}Fill", (), {"__slots__": cls.__slots__}),
+    }
     params = []
     for i, f in enumerate(fields):
         if f.default_factory is not dataclasses.MISSING:
             raise TypeError(f"{cls.__name__}.{f.name}: slot_init takes no default_factory")
-        closure[f"_set{i}"] = cls.__dict__[f.name].__set__
         if f.default is dataclasses.MISSING:
             params.append(f.name)
         else:
             closure[f"_d{i}"] = f.default
             params.append(f"{f.name}=_d{i}")
-    body = "".join(f"  _set{i}(self, {f.name})\n" for i, f in enumerate(fields))
+    body = "".join(f"  self.{f.name} = {f.name}\n" for f in fields)
     source = (
         f"def make({', '.join(closure)}):\n"
-        f" def __init__(self, {', '.join(params)}):\n{body}"
-        " return __init__\n"
+        f" def __new__(cls, {', '.join(params)}):\n"
+        f"  self = _fill()\n{body}"
+        "  self.__class__ = _cls\n"
+        "  return self\n"
+        " return __new__\n"
     )
     namespace: dict[str, Any] = {}
     exec(source, namespace)
-    init = namespace["make"](**closure)
-    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    cls.__init__ = init
+    new = namespace["make"](**closure)
+    new.__module__, new.__qualname__ = cls.__module__, f"{cls.__qualname__}.__new__"
+    names = [f.name for f in fields]
+
+    def __reduce__(self):
+        return cls, tuple(getattr(self, name) for name in names)
+
+    cls.__new__, cls.__reduce__ = staticmethod(new), __reduce__
     return cls
 
 
 @slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CampaignEvent:
     """One append-only log record; the single source of truth for analytics.
 
     Slotted: a log holds tens of thousands of events, and slots make each
     one smaller and cheaper to build than an instance ``__dict__``. Every
     event a run logs and every event a log is read back into is built by
-    the ``__init__`` that :func:`slot_init` generates.
+    the ``__new__`` that :func:`slot_init` generates.
     """
 
     seq: int

@@ -60,7 +60,7 @@ ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, ITEM_FAVORITE = ItemKind
 
 
 @slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class InboundItem:
     kind: ItemKind
     author: str
@@ -71,7 +71,7 @@ class InboundItem:
 
 
 @slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BotMessageMeta:
     """What the population needs to know about a delivered bot message."""
 

@@ -41,7 +41,7 @@ EVENT_KIND_BY_MESSAGE = {
 
 
 @slot_init
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class OutboundMessage:
     kind: MessageKind
     text: str

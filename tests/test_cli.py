@@ -225,6 +225,19 @@ def test_bad_log_is_a_runtime_error(tmp_path, capsys):
     assert main(["report", "--log", str(bad)]) == 2
 
 
+def test_a_log_that_is_not_utf8_exits_two_naming_its_line(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    log = tmp_path / "run.log"
+    assert main(["run", "--config", str(path), "--seed", "12", "--out", str(log), "--max-hours", "0.5"]) == 0
+    first, second, rest = log.read_bytes().split(b"\n", 2)
+    log.write_bytes(b"\n".join([first, second.replace(b"BOT", b"B\xffT"), rest]))
+    capsys.readouterr()
+    resume = ["resume", "--config", str(path), "--seed", "12"]
+    for command in (["report"], resume):
+        assert main(command + ["--log", str(log)]) == 2
+        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+
+
 def test_keyterms_rejects_a_log_that_does_not_validate(tmp_path, capsys):
     orphan = model.CampaignEvent(
         seq=1, ts=1, kind=model.EventKind.INBOUND_REPLY, actor="a",

@@ -390,12 +390,27 @@ _GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
         '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","partial":"no"}',
         '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","partial":false}',
         '{"seq":2,"ts":2,"kind":"OutboundCall","actor":"BOT","partial":1}',
+        # Past the interpreter's limit on digits in an integer string.
+        pytest.param(
+            '{"seq":' + "2" * 5000 + ',"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}',
+            id="seq-of-5000-digits",
+        ),
     ],
 )
 def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):
     path = tmp_path / "hostile.jsonl"
     path.write_text(f"{_GOOD_LINE}\n{line}\n")
     with pytest.raises(MalformedLog, match="^line 2: "):
+        read_events(str(path))
+
+
+def test_a_line_that_is_not_utf8_is_malformed(tmp_path):
+    # Line 1 holds U+2028 raw, as format_event writes it: a line count that
+    # split it there would name line 3.
+    first = format_event(_event(1, EventKind.ABORT, conversation_id="c1", text="a\u2028b"))
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(first.encode() + b"\n" + _GOOD_LINE.encode()[:-2] + b"\xff\"}\n")
+    with pytest.raises(MalformedLog, match="^line 2: not valid UTF-8$"):
         read_events(str(path))
 
 

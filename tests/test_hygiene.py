@@ -2,8 +2,9 @@
 used; no class in src/ but ``FieldCodec`` writes its own codec; no
 function body on the per-item paths looks up an enum member by attribute;
 nothing in src/ but ``model.load_yaml`` chooses a YAML loader; no
-function body in src/ imports; and no function body in the simulated
-platform calls the rng's ``choice``, ``uniform`` or ``expovariate``.
+function body in src/ imports; no function body in the simulated
+platform calls the rng's ``choice``, ``uniform`` or ``expovariate``; and
+every frozen slotted dataclass in src/ is built by ``slot_init``.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -318,5 +319,52 @@ def test_simulated_platform_draws_through_parity_tested_forms():
         for name in DRAW_MODULES
         for path in [ROOT / "src" / "campaignkit" / f"{name}.py"]
         for line, name in stdlib_draws(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+def _keyword_is(call: ast.Call, name: str, value: bool) -> bool:
+    return any(
+        k.arg == name and isinstance(k.value, ast.Constant) and k.value.value is value
+        for k in call.keywords
+    )
+
+
+def slow_frozen_records(source: str) -> list[tuple[int, str]]:
+    """(line, class) of each ``@dataclass(frozen=True, slots=True)`` class
+    that is not decorated with ``slot_init`` or does not declare
+    ``init=False``: it would be built by the frozen dataclass ``__init__``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        names = {getattr(d, "id", None) for d in node.decorator_list}
+        for d in node.decorator_list:
+            if (
+                isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                and _keyword_is(d, "frozen", True) and _keyword_is(d, "slots", True)
+                and ("slot_init" not in names or not _keyword_is(d, "init", False))
+            ):
+                found.append((node.lineno, node.name))
+    return found
+
+
+def test_frozen_records_outside_slot_init_are_detected():
+    source = (
+        "@slot_init\n@dataclass(frozen=True, slots=True, init=False)\nclass Fast:\n    x: int\n"
+        "@dataclass(frozen=True, slots=True)\nclass Slow:\n    x: int\n"
+        "@slot_init\n@dataclass(frozen=True, slots=True)\nclass Twice:\n    x: int\n"
+        "@dataclass(init=False, frozen=True, slots=True)\nclass Bare:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass Config:\n    x: int\n"
+        "@dataclass(slots=True)\nclass Agent:\n    x: int\n"
+    )
+    assert slow_frozen_records(source) == [(6, "Slow"), (10, "Twice"), (13, "Bare")]
+
+
+def test_every_frozen_slotted_record_in_src_is_built_by_slot_init():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, name in slow_frozen_records(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

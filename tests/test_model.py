@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import inspect
 import pickle
@@ -8,6 +9,7 @@ import yaml
 from hypothesis import given, strategies as st
 
 from campaignkit import fixtures, model, platform, strategy
+from campaignkit.eventlog import record_to_event
 from campaignkit.model import (
     CampaignConfig,
     CampaignError,
@@ -22,6 +24,7 @@ from campaignkit.model import (
 from campaignkit.platform import BotMessageMeta, InboundItem, ItemKind
 from campaignkit.simulator import SimulationProfile
 from campaignkit.strategy import MessageKind, OutboundMessage
+from conftest import reference_record
 
 
 def test_default_config_is_valid():
@@ -93,9 +96,6 @@ def test_volunteer_label_round_trip():
 
 
 def test_event_round_trip():
-    from campaignkit.eventlog import record_to_event
-    from conftest import reference_record
-
     event = CampaignEvent(
         seq=3,
         ts=1_430_000_001_000,
@@ -147,10 +147,10 @@ SLOT_RECORDS = [
 
 @pytest.mark.parametrize("cls, values", SLOT_RECORDS, ids=[c.__name__ for c, _ in SLOT_RECORDS])
 def test_event_constructor_contract(cls, values):
-    # The generated __init__ takes every field, in field order, with the
+    # The generated constructor takes every field, in field order, with the
     # field's default, and sets each one to its own argument.
     fields = dataclasses.fields(cls)
-    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    params = list(inspect.signature(cls).parameters.values())
     empty = inspect.Parameter.empty
     assert [(p.name, p.default) for p in params] == [
         (f.name, empty if f.default is dataclasses.MISSING else f.default) for f in fields
@@ -159,22 +159,42 @@ def test_event_constructor_contract(cls, values):
     record = cls(**values)
     assert not hasattr(record, "__dict__")
     assert {name: getattr(record, name) for name in values} == values
-    assert cls(*values.values()) == record
     for name in values:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(record, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, name)
     assert hash(cls(**values)) == hash(record)
     first = fields[0].name
     assert dataclasses.replace(record, **{first: None}) == cls(**{**values, first: None})
-    assert pickle.loads(pickle.dumps(record)) == record
+    # The generated __new__ fills an unfrozen twin, then assigns __class__:
+    # no way of making a record may give back the twin.
+    made = [
+        record, cls(*values.values()), dataclasses.replace(record),
+        pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record),
+    ]
+    if cls is CampaignEvent:
+        made.append(record_to_event(reference_record(record)))
+    assert [type(r) for r in made] == [cls] * len(made)
+    assert made == [record] * len(made)
 
 
 def test_slot_init_rejects_a_default_factory():
     with pytest.raises(TypeError, match="default_factory"):
         model.slot_init(
             dataclasses.make_dataclass(
-                "Bad", [("xs", list, dataclasses.field(default_factory=list))], slots=True
+                "Bad", [("xs", list, dataclasses.field(default_factory=list))],
+                frozen=True, slots=True, init=False,
             )
+        )
+
+
+def test_slot_init_rejects_a_class_with_its_own_init():
+    # A dataclass __init__ would run after the generated __new__ and set
+    # every field a second time.
+    with pytest.raises(TypeError, match="init=False"):
+        model.slot_init(
+            dataclasses.make_dataclass("Slow", [("x", int)], frozen=True, slots=True)
         )
 
 
