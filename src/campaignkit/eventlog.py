@@ -11,12 +11,23 @@ fsynced so a crashed run leaves a valid prefix.
 The codec's contract: :func:`format_event` writes exactly the bytes of
 ``json.dumps(record, ensure_ascii=False, separators=(",", ":"))`` with the
 keys in that order, and :func:`iter_events` raises :class:`MalformedLog`,
-naming the line, on a line that is not valid UTF-8 (its number counted as
-the text reader splits lines, so a raw U+2028 does not end one), that is not
-a JSON object, that holds an integer longer than the interpreter converts
-(4,300 digits), whose ``seq``, ``ts`` or ``q`` is not an integer (``bool``
-is not one), whose string keys hold anything but strings, whose ``members``
-is not a list of strings, or whose ``partial`` is anything but ``true``.
+naming the first bad line, on a line that is not valid UTF-8 (its number
+counted as the text reader splits lines, so a raw U+2028 does not end one),
+that is not a JSON object, whose ``seq``, ``ts`` or ``q`` is not an integer
+(``bool`` is not one), whose string keys hold anything but strings, whose
+``members`` is not a list of strings, or whose ``partial`` is anything but
+``true``.
+
+Lines are decoded by ``orjson``, which is stricter than the stdlib decoder:
+an integer outside [-2**63, 2**64 - 1] decodes as a float, so such a
+``seq``, ``ts`` or ``q`` is not an event record; ``NaN``, ``Infinity``, a
+number that overflows a double, a ``\\ud800`` escape without its low
+surrogate and a value nested more than 1,024 deep are not valid JSON. The
+depth is checked before the line is decoded, since orjson 3.8 builds nested
+values recursively and a line some 10**5 levels deep crashes the
+interpreter. The writer produces none of these: its integers lie far inside
+the range, its records nest two deep, and a lone surrogate cannot be encoded
+to UTF-8.
 
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
@@ -37,12 +48,13 @@ and are validated again.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Optional, Sequence
+
+import orjson
 
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_INBOUND_REPLY, EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP,
@@ -61,8 +73,13 @@ _KINDS = {kind.value: kind for kind in EventKind}
 _TARGETS = {target.value: target for target in TargetAuthor}
 _KIND_JSON = {kind: encode_basestring(kind.value) for kind in EventKind}
 _TARGET_JSON = {target: encode_basestring(target.value) for target in TargetAuthor}
-_parse = json.JSONDecoder().raw_decode
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a bad byte to
+# A line long enough to nest deeper than this is checked before orjson
+# builds it (the module docstring says why).
+_MAX_DEPTH = 1024
+# A string (closing quote optional, so every match succeeds and a scan stays
+# linear) or a bracket.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]')
 
 
 def format_event(event: CampaignEvent) -> str:
@@ -198,34 +215,53 @@ def write_events(events: Iterable[CampaignEvent], path: str) -> None:
 
 
 def iter_events(path: str) -> Iterator[CampaignEvent]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record, end = _parse(line)
-                    if end != len(line):
-                        raise json.JSONDecodeError("Extra data", line, end)
-                except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-                    raise MalformedLog(f"line {lineno}: not valid JSON ({exc})") from exc
-                try:
-                    yield record_to_event(record)
-                except ValueError as exc:
-                    raise MalformedLog(f"line {lineno}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            # The reader decodes a chunk at a time, so the error's position
-            # is inside the chunk; the line is found again only here.
-            raise MalformedLog(f"line {_undecodable_line(path)}: not valid UTF-8") from exc
+    try:
+        yield from _decode(path, "strict")
+    except UnicodeDecodeError:
+        # The text reader decodes a chunk (8 KiB) at a time and fails on the
+        # whole of it before yielding its first line, so an earlier line of
+        # that chunk may be bad too. Read again, each undecodable byte as a
+        # lone surrogate, up to the first line that is bad in any way.
+        for _ in _decode(path, "surrogateescape"):
+            pass
+        raise
 
 
-def _undecodable_line(path: str) -> int:
-    """The number of the first line that is not UTF-8, its lines split as
-    :func:`iter_events` reads them: each undecodable byte reads as a lone
-    surrogate."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return next(n for n, line in enumerate(fh, start=1) if _ESCAPED_BYTE.search(line))
+def _decode(path: str, errors: str) -> Iterator[CampaignEvent]:
+    """The events of the log's lines, decoded with the given error handler;
+    raises :class:`MalformedLog` at the first bad line."""
+    with open(path, "r", encoding="utf-8", errors=errors) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if len(line) > 2 * _MAX_DEPTH and _too_deep(line):
+                raise MalformedLog(f"line {lineno}: not valid JSON (nested deeper than {_MAX_DEPTH})")
+            try:
+                record = orjson.loads(line)  # rejects trailing data itself
+            except orjson.JSONDecodeError as exc:
+                # orjson refuses any str holding a surrogate, and only an
+                # escaped byte puts one in a line: the JSON escape is ASCII.
+                if _ESCAPED_BYTE.search(line):
+                    raise MalformedLog(f"line {lineno}: not valid UTF-8") from None
+                raise MalformedLog(f"line {lineno}: not valid JSON ({exc})") from exc
+            try:
+                yield record_to_event(record)
+            except ValueError as exc:
+                raise MalformedLog(f"line {lineno}: {exc}") from exc
+
+
+def _too_deep(line: str) -> bool:
+    """Whether the line's brackets outside strings nest past the limit."""
+    depth = 0
+    for token in _TOKEN.findall(line):
+        if token == "[" or token == "{":
+            depth += 1
+            if depth > _MAX_DEPTH:
+                return True
+        elif token == "]" or token == "}":
+            depth -= 1
+    return False
 
 
 def read_events(path: str) -> list[CampaignEvent]:

@@ -49,7 +49,7 @@ from .eventlog import CampaignState, EventLogWriter, MalformedLog, drop_torn_tai
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_FAVORITE, EVENT_INBOUND_REPLY, EVENT_RETWEET, TARGET_BOT,
     TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, TargetUser,
-    validate_config,
+    slot_init, validate_config,
 )
 from .platform import (
     ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, InboundItem, Platform,
@@ -154,7 +154,11 @@ class GroupBuffer:
         self._buffers: dict[tuple[str, str], _Buffer] = {}
 
     def _buffer(self, topic: str, arm: StrategyId) -> _Buffer:
-        return self._buffers.setdefault((topic, arm), _Buffer())
+        key = (topic, arm)
+        buf = self._buffers.get(key)
+        if buf is None:  # built only on a miss, not on every add
+            buf = self._buffers[key] = _Buffer()
+        return buf
 
     def add(self, target: TargetUser, now: int) -> Optional[list[TargetUser]]:
         assert target.assigned_strategy is not None
@@ -184,7 +188,8 @@ class GroupBuffer:
         return min((b.oldest_ts for b in self._buffers.values() if b.oldest_ts is not None), default=None)
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class _Send:
     """One scheduled outbound turn (a call or a follow-up, plus its quote)."""
 

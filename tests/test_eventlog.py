@@ -395,12 +395,41 @@ _GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
             '{"seq":' + "2" * 5000 + ',"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}',
             id="seq-of-5000-digits",
         ),
+        # Just outside the 64-bit range the decoder reads as an integer.
+        pytest.param(
+            '{"seq":%d,"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}' % 2**64, id="seq-of-2**64"
+        ),
+        pytest.param(
+            '{"seq":%d,"ts":2,"kind":"Abort","actor":"BOT","conv":"c1"}' % (-(2**63) - 1),
+            id="seq-of-minus-2**63-minus-1",
+        ),
+        pytest.param('{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","x":NaN}', id="nan"),
+        pytest.param('{"seq":2,"ts":1e400,"kind":"Abort","actor":"BOT"}', id="1e400"),
+        pytest.param(
+            '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","text":"\\ud800"}', id="lone-surrogate"
+        ),
+        pytest.param(
+            '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","x":' + "[" * 100_000 + "]" * 100_000 + "}",
+            id="nested-100000-deep",
+        ),
     ],
 )
 def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):
     path = tmp_path / "hostile.jsonl"
     path.write_text(f"{_GOOD_LINE}\n{line}\n")
     with pytest.raises(MalformedLog, match="^line 2: "):
+        read_events(str(path))
+
+
+def test_nesting_is_refused_past_its_limit_before_it_is_decoded(tmp_path):
+    def line(depth):
+        return '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","x":' + "[" * depth + "]" * depth + "}"
+
+    path = tmp_path / "deep.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n{line(1023)}\n")  # 1,024 deep, the object included
+    assert len(read_events(str(path))) == 2
+    path.write_text(f"{_GOOD_LINE}\n{line(1024)}\n")
+    with pytest.raises(MalformedLog, match=r"^line 2: not valid JSON \(nested deeper than 1024\)$"):
         read_events(str(path))
 
 
@@ -412,6 +441,27 @@ def test_a_line_that_is_not_utf8_is_malformed(tmp_path):
     path.write_bytes(first.encode() + b"\n" + _GOOD_LINE.encode()[:-2] + b"\xff\"}\n")
     with pytest.raises(MalformedLog, match="^line 2: not valid UTF-8$"):
         read_events(str(path))
+
+
+def test_the_first_bad_line_is_named_before_a_later_one_that_is_not_utf8(tmp_path):
+    # The text reader fails on the whole chunk, line 1 included, before it
+    # yields line 1.
+    path = tmp_path / "hostile.jsonl"
+    path.write_bytes(b'not json\n{"seq":2,"text":"\xff"}\n')
+    with pytest.raises(MalformedLog, match=r"^line 1: not valid JSON \("):
+        read_events(str(path))
+
+
+def test_integers_at_both_ends_of_the_64_bit_range_round_trip(tmp_path):
+    events = [
+        _event(bound, EventKind.OUTBOUND_FOLLOWUP, ts=bound, followup_index=bound)
+        for bound in (-(2**63), 2**64 - 1)
+    ]
+    path = tmp_path / "wide.jsonl"
+    write_events(events, str(path))
+    back = read_events(str(path))
+    assert back == events
+    assert {type(v) for e in back for v in (e.seq, e.ts, e.followup_index)} == {int}
 
 
 def test_conversation_members_parses_call_mentions(reference_log):

@@ -1,10 +1,11 @@
 """Source hygiene: every imported name in src/, tests/ and perfbench/ is
 used; no class in src/ but ``FieldCodec`` writes its own codec; no
 function body on the per-item paths looks up an enum member by attribute;
-nothing in src/ but ``model.load_yaml`` chooses a YAML loader; no
-function body in src/ imports; no function body in the simulated
-platform calls the rng's ``choice``, ``uniform`` or ``expovariate``; and
-every frozen slotted dataclass in src/ is built by ``slot_init``.
+nothing in src/ but ``model.load_yaml`` chooses a YAML loader; nothing in
+src/ but ``eventlog`` imports ``orjson``; no function body in src/
+imports; no function body in the simulated platform calls the rng's
+``choice``, ``uniform`` or ``expovariate``; and every frozen slotted
+dataclass in src/ is built by ``slot_init``.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -239,6 +240,54 @@ def test_only_model_load_yaml_loads_yaml():
         )
     ]
     assert offenders == []
+
+
+# The one module that decodes with orjson: the log reader. Label files and
+# everything else keep the stdlib decoder.
+ORJSON_IMPORTERS = {"eventlog"}
+
+
+def orjson_imports(source: str) -> list[int]:
+    """Line of each import of ``orjson``, by statement or by
+    ``import_module``/``__import__`` with the name as a string."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Call) and getattr(
+            node.func, "attr", getattr(node.func, "id", None)
+        ) in ("import_module", "__import__"):
+            modules = [a.value for a in node.args if isinstance(a, ast.Constant)]
+        else:
+            continue
+        if any(str(m).split(".")[0] == "orjson" for m in modules):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_orjson_imports_are_detected():
+    source = (
+        "import json, orjson\n"
+        "from orjson import loads\n"
+        "import orjsonish\n"
+        "from .eventlog import orjson\n"
+        "def f():\n"
+        "    return importlib.import_module('orjson'), __import__('orjson.x')\n"
+    )
+    assert orjson_imports(source) == [1, 2, 6]
+
+
+def test_only_eventlog_imports_orjson():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.stem not in ORJSON_IMPORTERS
+        for line in orjson_imports(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+    assert orjson_imports((ROOT / "src" / "campaignkit" / "eventlog.py").read_text(encoding="utf-8"))
 
 
 def function_imports(source: str) -> list[tuple[int, str]]:

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from campaignkit import fixtures, model, platform, strategy
+from campaignkit import fixtures, model, orchestrator, platform, strategy
 from campaignkit.eventlog import record_to_event
 from campaignkit.model import (
     CampaignConfig,
@@ -141,6 +141,14 @@ SLOT_RECORDS = [
     (OutboundMessage, {
         "kind": MessageKind.FOLLOWUP, "text": "@u1 why?", "mentions": ("u1",),
         "strategy": "direct", "topic": "corruption", "conversation_id": "c1", "turn": 2,
+    }),
+    # A rate-limited turn is rescheduled through dataclasses.replace.
+    (orchestrator._Send, {
+        "kind": "followup", "conversation_id": "c1", "topic": "corruption", "arm": "direct",
+        "messages": (
+            OutboundMessage(MessageKind.FOLLOWUP, "@u1 why?", ("u1",), "direct", "corruption", "c1", 2),
+        ),
+        "members": ("u1",), "partial": True, "question": 3,
     }),
 ]
 
