@@ -85,7 +85,11 @@ _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]')
 def format_event(event: CampaignEvent) -> str:
     """One log line, without its newline: the bytes of ``json.dumps(record,
     ensure_ascii=False, separators=(",", ":"))`` for the event's record in
-    the fixed key order, built without the intermediate dict."""
+    the fixed key order, built without the intermediate dict.
+
+    :func:`iter_events` reads the line back only if ``seq``, ``ts`` and
+    ``q`` lie in [-2**63, 2**64 - 1]; any other int is written all the same.
+    """
     line = (
         f'{{"seq":{event.seq:d},"ts":{event.ts:d},"kind":{_KIND_JSON[event.kind]}'
         f',"actor":{encode_basestring(event.actor)}'
@@ -215,22 +219,13 @@ def write_events(events: Iterable[CampaignEvent], path: str) -> None:
 
 
 def iter_events(path: str) -> Iterator[CampaignEvent]:
-    try:
-        yield from _decode(path, "strict")
-    except UnicodeDecodeError:
-        # The text reader decodes a chunk (8 KiB) at a time and fails on the
-        # whole of it before yielding its first line, so an earlier line of
-        # that chunk may be bad too. Read again, each undecodable byte as a
-        # lone surrogate, up to the first line that is bad in any way.
-        for _ in _decode(path, "surrogateescape"):
-            pass
-        raise
-
-
-def _decode(path: str, errors: str) -> Iterator[CampaignEvent]:
-    """The events of the log's lines, decoded with the given error handler;
-    raises :class:`MalformedLog` at the first bad line."""
-    with open(path, "r", encoding="utf-8", errors=errors) as fh:
+    """The log's events in order; raises :class:`MalformedLog` at the first
+    bad line."""
+    # Each undecodable byte is read as a lone surrogate, so the loop reaches
+    # the line that holds it and names the first bad line of any kind. A
+    # strict read would fail on a whole 8 KiB chunk before yielding its first
+    # line. The UTF-8 codec calls the handler only on a bad byte.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

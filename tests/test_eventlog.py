@@ -3,6 +3,7 @@ import json
 import pickle
 from collections import Counter
 
+import orjson
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -92,10 +93,19 @@ _events = st.builds(
 
 @given(_events)
 @example(CampaignEvent(1, 2, EventKind.OUTBOUND_CALL, "BOT", text='"\\\x00\x7f\u2028\U0001F600é', partial=True))
+@example(CampaignEvent(2**64 - 1, -(2**63), EventKind.OUTBOUND_FOLLOWUP, "BOT", followup_index=2**64 - 1))
+@example(CampaignEvent(2**64, 1, EventKind.OUTBOUND_CALL, "BOT"))
+@example(CampaignEvent(1, 1, EventKind.OUTBOUND_FOLLOWUP, "BOT", followup_index=-(2**63) - 1))
 def test_format_event_is_json_dumps_of_the_reference_record(event):
     line = format_event(event)
     assert line == json.dumps(reference_record(event), ensure_ascii=False, separators=(",", ":"))
-    assert record_to_event(json.loads(line)) == event
+    # The reader's decode: it takes back exactly the integers in its range.
+    integers = (event.seq, event.ts, event.followup_index or 0)
+    if all(-(2**63) <= i <= 2**64 - 1 for i in integers):
+        assert record_to_event(orjson.loads(line)) == event
+    else:
+        with pytest.raises(ValueError):
+            record_to_event(orjson.loads(line))
 
 
 def _reply_heavy_config():
