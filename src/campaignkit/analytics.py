@@ -12,13 +12,14 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .eventlog import validate_events, volunteer_replies
 from .model import (
     EVENT_INBOUND_REPLY, EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, INTERACTION_KINDS,
     LABEL_ON_TOPIC, OUTBOUND_KINDS, TARGET_BOT, CampaignError, CampaignEvent, LabelValue,
-    VolunteerLabel,
+    VolunteerLabel, slot_init,
 )
 from .stats import AnovaResult, DegenerateInput, mann_whitney_rho_sparse, one_way_anova
 from .text import tokenize
@@ -221,7 +222,8 @@ def merge_labels(
 
 # -- key-term extraction ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class TermScore:
     term: str
     score: float
@@ -253,8 +255,11 @@ def mann_whitney_keyterms(
     document, and those zeros form one tie block. rho > 0.5 means group A
     over-uses the term. Each group's ranking orders all terms by its own
     over-use score (rho for A, 1-rho for B) with ties broken
-    lexicographically, and its key terms are the top ceil(top_fraction * V).
+    lexicographically, and its key terms are the top ceil(top_fraction * V),
+    for a top_fraction in [0, 1].
     """
+    if not 0 <= top_fraction <= 1:
+        raise DegenerateInput(f"top_fraction must lie in [0, 1], got {top_fraction}")
     if len(corpus_a) < 2 or len(corpus_b) < 2:
         raise DegenerateInput("each corpus needs at least two documents")
     # term -> (weights in A's documents that contain it, weights in B's)
@@ -264,9 +269,10 @@ def mann_whitney_keyterms(
             tokens = tokenize(doc)
             total = len(tokens)
             for term, count in Counter(tokens).items():
-                if term not in postings:
-                    postings[term] = ([], [])
-                postings[term][side].append(count / total)
+                entry = postings.get(term)
+                if entry is None:
+                    entry = postings[term] = ([], [])
+                entry[side].append(count / total)
     if not postings:
         raise EmptyVocabulary("no tokens in either corpus")
     vocabulary = sorted(postings)
@@ -281,8 +287,10 @@ def mann_whitney_keyterms(
         scores_a.append(TermScore(term, rho))
         scores_b.append(TermScore(term, 1.0 - rho))
 
+    # The scores follow the sorted vocabulary, and a sort with reverse=True
+    # keeps equal scores in their order: ties stay lexicographic.
     def ranked(scores: list[TermScore]) -> tuple[TermScore, ...]:
-        return tuple(sorted(scores, key=lambda s: (-s.score, s.term)))
+        return tuple(sorted(scores, key=attrgetter("score"), reverse=True))
 
     group_a = ranked(scores_a)
     group_b = ranked(scores_b)

@@ -25,9 +25,9 @@ number that overflows a double, a ``\\ud800`` escape without its low
 surrogate and a value nested more than 1,024 deep are not valid JSON. The
 depth is checked before the line is decoded, since orjson 3.8 builds nested
 values recursively and a line some 10**5 levels deep crashes the
-interpreter. The writer produces none of these: its integers lie far inside
-the range, its records nest two deep, and a lone surrogate cannot be encoded
-to UTF-8.
+interpreter. The writer produces none of these: :meth:`EventLogWriter.append`
+refuses an integer outside the range, its records nest two deep, and a lone
+surrogate cannot be encoded to UTF-8.
 
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
@@ -88,7 +88,8 @@ def format_event(event: CampaignEvent) -> str:
     the fixed key order, built without the intermediate dict.
 
     :func:`iter_events` reads the line back only if ``seq``, ``ts`` and
-    ``q`` lie in [-2**63, 2**64 - 1]; any other int is written all the same.
+    ``q`` lie in [-2**63, 2**64 - 1]; any other int is formatted all the same,
+    and :meth:`EventLogWriter.append` refuses it.
     """
     line = (
         f'{{"seq":{event.seq:d},"ts":{event.ts:d},"kind":{_KIND_JSON[event.kind]}'
@@ -174,9 +175,20 @@ class EventLogWriter:
         self.replaying = bool(logged)
 
     def append(self, event: CampaignEvent) -> None:
+        """Log the event; raises ValueError, keeping and writing nothing, if
+        its ``seq``, ``ts`` or ``q`` lies outside the range the reader takes."""
         if self.replaying:
             self._check(event)
             return
+        # The integers orjson decodes as int; the bounds fold to constants.
+        q = event.followup_index
+        if not (
+            -(2**63) <= event.seq <= 2**64 - 1 and -(2**63) <= event.ts <= 2**64 - 1
+            and (q is None or -(2**63) <= q <= 2**64 - 1)
+        ):
+            raise ValueError(
+                f"seq {event.seq}: seq, ts and q must lie in [-2**63, 2**64 - 1] to be read back"
+            )
         self.events.append(event)
         if self._fh is None:
             return

@@ -27,9 +27,9 @@ to each enum (``EVENT_ABORT``, ``platform.ITEM_PUBLIC_POST``): a lookup such
 as ``EventKind.ABORT`` goes through the enum metaclass, 140-190 ns against
 13 ns for a global, and ``.value`` costs about 250 ns. And they build their
 records (``CampaignEvent``, ``platform.InboundItem`` and ``BotMessageMeta``,
-``strategy.OutboundMessage``) positionally through the ``__new__`` that
-:func:`slot_init` generates: an ``InboundItem`` costs 1.5 us by keyword
-through the frozen dataclass ``__init__``, 0.6 us this way.
+``strategy.OutboundMessage``, ``analytics.TermScore``) positionally through
+the ``__new__`` that :func:`slot_init` generates: an ``InboundItem`` costs
+1.5 us by keyword through the frozen dataclass ``__init__``, 0.6 us this way.
 Set-up parses YAML through :func:`load_yaml` with libyaml's loader (the
 shipped data files: 12.1 ms with ``SafeLoader``, 1.2 ms) and builds agents
 positionally (0.3 us, 0.8 us by keyword) and slotted (80 bytes, not 176).

@@ -43,15 +43,45 @@ def match_keyword(text: str, keywords: FoldedKeywords) -> Optional[str]:
     return None
 
 
+def _needs_strip(folded: str) -> bool:
+    """Whether a token of the folded text could lose a character to
+    :func:`tokenize`'s strip: the text holds a character of ``_LEAD_PUNCT``,
+    or a '#' or '@' is followed by whitespace or by the end of the text."""
+    for ch in _LEAD_PUNCT:
+        if ch in folded:
+            return True
+    end = len(folded)
+    for sigil in "#@":
+        i = folded.find(sigil)
+        while i >= 0:
+            i += 1
+            if i == end or folded[i].isspace():
+                return True
+            i = folded.find(sigil, i)
+    return False
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace tokenizer for corpus statistics.
 
     Tokens are case-folded and have punctuation stripped at the edges, except
     that a leading '#' or '@' is kept: hashtags and handles are first-class
     terms here.
+
+    The folded text is split once, and the split is returned as it is when
+    :func:`_needs_strip` is false. That is exact: without a character of
+    ``_LEAD_PUNCT`` no token starts with punctuation that ``lstrip`` would
+    take, the only punctuation left is '#' and '@', and ``rstrip`` would take
+    those only from a token's end, that is, from before whitespace (as
+    ``str.split`` tests it) or the end of the text. Otherwise every token is
+    stripped.
     """
+    folded = text.casefold()
+    tokens = folded.split()
+    if not _needs_strip(folded):
+        return tokens
     return [
-        tok for raw in text.casefold().split()
+        tok for raw in tokens
         if (tok := raw.rstrip(string.punctuation).lstrip(_LEAD_PUNCT))
     ]
 

@@ -232,6 +232,13 @@ def test_single_document_corpus_rejected():
         mann_whitney_keyterms(["hola"], ["adios", "hola"])
 
 
+@pytest.mark.parametrize("top_fraction", [-0.5, 1.5, math.nan])
+def test_top_fraction_outside_zero_to_one_is_rejected(top_fraction):
+    # A negative fraction would slice from the end of the ranking.
+    with pytest.raises(DegenerateInput, match="top_fraction"):
+        mann_whitney_keyterms(["a b c", "a b"], ["d e f", "d e"], top_fraction=top_fraction)
+
+
 def _average_ranks(values):
     """Fractional ranking: 1-based ranks, ties share the mean of their ranks."""
     order = sorted(range(len(values)), key=lambda i: values[i])

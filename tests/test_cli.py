@@ -195,6 +195,18 @@ def test_fixtures_and_keyterms_end_to_end(tmp_path, capsys):
     assert fixtures.PLANTED_HASHTAG in out
 
 
+@pytest.mark.parametrize("top_fraction", ["-0.5", "1.5", "nan"])
+def test_keyterms_rejects_a_top_fraction_outside_zero_to_one(tmp_path, capsys, top_fraction):
+    outdir = tmp_path / "fixtures"
+    assert main(["fixtures", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    command = ["keyterms", "--log", str(outdir / "reference.log"), "--history", str(outdir / "history")]
+    assert main(command + ["--top-fraction", top_fraction]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: top_fraction must lie in [0, 1], got {float(top_fraction)}\n"
+    )
+
+
 def test_resume_cli(tmp_path, capsys):
     path = _write_config(tmp_path)
     whole, out = tmp_path / "whole.log", tmp_path / "run.log"

@@ -474,6 +474,23 @@ def test_integers_at_both_ends_of_the_64_bit_range_round_trip(tmp_path):
     assert {type(v) for e in back for v in (e.seq, e.ts, e.followup_index)} == {int}
 
 
+@pytest.mark.parametrize(
+    "event",
+    [
+        _event(2**64, EventKind.OUTBOUND_CALL),
+        _event(1, EventKind.OUTBOUND_FOLLOWUP, followup_index=-(2**63) - 1),
+    ],
+    ids=["seq-of-2**64", "q-of-minus-2**63-minus-1"],
+)
+def test_writer_refuses_an_integer_its_reader_would_refuse(tmp_path, event):
+    path = tmp_path / "wide.jsonl"
+    with EventLogWriter(str(path)) as writer:
+        with pytest.raises(ValueError, match=r"\[-2\*\*63, 2\*\*64 - 1\]"):
+            writer.append(event)
+        assert writer.events == []
+    assert path.read_bytes() == b""
+
+
 def test_conversation_members_parses_call_mentions(reference_log):
     members = conversation_members(reference_log)
     assert members["direct-0000"] == ("d0000x0", "d0000x1", "d0000x2")

@@ -8,7 +8,7 @@ import pytest
 import yaml
 from hypothesis import given, strategies as st
 
-from campaignkit import fixtures, model, orchestrator, platform, strategy
+from campaignkit import analytics, fixtures, model, orchestrator, platform, strategy
 from campaignkit.eventlog import record_to_event
 from campaignkit.model import (
     CampaignConfig,
@@ -142,6 +142,7 @@ SLOT_RECORDS = [
         "kind": MessageKind.FOLLOWUP, "text": "@u1 why?", "mentions": ("u1",),
         "strategy": "direct", "topic": "corruption", "conversation_id": "c1", "turn": 2,
     }),
+    (analytics.TermScore, {"term": "#voluntariado", "score": 0.75}),
     # A rate-limited turn is rescheduled through dataclasses.replace.
     (orchestrator._Send, {
         "kind": "followup", "conversation_id": "c1", "topic": "corruption", "arm": "direct",

@@ -1,7 +1,7 @@
 import string
 import unicodedata
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from campaignkit.text import (
     FoldedKeywords,
@@ -128,6 +128,30 @@ _PUNCTUATED = st.one_of(
 def test_tokenize_and_mentions_match_the_per_character_reference(text):
     assert tokenize(text) == _tokenize_reference(text)
     assert mentions_in_text(text) == _mentions_reference(text)
+
+
+# Letters, whitespace and the sigils, and no other punctuation: the texts
+# that reach tokenize's unstripped path, and those a sigil keeps from it.
+_SIGILED = st.text(alphabet=st.sampled_from("aZÉßİ#@ \t\n\x1c\x85\xa0\u2003\u3000"))
+
+
+@given(_SIGILED)
+@example("a#")
+@example("#")
+@example("@ b")
+@example("x #y")
+@example("a\u3000#")
+@example("#a@")
+def test_tokenize_without_edge_punctuation_matches_the_reference(text):
+    assert tokenize(text) == _tokenize_reference(text)
+
+
+def test_each_punctuation_character_alone_is_stripped():
+    # The only edge punctuation in the text, so no other character sends the
+    # text to the strip.
+    for ch in string.punctuation:
+        text = f"a{ch} {ch}b x{ch}y"
+        assert tokenize(text) == _tokenize_reference(text), ch
 
 
 def test_tokenize_strips_leading_punctuation_but_not_sigils():
