@@ -238,6 +238,12 @@ class KeyTermReport:
     vocabulary_size: int
 
 
+def check_top_fraction(top_fraction: float) -> None:
+    """Raise DegenerateInput unless top_fraction lies in [0, 1]; NaN does not."""
+    if not 0 <= top_fraction <= 1:
+        raise DegenerateInput(f"top_fraction must lie in [0, 1], got {top_fraction}")
+
+
 def mann_whitney_keyterms(
     corpus_a: Sequence[str],
     corpus_b: Sequence[str],
@@ -258,8 +264,7 @@ def mann_whitney_keyterms(
     lexicographically, and its key terms are the top ceil(top_fraction * V),
     for a top_fraction in [0, 1].
     """
-    if not 0 <= top_fraction <= 1:
-        raise DegenerateInput(f"top_fraction must lie in [0, 1], got {top_fraction}")
+    check_top_fraction(top_fraction)
     if len(corpus_a) < 2 or len(corpus_b) < 2:
         raise DegenerateInput("each corpus needs at least two documents")
     # term -> (weights in A's documents that contain it, weights in B's)

@@ -106,6 +106,7 @@ def _split_responders(events) -> tuple[list[str], list[str]]:
 
 
 def cmd_keyterms(args) -> int:
+    analytics.check_top_fraction(args.top_fraction)  # before the log is read
     events = eventlog.validate_events(eventlog.read_events(args.log))
     responders, non_responders = _split_responders(events)
 

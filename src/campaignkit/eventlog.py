@@ -8,9 +8,10 @@ the question a follow-up asks; ``members`` lists the group of an aborted call
 (a call names its group in its text). Appends are flushed in blocks and
 fsynced so a crashed run leaves a valid prefix.
 
-The codec's contract: :func:`format_event` writes exactly the bytes of
-``json.dumps(record, ensure_ascii=False, separators=(",", ":"))`` with the
-keys in that order, and :func:`iter_events` raises :class:`MalformedLog`,
+The codec's contract: :func:`format_event` writes ``orjson.dumps`` of the
+record, with the keys in that order; for every record it accepts these are
+exactly the bytes of ``json.dumps(record, ensure_ascii=False,
+separators=(",", ":"))``. :func:`iter_events` raises :class:`MalformedLog`,
 naming the first bad line, on a line that is not valid UTF-8 (its number
 counted as the text reader splits lines, so a raw U+2028 does not end one),
 that is not a JSON object, whose ``seq``, ``ts`` or ``q`` is not an integer
@@ -18,16 +19,17 @@ that is not a JSON object, whose ``seq``, ``ts`` or ``q`` is not an integer
 ``members`` is not a list of strings, or whose ``partial`` is anything but
 ``true``.
 
-Lines are decoded by ``orjson``, which is stricter than the stdlib decoder:
-an integer outside [-2**63, 2**64 - 1] decodes as a float, so such a
-``seq``, ``ts`` or ``q`` is not an event record; ``NaN``, ``Infinity``, a
+Lines are decoded by ``orjson`` too, which is stricter than the stdlib
+decoder: an integer outside [-2**63, 2**64 - 1] decodes as a float, so such
+a ``seq``, ``ts`` or ``q`` is not an event record; ``NaN``, ``Infinity``, a
 number that overflows a double, a ``\\ud800`` escape without its low
 surrogate and a value nested more than 1,024 deep are not valid JSON. The
 depth is checked before the line is decoded, since orjson 3.8 builds nested
 values recursively and a line some 10**5 levels deep crashes the
-interpreter. The writer produces none of these: :meth:`EventLogWriter.append`
-refuses an integer outside the range, its records nest two deep, and a lone
-surrogate cannot be encoded to UTF-8.
+interpreter. The writer produces none of these: orjson refuses to encode an
+integer outside the range or a string holding a lone surrogate, so
+:meth:`EventLogWriter.append` refuses such an event, and its records nest
+two deep.
 
 The log is the single source of truth. :class:`CampaignState` folds it one
 event at a time: the orchestrator applies each event it writes, and
@@ -51,7 +53,6 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import orjson
@@ -71,8 +72,6 @@ class MalformedLog(CampaignError):
 _FSYNC_BLOCK = 512
 _KINDS = {kind.value: kind for kind in EventKind}
 _TARGETS = {target.value: target for target in TargetAuthor}
-_KIND_JSON = {kind: encode_basestring(kind.value) for kind in EventKind}
-_TARGET_JSON = {target: encode_basestring(target.value) for target in TargetAuthor}
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape decodes a bad byte to
 # A line long enough to nest deeper than this is checked before orjson
 # builds it (the module docstring says why).
@@ -82,40 +81,40 @@ _MAX_DEPTH = 1024
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]')
 
 
-def format_event(event: CampaignEvent) -> str:
-    """One log line, without its newline: the bytes of ``json.dumps(record,
-    ensure_ascii=False, separators=(",", ":"))`` for the event's record in
-    the fixed key order, built without the intermediate dict.
+def format_event(event: CampaignEvent) -> bytes:
+    """One log line, without its newline: ``orjson.dumps`` of the event's
+    record in the fixed key order, which is ``json.dumps(record,
+    ensure_ascii=False, separators=(",", ":"))`` encoded to UTF-8.
 
-    :func:`iter_events` reads the line back only if ``seq``, ``ts`` and
-    ``q`` lie in [-2**63, 2**64 - 1]; any other int is formatted all the same,
-    and :meth:`EventLogWriter.append` refuses it.
+    Raises ValueError for what orjson cannot encode: a ``seq``, ``ts`` or
+    ``q`` outside [-2**63, 2**64 - 1], which :func:`iter_events` would not
+    read back as an integer, and a string that holds a lone surrogate.
     """
-    line = (
-        f'{{"seq":{event.seq:d},"ts":{event.ts:d},"kind":{_KIND_JSON[event.kind]}'
-        f',"actor":{encode_basestring(event.actor)}'
-    )
+    record = {"seq": event.seq, "ts": event.ts, "kind": event.kind, "actor": event.actor}
     if event.strategy is not None:
-        line += ',"strategy":' + encode_basestring(event.strategy)
+        record["strategy"] = event.strategy
     if event.topic is not None:
-        line += ',"topic":' + encode_basestring(event.topic)
+        record["topic"] = event.topic
     if event.conversation_id is not None:
-        line += ',"conv":' + encode_basestring(event.conversation_id)
+        record["conv"] = event.conversation_id
     if event.message_id is not None:
-        line += ',"msg":' + encode_basestring(event.message_id)
+        record["msg"] = event.message_id
     if event.in_reply_to is not None:
-        line += ',"reply_to":' + encode_basestring(event.in_reply_to)
+        record["reply_to"] = event.in_reply_to
     if event.target_author is not None:
-        line += ',"target_author":' + _TARGET_JSON[event.target_author]
+        record["target_author"] = event.target_author
     if event.partial:
-        line += ',"partial":true'
+        record["partial"] = True
     if event.followup_index is not None:
-        line += f',"q":{event.followup_index:d}'
+        record["q"] = event.followup_index
     if event.members is not None:
-        line += ',"members":[' + ",".join(map(encode_basestring, event.members)) + "]"
+        record["members"] = event.members
     if event.text is not None:
-        line += ',"text":' + encode_basestring(event.text)
-    return line + "}"
+        record["text"] = event.text
+    try:
+        return orjson.dumps(record)
+    except orjson.JSONEncodeError as exc:
+        raise ValueError(f"seq {event.seq}: cannot be logged ({exc})") from None
 
 
 def record_to_event(record: dict) -> CampaignEvent:
@@ -166,9 +165,7 @@ class EventLogWriter:
 
     def __init__(self, path: Optional[str], append: bool = False, logged: Sequence[CampaignEvent] = ()):
         self.path = path
-        self._fh: Optional[IO[str]] = (
-            open(path, "a" if append else "w", encoding="utf-8") if path is not None else None
-        )
+        self._fh: Optional[IO[bytes]] = open(path, "ab" if append else "wb") if path is not None else None
         self._since_sync = 0
         self.events: list[CampaignEvent] = []
         self._logged = logged
@@ -176,23 +173,17 @@ class EventLogWriter:
 
     def append(self, event: CampaignEvent) -> None:
         """Log the event; raises ValueError, keeping and writing nothing, if
-        its ``seq``, ``ts`` or ``q`` lies outside the range the reader takes."""
+        its ``seq``, ``ts`` or ``q`` lies outside [-2**63, 2**64 - 1] or one
+        of its strings holds a lone surrogate: :func:`format_event` encodes
+        the event first, with or without a path."""
         if self.replaying:
             self._check(event)
             return
-        # The integers orjson decodes as int; the bounds fold to constants.
-        q = event.followup_index
-        if not (
-            -(2**63) <= event.seq <= 2**64 - 1 and -(2**63) <= event.ts <= 2**64 - 1
-            and (q is None or -(2**63) <= q <= 2**64 - 1)
-        ):
-            raise ValueError(
-                f"seq {event.seq}: seq, ts and q must lie in [-2**63, 2**64 - 1] to be read back"
-            )
+        line = format_event(event)
         self.events.append(event)
         if self._fh is None:
             return
-        self._fh.write(format_event(event) + "\n")
+        self._fh.write(line + b"\n")
         self._since_sync += 1
         if self._since_sync >= _FSYNC_BLOCK:
             self._sync()

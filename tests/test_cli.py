@@ -200,11 +200,15 @@ def test_keyterms_rejects_a_top_fraction_outside_zero_to_one(tmp_path, capsys, t
     outdir = tmp_path / "fixtures"
     assert main(["fixtures", "--out", str(outdir)]) == 0
     capsys.readouterr()
-    command = ["keyterms", "--log", str(outdir / "reference.log"), "--history", str(outdir / "history")]
-    assert main(command + ["--top-fraction", top_fraction]) == 2
-    assert capsys.readouterr() == (
-        "", f"error: top_fraction must lie in [0, 1], got {float(top_fraction)}\n"
-    )
+    history = str(outdir / "history")
+    # The bound is checked before the log is read: a log that does not exist
+    # gets the same error.
+    for log in (outdir / "reference.log", tmp_path / "missing.log"):
+        command = ["keyterms", "--log", str(log), "--history", history, "--top-fraction", top_fraction]
+        assert main(command) == 2
+        assert capsys.readouterr() == (
+            "", f"error: top_fraction must lie in [0, 1], got {float(top_fraction)}\n"
+        )
 
 
 def test_resume_cli(tmp_path, capsys):

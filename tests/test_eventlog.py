@@ -62,10 +62,10 @@ def _reply(seq, conv="c1", actor="a", reply_to="m1"):
 
 def test_format_event_field_order():
     line = format_event(_call(1))
-    assert line.startswith('{"seq":1,"ts":')
-    assert '"kind":"OutboundCall"' in line
+    assert line.startswith(b'{"seq":1,"ts":')
+    assert b'"kind":"OutboundCall"' in line
     pinned = _event(2, EventKind.ABORT, conversation_id="c1", followup_index=0, members=("a", "b"), text="x")
-    assert format_event(pinned).endswith(',"conv":"c1","q":0,"members":["a","b"],"text":"x"}')
+    assert format_event(pinned).endswith(b',"conv":"c1","q":0,"members":["a","b"],"text":"x"}')
 
 
 # Characters an escaper can get wrong: quote, backslash,
@@ -96,16 +96,21 @@ _events = st.builds(
 @example(CampaignEvent(2**64 - 1, -(2**63), EventKind.OUTBOUND_FOLLOWUP, "BOT", followup_index=2**64 - 1))
 @example(CampaignEvent(2**64, 1, EventKind.OUTBOUND_CALL, "BOT"))
 @example(CampaignEvent(1, 1, EventKind.OUTBOUND_FOLLOWUP, "BOT", followup_index=-(2**63) - 1))
+@example(CampaignEvent(1, 1, EventKind.OUTBOUND_CALL, "\ud800"))
 def test_format_event_is_json_dumps_of_the_reference_record(event):
-    line = format_event(event)
-    assert line == json.dumps(reference_record(event), ensure_ascii=False, separators=(",", ":"))
-    # The reader's decode: it takes back exactly the integers in its range.
+    record = reference_record(event)
     integers = (event.seq, event.ts, event.followup_index or 0)
-    if all(-(2**63) <= i <= 2**64 - 1 for i in integers):
+    strings = [v for v in record.values() if isinstance(v, str)] + record.get("members", [])
+    if all(-(2**63) <= i <= 2**64 - 1 for i in integers) and not any(
+        "\ud800" <= c <= "\udfff" for s in strings for c in s
+    ):
+        line = format_event(event)
+        assert line == json.dumps(record, ensure_ascii=False, separators=(",", ":")).encode()
         assert record_to_event(orjson.loads(line)) == event
     else:
+        # Beyond the integers the reader takes back, or not encodable to UTF-8.
         with pytest.raises(ValueError):
-            record_to_event(orjson.loads(line))
+            format_event(event)
 
 
 def _reply_heavy_config():
@@ -302,7 +307,7 @@ def _followup(seq, q, conv="c1"):
 
 def test_followup_index_is_logged_as_q_before_text(tmp_path):
     line = format_event(_followup(3, 4))
-    assert ',"msg":"m3","q":4,"text":' in line
+    assert b',"msg":"m3","q":4,"text":' in line
     path = tmp_path / "log.jsonl"
     events = [_call(1), _reply(2), _followup(3, 4)]
     write_events(events, str(path))
@@ -448,7 +453,7 @@ def test_a_line_that_is_not_utf8_is_malformed(tmp_path):
     # split it there would name line 3.
     first = format_event(_event(1, EventKind.ABORT, conversation_id="c1", text="a\u2028b"))
     path = tmp_path / "hostile.jsonl"
-    path.write_bytes(first.encode() + b"\n" + _GOOD_LINE.encode()[:-2] + b"\xff\"}\n")
+    path.write_bytes(first + b"\n" + _GOOD_LINE.encode()[:-2] + b"\xff\"}\n")
     with pytest.raises(MalformedLog, match="^line 2: not valid UTF-8$"):
         read_events(str(path))
 
@@ -475,19 +480,21 @@ def test_integers_at_both_ends_of_the_64_bit_range_round_trip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "event",
+    "event, match",
     [
-        _event(2**64, EventKind.OUTBOUND_CALL),
-        _event(1, EventKind.OUTBOUND_FOLLOWUP, followup_index=-(2**63) - 1),
+        (_event(2**64, EventKind.OUTBOUND_CALL), "Integer exceeds 64-bit range"),
+        (_event(1, EventKind.OUTBOUND_FOLLOWUP, followup_index=-(2**63) - 1), "Integer exceeds 64-bit range"),
+        (_event(1, EventKind.ABORT, conversation_id="c1", text="a\ud800"), "surrogates not allowed"),
     ],
-    ids=["seq-of-2**64", "q-of-minus-2**63-minus-1"],
+    ids=["seq-of-2**64", "q-of-minus-2**63-minus-1", "lone-surrogate-in-text"],
 )
-def test_writer_refuses_an_integer_its_reader_would_refuse(tmp_path, event):
+def test_writer_refuses_an_event_it_cannot_encode(tmp_path, event, match):
     path = tmp_path / "wide.jsonl"
-    with EventLogWriter(str(path)) as writer:
-        with pytest.raises(ValueError, match=r"\[-2\*\*63, 2\*\*64 - 1\]"):
-            writer.append(event)
-        assert writer.events == []
+    for target in (str(path), None):
+        with EventLogWriter(target) as writer:
+            with pytest.raises(ValueError, match=match):
+                writer.append(event)
+            assert writer.events == []
     assert path.read_bytes() == b""
 
 

@@ -2,8 +2,9 @@
 used; no class in src/ but ``FieldCodec`` writes its own codec; no
 function body on the per-item paths looks up an enum member by attribute;
 nothing in src/ but ``model.load_yaml`` chooses a YAML loader; nothing in
-src/ but ``eventlog`` imports ``orjson``; no function body in src/
-imports; no function body in the simulated platform calls the rng's
+src/ but ``eventlog``, which encodes and decodes the event log, imports
+``orjson``; nothing in src/ imports from ``json.encoder``; no function body
+in src/ imports; no function body in the simulated platform calls the rng's
 ``choice``, ``uniform`` or ``expovariate``; and every frozen slotted
 dataclass in src/ is built by ``slot_init``.
 
@@ -242,22 +243,24 @@ def test_only_model_load_yaml_loads_yaml():
     assert offenders == []
 
 
-# The one module that decodes with orjson: the log reader. Label files and
-# everything else keep the stdlib decoder.
+# The one module that encodes and decodes with orjson: the event log, whose
+# writer and reader share it. Label files and everything else keep the
+# stdlib codec.
 ORJSON_IMPORTERS = {"eventlog"}
 
 
-def orjson_imports(source: str) -> list[int]:
-    """Line of each ``import`` or ``from … import`` of ``orjson``."""
+def imports_of(source: str, module: str) -> list[int]:
+    """Line of each absolute ``import`` or ``from … import`` of the module or
+    of a submodule or name in it."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        if any(m.split(".")[0] == "orjson" for m in modules):
+        if any(name == module or name.startswith(module + ".") for name in names):
             found.add(node.lineno)
     return sorted(found)
 
@@ -269,7 +272,7 @@ def test_orjson_imports_are_detected():
         "import orjsonish\n"
         "from .eventlog import orjson\n"
     )
-    assert orjson_imports(source) == [1, 2]
+    assert imports_of(source, "orjson") == [1, 2]
 
 
 def test_only_eventlog_imports_orjson():
@@ -277,10 +280,34 @@ def test_only_eventlog_imports_orjson():
         f"{path.relative_to(ROOT)}:{line}"
         for path in sorted((ROOT / "src").rglob("*.py"))
         if path.stem not in ORJSON_IMPORTERS
-        for line in orjson_imports(path.read_text(encoding="utf-8"))
+        for line in imports_of(path.read_text(encoding="utf-8"), "orjson")
     ]
     assert offenders == []
-    assert orjson_imports((ROOT / "src" / "campaignkit" / "eventlog.py").read_text(encoding="utf-8"))
+    assert imports_of((ROOT / "src" / "campaignkit" / "eventlog.py").read_text(encoding="utf-8"), "orjson")
+
+
+# One encoder per format: the event log is written by orjson and everything
+# else by ``json.dumps``, so no module builds JSON from ``json.encoder``'s
+# pieces by hand.
+def test_json_encoder_imports_are_detected():
+    source = (
+        "import json\n"
+        "from json.encoder import encode_basestring\n"
+        "import json.encoder\n"
+        "from json import encoder, dumps\n"
+        "from json import dumps\n"
+        "from .json.encoder import x\n"
+    )
+    assert imports_of(source, "json.encoder") == [2, 3, 4]
+
+
+def test_nothing_in_src_imports_from_json_encoder():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in imports_of(path.read_text(encoding="utf-8"), "json.encoder")
+    ]
+    assert offenders == []
 
 
 def function_imports(source: str) -> list[tuple[int, str]]:
