@@ -488,7 +488,8 @@ def test_integers_at_both_ends_of_the_64_bit_range_round_trip(tmp_path):
     ],
     ids=["seq-of-2**64", "q-of-minus-2**63-minus-1", "lone-surrogate-in-text"],
 )
-def test_writer_refuses_an_event_it_cannot_encode(tmp_path, event, match):
+def test_writer_refuses_an_integer_its_reader_would_refuse(tmp_path, event, match):
+    # The name predates the lone-surrogate input, which the reader refuses too.
     path = tmp_path / "wide.jsonl"
     for target in (str(path), None):
         with EventLogWriter(target) as writer:
