@@ -11,15 +11,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
-from .eventlog import validate_events, volunteer_replies
+from .eventlog import TALLIED, validate_events
 from .model import (
-    EVENT_INBOUND_REPLY, EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, INTERACTION_KINDS,
-    LABEL_ON_TOPIC, OUTBOUND_KINDS, TARGET_BOT, CampaignError, CampaignEvent, LabelValue,
-    VolunteerLabel, slot_init,
+    LABEL_ON_TOPIC, CampaignError, CampaignEvent, LabelValue, VolunteerLabel, slot_init,
 )
 from .stats import AnovaResult, DegenerateInput, mann_whitney_rho_sparse, one_way_anova
 from .text import tokenize
@@ -58,11 +56,6 @@ class ArmMetrics:
         )
 
 
-# The count columns, tallied event by event and summed for the total;
-# ``volunteers`` counts unique repliers instead.
-_TALLIED = tuple(f.name for f in fields(ArmMetrics) if f.type == "int" and f.name != "volunteers")
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     arms: tuple[ArmMetrics, ...]
@@ -84,25 +77,17 @@ def compute_metrics(
 ) -> MetricsReport:
     """Per-arm participation counts and rates from a validated log.
 
-    The events are validated first; a sealed ``ValidatedLog`` from
-    ``validate_events`` is taken as it is, with the volunteer replies it
-    computed once. Replies count when their author is a member of the
-    conversation they landed in; strangers are recorded in the log but are
-    not volunteers. Totals are computed from the per-arm columns. The
+    The events are validated first; a sealed ``ValidatedLog`` is taken as it
+    is, and every count is read from its fold (see ``eventlog.ValidatedLog``)
+    without walking an event. Replies count when their author is a member of
+    the conversation they landed in; strangers are recorded in the log but
+    are not volunteers. Totals are computed from the per-arm columns. The
     cross-arm comparisons are one-way ANOVAs over per-conversation unique
     contributors and over per-message reply counts.
     """
-    events = validate_events(events)
-    counted = {event.seq for event in volunteer_replies(events)}
-    tallies: dict[str, dict[str, int]] = {arm: dict.fromkeys(_TALLIED, 0) for arm in arms or ()}
-    repliers: dict[str, set[str]] = {}
-    conv_contributors: dict[str, set[str]] = {}
-    conv_arm: dict[str, str] = {}
-    message_replies: dict[str, int] = {}
-    message_arm: dict[str, str] = {}
-
-    def tally(strategy: str) -> dict[str, int]:
-        return tallies.setdefault(strategy, dict.fromkeys(_TALLIED, 0))
+    log = validate_events(events)
+    tallies, repliers = log.tallies, log.repliers
+    no_counts = dict.fromkeys(TALLIED, 0)
 
     def metrics(strategy: str, counts: dict[str, int], volunteers: Collection[str]) -> ArmMetrics:
         labeled = [u for u in volunteers if u in labels] if labels else []
@@ -111,56 +96,28 @@ def compute_metrics(
             share = sum(labels[u] is LABEL_ON_TOPIC for u in labeled) / len(labeled)
         return ArmMetrics(strategy, **counts, volunteers=len(volunteers), on_topic_fraction=share)
 
-    for event in events:
-        strategy, kind = event.strategy or "", event.kind
-        if kind in OUTBOUND_KINDS:
-            t = tallies.get(strategy) or tally(strategy)
-            t["outbound_messages"] += 1
-            if kind is EVENT_OUTBOUND_CALL:
-                t["calls_to_action"] += 1
-                conv_arm[event.conversation_id] = strategy
-            elif kind is EVENT_OUTBOUND_FOLLOWUP:
-                t["followups"] += 1
-            message_replies[event.message_id] = 0
-            message_arm[event.message_id] = strategy
-        elif kind is EVENT_INBOUND_REPLY:
-            if event.seq not in counted:
-                continue
-            conv = event.conversation_id or ""
-            strategy = conv_arm.get(conv, strategy)
-            t = tallies.get(strategy) or tally(strategy)
-            t["volunteer_replies"] += 1
-            repliers.setdefault(strategy, set()).add(event.actor)
-            conv_contributors.setdefault(conv, set()).add(event.actor)
-            if event.in_reply_to in message_replies:
-                message_replies[event.in_reply_to] += 1
-        elif kind in INTERACTION_KINDS:
-            t = tallies.get(strategy) or tally(strategy)
-            if event.target_author is TARGET_BOT:
-                t["bot_interactions"] += 1
-            else:
-                t["volunteer_interactions"] += 1
-
-    arm_order = [strategy for strategy in tallies if strategy]
-    arms_out = [metrics(s, tallies[s], repliers.get(s, ())) for s in arm_order]
+    arm_order = [strategy for strategy in dict.fromkeys([*(arms or ()), *tallies]) if strategy]
+    arms_out = [metrics(s, tallies.get(s, no_counts), repliers.get(s, ())) for s in arm_order]
     total = metrics(
         "all",
-        {name: sum(getattr(a, name) for a in arms_out) for name in _TALLIED},
+        {name: sum(getattr(a, name) for a in arms_out) for name in TALLIED},
         set().union(*repliers.values()),
     )
 
-    def by_arm(arm_of: Mapping[str, str], value) -> list[list[float]]:
+    def by_arm(pairs: Iterable[tuple[str, int]]) -> list[list[float]]:
         samples: dict[str, list[float]] = {strategy: [] for strategy in arm_order}
-        for key, strategy in arm_of.items():
+        for strategy, value in pairs:
             if strategy in samples:
-                samples[strategy].append(float(value(key)))
+                samples[strategy].append(float(value))
         return list(samples.values())
 
     anovas = {}
-    if len(arm_order) >= 2 and conv_arm:
+    if len(arm_order) >= 2 and log.conv_arm:
+        # Each pair of indices holds its keys in the same order (see the fold).
+        contributors = map(len, log.contributors.values())
         for name, samples in (
-            ("anova_volunteers", by_arm(conv_arm, lambda c: len(conv_contributors.get(c, ())))),
-            ("anova_replies", by_arm(message_arm, message_replies.__getitem__)),
+            ("anova_volunteers", by_arm(zip(log.conv_arm.values(), contributors))),
+            ("anova_replies", by_arm(zip(log.message_arm.values(), log.message_replies.values()))),
         ):
             try:
                 anovas[name] = one_way_anova(samples)

@@ -31,27 +31,25 @@ integer outside the range or a string holding a lone surrogate, so
 :meth:`EventLogWriter.append` refuses such an event, and its records nest
 two deep.
 
-The log is the single source of truth. :class:`CampaignState` folds it one
-event at a time: the orchestrator applies each event it writes, and
-:func:`replay` applies each event it reads, so a live run and a replay of its
-log hold the same conversation records. A resumed run does not fold its log:
-it runs again from the start, and its :class:`EventLogWriter` checks the
-events it re-produces against the log before it appends.
-
-A log is validated once. :func:`validate_events` returns a
-:class:`ValidatedLog`, a list sealed against change: every mutating method
-raises ``TypeError`` and events are frozen, so the log stays valid, and
-:func:`validate_events` (and so :func:`replay` and
-``analytics.compute_metrics``) takes one back as it is. A sealed log also
-computes its conversation members and volunteer replies once, on first use.
-Its slices, concatenations and copies made with ``list()`` are plain lists
-and are validated again.
+The log is the single source of truth. The orchestrator applies each event
+it writes to its :class:`CampaignState`. A log read back is walked once, by
+:func:`validate_events`: in the loop that checks each event it folds the
+event into the same state, parsing each call's mentions once, and into the
+report's indices. It returns a :class:`ValidatedLog`, a list sealed against
+change (its mutators raise ``TypeError``, events are frozen) that carries
+the fold. :func:`replay`, :func:`conversation_members`,
+:func:`volunteer_replies`, ``simulator.derive_labels`` and
+``analytics.compute_metrics`` read the fold of a sealed log without walking
+it, and validate a plain list first. A resumed run does not fold its log: it
+runs again from the start, and its :class:`EventLogWriter` checks the events
+it re-produces against the log before it appends.
 """
 
 from __future__ import annotations
 
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
@@ -60,7 +58,7 @@ import orjson
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_INBOUND_REPLY, EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP,
     INTERACTION_KINDS, OUTBOUND_KINDS, CampaignError, CampaignEvent, ConversationRecord,
-    EventKind, TargetAuthor,
+    TARGET_BOT, EventKind, TargetAuthor,
 )
 from .text import mentions_in_text
 
@@ -90,7 +88,9 @@ def format_event(event: CampaignEvent) -> bytes:
     ``q`` outside [-2**63, 2**64 - 1], which :func:`iter_events` would not
     read back as an integer, and a string that holds a lone surrogate.
     """
-    record = {"seq": event.seq, "ts": event.ts, "kind": event.kind, "actor": event.actor}
+    # A member's ``_value_`` is its plain string: orjson reads a str-Enum's
+    # ``value`` through the Enum property, a Python call per line.
+    record = {"seq": event.seq, "ts": event.ts, "kind": event.kind._value_, "actor": event.actor}
     if event.strategy is not None:
         record["strategy"] = event.strategy
     if event.topic is not None:
@@ -102,7 +102,7 @@ def format_event(event: CampaignEvent) -> bytes:
     if event.in_reply_to is not None:
         record["reply_to"] = event.in_reply_to
     if event.target_author is not None:
-        record["target_author"] = event.target_author
+        record["target_author"] = event.target_author._value_
     if event.partial:
         record["partial"] = True
     if event.followup_index is not None:
@@ -286,47 +286,43 @@ def drop_torn_tail(path: str) -> int:
 
 
 def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str, ...]]:
-    """Conversation members recovered from the mentions of each call; of a
-    :class:`ValidatedLog`, a fresh copy of the members it computed once."""
-    if isinstance(events, ValidatedLog):
-        return dict(events._index()[0])
-    members: dict[str, tuple[str, ...]] = {}
-    for event in events:
-        if event.kind is EVENT_OUTBOUND_CALL and event.conversation_id is not None:
-            members[event.conversation_id] = tuple(mentions_in_text(event.text or ""))
-    return members
+    """Each called conversation's members, the handles its call mentions; a
+    fresh copy of the members that validation folded."""
+    return dict(validate_events(events).members)
 
 
-def volunteer_replies(events: Sequence[CampaignEvent]) -> Iterator[CampaignEvent]:
-    """The replies that count: those whose author is a member of the
-    conversation they landed in. Strangers' replies are logged, but they
-    make nobody a volunteer. Of a :class:`ValidatedLog`, the replies it
-    found once."""
-    if isinstance(events, ValidatedLog):
-        return iter(events._index()[1])
-    return _replies_by_members(events, conversation_members(events))
+def volunteer_replies(events: Iterable[CampaignEvent]) -> Iterator[CampaignEvent]:
+    """The replies that count, in log order: those whose author is a member
+    of the conversation they name. Strangers' replies are logged, but they
+    make nobody a volunteer. Read from the fold of the validated log."""
+    return iter(validate_events(events).replies)
 
 
-def _replies_by_members(
-    events: Iterable[CampaignEvent], members: dict[str, tuple[str, ...]]
-) -> Iterator[CampaignEvent]:
-    for event in events:
-        if event.kind is EVENT_INBOUND_REPLY and event.actor in members.get(
-            event.conversation_id or "", ()
-        ):
-            yield event
+# The report's per-arm counts (``analytics.ArmMetrics`` fields) that the fold tallies.
+TALLIED = (
+    "calls_to_action", "followups", "outbound_messages", "volunteer_replies",
+    "bot_interactions", "volunteer_interactions",
+)
 
 
 class ValidatedLog(list):
-    """A log that passed :func:`validate_events`, sealed against change.
+    """A log that passed :func:`validate_events`, sealed against change, and
+    the fold that validation made of it.
 
     Only :func:`validate_events` should build one. Every mutating list method
     raises ``TypeError``; reading, equality with a list, slicing and ``+``
     work as for a list, and their results are plain lists. Copies and
     pickles validate the events again.
-    """
 
-    _indices: Optional[tuple[dict[str, tuple[str, ...]], list[CampaignEvent]]] = None
+    The fold: ``state``, what :func:`replay` returns; ``members``, the
+    members each call mentions, by conversation; ``replies``, the volunteer
+    replies. The report's indices are kept apart from ``state``, so editing
+    it changes no later report: ``tallies`` (per arm, the :data:`TALLIED`
+    counts), ``repliers`` (per arm, its volunteers), ``conv_arm`` and
+    ``contributors`` (per called conversation, its arm and the volunteers
+    who replied in it), ``message_arm`` and ``message_replies`` (per outbound
+    message, its arm and volunteer replies). Each pair keeps one key order.
+    """
 
     def _sealed(self, *args, **kwargs):
         raise TypeError("a validated log is sealed; edit a list() copy of it")
@@ -337,90 +333,125 @@ class ValidatedLog(list):
     def __reduce__(self):
         return validate_events, (list(self),)
 
-    def _index(self) -> tuple[dict[str, tuple[str, ...]], list[CampaignEvent]]:
-        """Conversation members and volunteer replies, computed on first use."""
-        if self._indices is None:
-            # An iterator, not the log, so conversation_members takes its
-            # plain path: membership has one definition.
-            members = conversation_members(iter(self))
-            self._indices = (members, list(_replies_by_members(self, members)))
-        return self._indices
-
 
 def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
-    """Check log invariants; raises MalformedLog on the first violation.
+    """Check log invariants and fold the log, in one walk; raises
+    MalformedLog on the first violation.
 
     Enforced: strictly increasing seq; outbound messages authored by the bot,
     carrying a non-empty strategy, a conversation id and a message id not
-    already in the log;
-    replies reference a message already in the log and belonging to the
-    same conversation; every follow-up is preceded by a reply in its
-    conversation and never repeats a question index (``q``) already asked
-    there; interactions carry a target author; an abort names its
-    conversation, and an abort that opens one (no call for it logged before)
-    names the group it called.
+    already in the log; one call per conversation (an abort that opens a
+    conversation stands for its call), logged before any other outbound
+    message of that conversation; replies reference a message already in the
+    log and belonging to the same conversation; every follow-up is preceded
+    by a reply in its conversation and never repeats a question index
+    (``q``) already asked there; interactions carry a target author; an
+    abort names its conversation, and an abort that opens one (no call for
+    it logged before) names the group it called.
 
-    Returns the events as a sealed :class:`ValidatedLog`. A ValidatedLog is
-    returned as it is, without a second check: it cannot change.
+    Returns the events as a sealed :class:`ValidatedLog` carrying the fold.
+    A conversation's members are fixed by its one call, which precedes every
+    message a reply in it can answer, so a reply is known to be a
+    volunteer's when it is read. A ValidatedLog is returned as it is.
     """
     if isinstance(events, ValidatedLog):
         return events
     log = ValidatedLog(events)
-    last_seq = 0
-    known_messages: dict[str, str] = {}  # message_id -> conversation_id
+    log.state = state = CampaignState()
+    records, routes = state.records, state.message_conversations  # routes: message_id -> conversation_id
+    log.members = members = {}
+    log.replies = replies = []
+    tallies: defaultdict[str, dict[str, int]] = defaultdict(lambda: dict.fromkeys(TALLIED, 0))
+    repliers: defaultdict[str, set[str]] = defaultdict(set)
+    log.contributors = contributors = {}
+    log.conv_arm = conv_arm = {}
+    log.message_arm = message_arm = {}
+    log.message_replies = message_replies = {}
     replied_conversations: set[str] = set()
-    called: set[str] = set()
     asked: dict[str, set[int]] = {}  # conversation_id -> question indices
+    last_seq, last_outbound_ts = 0, None
+
     for i, event in enumerate(log, start=1):
         try:
             if event.seq <= last_seq:
                 raise MalformedLog("seq not strictly increasing")
             last_seq = event.seq
-            kind = event.kind
+            kind, conv, strategy = event.kind, event.conversation_id, event.strategy or ""
             if kind in OUTBOUND_KINDS:
+                message, q = event.message_id, event.followup_index
                 if event.actor != BOT_ACTOR:
                     raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
-                if event.conversation_id is None or event.message_id is None:
+                if conv is None or message is None:
                     raise MalformedLog("outbound message missing conv or msg")
-                if not event.strategy:  # an empty strategy names no arm
+                if not strategy:  # an empty strategy names no arm
                     raise MalformedLog("outbound message missing strategy")
-                if event.message_id in known_messages:
-                    raise MalformedLog(f"message {event.message_id} already in the log")
+                if message in routes:
+                    raise MalformedLog(f"message {message} already in the log")
+                t = tallies[strategy]
                 if kind is EVENT_OUTBOUND_CALL:
-                    called.add(event.conversation_id)
-                elif kind is EVENT_OUTBOUND_FOLLOWUP:
-                    if event.conversation_id not in replied_conversations:
-                        raise MalformedLog(
-                            f"follow-up before any reply in {event.conversation_id}"
-                        )
-                    if event.followup_index is not None:
-                        questions = asked.setdefault(event.conversation_id, set())
-                        if event.followup_index in questions:
-                            raise MalformedLog(
-                                f"question {event.followup_index} asked twice"
-                                f" in {event.conversation_id}"
-                            )
-                        questions.add(event.followup_index)
-                known_messages[event.message_id] = event.conversation_id
+                    if conv in records:
+                        raise MalformedLog(f"{conv} called twice")
+                    called = members[conv] = tuple(mentions_in_text(event.text or ""))
+                    record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, called)
+                    conv_arm[conv] = strategy
+                    contributors[conv] = set()
+                    t["calls_to_action"] += 1
+                else:
+                    if kind is EVENT_OUTBOUND_FOLLOWUP:
+                        if conv not in replied_conversations:
+                            raise MalformedLog(f"follow-up before any reply in {conv}")
+                        if q is not None:
+                            questions = asked.setdefault(conv, set())
+                            if q in questions:
+                                raise MalformedLog(f"question {q} asked twice in {conv}")
+                            questions.add(q)
+                        t["followups"] += 1
+                    if conv not in members:
+                        raise MalformedLog(f"{kind.value} before the call of {conv}")
+                    record = records[conv]
+                record.sent_messages.append(message)
+                if q is not None:
+                    record.used_followups.add(q)
+                last_outbound_ts = event.ts
+                routes[message] = conv
+                t["outbound_messages"] += 1
+                message_replies[message] = 0
+                message_arm[message] = strategy
             elif kind is EVENT_INBOUND_REPLY:
-                if event.in_reply_to is None or event.in_reply_to not in known_messages:
+                to = event.in_reply_to
+                routed = routes.get(to)
+                if routed is None:
                     raise MalformedLog("reply references unknown message")
-                conversation = known_messages[event.in_reply_to]
-                if event.conversation_id is not None and event.conversation_id != conversation:
+                if conv is not None and conv != routed:
                     raise MalformedLog("reply conversation mismatch")
                 if event.message_id is not None:
-                    known_messages[event.message_id] = conversation
-                replied_conversations.add(conversation)
+                    routes[event.message_id] = routed
+                replied_conversations.add(routed)
+                if event.actor in members.get(conv, ()):
+                    replies.append(event)
+                    arm = conv_arm[conv]
+                    tallies[arm]["volunteer_replies"] += 1
+                    repliers[arm].add(event.actor)
+                    contributors[conv].add(event.actor)
+                    if to in message_replies:
+                        message_replies[to] += 1
             elif kind in INTERACTION_KINDS:
                 if event.target_author is None:
                     raise MalformedLog(f"{kind.value} missing target_author")
+                t = tallies[strategy]
+                t["bot_interactions" if event.target_author is TARGET_BOT else "volunteer_interactions"] += 1
             elif kind is EVENT_ABORT:
-                if event.conversation_id is None:
+                if conv is None:
                     raise MalformedLog("abort missing conversation")
-                if event.conversation_id not in called and not event.members:
-                    raise MalformedLog(f"abort opens {event.conversation_id} without members")
+                if conv not in members and not event.members:
+                    raise MalformedLog(f"abort opens {conv} without members")
+                # A rejected call leaves a closed record of the group it named.
+                opened = ConversationRecord(conv, event.topic or "", strategy, event.members or ())
+                records.setdefault(conv, opened).closed = True
         except MalformedLog as exc:
             raise MalformedLog(f"record {i} (seq {event.seq}): {exc}") from None
+    state.last_seq, state.last_outbound_ts = last_seq, last_outbound_ts
+    log.tallies, log.repliers = dict(tallies), dict(repliers)  # a lookup adds no arm
     return log
 
 
@@ -428,8 +459,9 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
 class CampaignState:
     """Records and message routing, folded from the log.
 
-    :meth:`apply` is the only writer of records, sent ids and message
-    mappings; the orchestrator calls it on every event it writes.
+    :meth:`apply` is the live run's fold: the orchestrator calls it on every
+    event it writes. :func:`validate_events` folds a log it reads into the
+    same state inline; the tests hold the two equal.
     """
 
     records: dict[str, ConversationRecord] = field(default_factory=dict)
@@ -454,7 +486,7 @@ class CampaignState:
                     record.used_followups.add(event.followup_index)
             self.message_conversations[event.message_id] = conv
         elif kind is EVENT_INBOUND_REPLY:
-            if event.message_id:
+            if event.message_id is not None:
                 conv = self.message_conversations[event.in_reply_to]
                 self.message_conversations[event.message_id] = conv
         elif kind is EVENT_ABORT:
@@ -466,10 +498,8 @@ class CampaignState:
 
 
 def replay(events: Iterable[CampaignEvent]) -> CampaignState:
-    """Validate a log and fold it into a fresh :class:`CampaignState`.
-
-    A :class:`ValidatedLog` is folded without a second check."""
-    state = CampaignState()
-    for event in validate_events(events):
-        state.apply(event)
-    return state
+    """The :class:`CampaignState` that :func:`validate_events` folded from a
+    log, which the orchestrator built live while writing it. A sealed log is
+    not walked again: every replay of it returns the one state, which the
+    report does not read."""
+    return validate_events(events).state

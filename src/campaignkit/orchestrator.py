@@ -5,7 +5,7 @@ admitted, the arm allocator, the group buffers, the conversation state and
 the append-only log. The platform's one ordered inbound stream feeds it;
 analytics reads log snapshots. The loop adds no conversation record, sent id
 or message mapping itself: it appends an event and applies it to its
-``CampaignState``, the same fold that ``replay`` runs over a log. A resume
+``CampaignState``, the state that ``replay`` folds from the log. A resume
 runs the same path from the start on a platform rebuilt from the seed, so
 every state comes back and the joined log is the uninterrupted one. A
 ``max_hours`` deadline stops the loop and flushes nothing: the cut log is a
@@ -59,7 +59,7 @@ from .simulator import AgentPopulation, resolve_profile
 from .strategy import (
     EVENT_KIND_BY_MESSAGE, MESSAGE_CALL, MESSAGE_FOLLOWUP, OutboundMessage, TemplateOverflow,
 )
-from .targeting import AdmitResult, ContactRegistry, TopicKeywords, match_target
+from .targeting import DUPLICATE_REJECTED, ContactRegistry, TopicKeywords, match_target
 
 logger = logging.getLogger(__name__)
 
@@ -286,7 +286,7 @@ class Orchestrator:
             return
         if not self.allocator.has_capacity(target.topic):
             return
-        if self.registry.admit(target) is AdmitResult.DUPLICATE_REJECTED:
+        if self.registry.admit(target) is DUPLICATE_REJECTED:
             return
         target.assigned_strategy = self.allocator.assign(target.topic)
         if not self.allocator.any_capacity():
@@ -583,14 +583,20 @@ def run_campaign(
 
     With ``resume`` the run continues that log. A torn final line left by a
     crash is dropped (with a warning), the rest is read, and the campaign is
-    re-executed from its start on ``platform``, which must be built afresh
-    from the interrupted run's config and seed. Events the log already holds
-    are checked, not written; the run raises ``MalformedLog`` if one differs,
-    or if it stops before it has re-produced them all (a ``max_hours`` that
-    ends before the cut, say). ``max_hours`` counts from the campaign start.
+    re-executed from its start on ``platform``, which must be ``replayable``
+    (or ``CampaignError`` is raised before the log is touched) and built
+    afresh from the interrupted run's config and seed. Events the log already
+    holds are checked, not written; the run raises ``MalformedLog`` if one
+    differs, or if it stops before it has re-produced them all (a
+    ``max_hours`` that ends before the cut, say). ``max_hours`` counts from
+    the campaign start.
     """
     logged: list[CampaignEvent] = []
     if resume:
+        if not platform.replayable:
+            raise CampaignError(
+                f"cannot resume on {type(platform).__name__}: it does not replay its stream"
+            )
         torn = drop_torn_tail(out_path)
         if torn:
             logger.warning("dropped a torn final line (%d bytes) from %s", torn, out_path)

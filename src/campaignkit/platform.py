@@ -86,12 +86,13 @@ class Platform(ABC):
     """Port every adapter implements.
 
     A campaign resumes by re-running on an adapter rebuilt from its seed, so
-    only one that replays (the same stream and message ids for the same
+    only a ``replayable`` one (the same stream and message ids for the same
     posts), like the simulated platform, can be resumed. A real network
     adapter cannot until the log records write-ahead call intents.
     """
 
     capabilities: PlatformCapabilities
+    replayable = False
 
     @abstractmethod
     def now_ms(self) -> int: ...
@@ -139,6 +140,8 @@ class SimulatedPlatform(Platform):
     the wall clock. A fixed rng makes two runs byte-identical. The close
     drops every agent's next post from the queue, so no post is drawn after it.
     """
+
+    replayable = True
 
     def __init__(
         self,

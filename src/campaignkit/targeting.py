@@ -54,6 +54,10 @@ class AdmitResult(str, Enum):
     DUPLICATE_REJECTED = "DuplicateRejected"
 
 
+# Each member bound once (see the ``model`` module docstring).
+ADMITTED, DUPLICATE_REJECTED = AdmitResult
+
+
 class ContactRegistry:
     """The users the campaign has seen; each is admitted at most once.
 
@@ -67,6 +71,6 @@ class ContactRegistry:
 
     def admit(self, target: TargetUser) -> AdmitResult:
         if target.user_id in self._seen:
-            return AdmitResult.DUPLICATE_REJECTED
+            return DUPLICATE_REJECTED
         self._seen.add(target.user_id)
-        return AdmitResult.ADMITTED
+        return ADMITTED

@@ -93,10 +93,8 @@ def format_mentions(user_ids: Sequence[str]) -> str:
 
 def mentions_in_text(text: str) -> list[str]:
     """Handles mentioned in a rendered message ('@' tokens, sigil stripped)."""
-    out = []
-    for tok in text.split():
-        if tok.startswith(MENTION_SIGIL):
-            handle = tok[1:].rstrip(string.punctuation)
-            if handle:
-                out.append(handle)
-    return out
+    # split() yields no empty token, so each has a first character.
+    return [
+        handle for tok in text.split()
+        if tok[0] == MENTION_SIGIL and (handle := tok[1:].rstrip(string.punctuation))
+    ]

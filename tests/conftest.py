@@ -212,8 +212,11 @@ class StubPlatform(Platform):
 
     Yields a fixed list of public posts, generates no reactions, and can be
     told to rate-limit or reject the first N posts. Keeps delivering posts
-    after ``close_public``, which records the clock in ``closes``.
+    after ``close_public``, which records the clock in ``closes``. It
+    replays: the same script yields the same stream and message ids.
     """
+
+    replayable = True
 
     def __init__(
         self,

@@ -5,8 +5,9 @@ import math
 import pytest
 import yaml
 
-from campaignkit import analytics, eventlog, fixtures, model
+from campaignkit import analytics, cli, eventlog, fixtures, model
 from campaignkit.cli import main
+from campaignkit.orchestrator import build_simulated_platform
 
 from conftest import small_sim_config
 
@@ -233,6 +234,28 @@ def test_resume_on_another_seed_exits_two_naming_the_seq(tmp_path, capsys):
     assert main(["resume", "--log", str(out), "--config", str(path), "--seed", "99"]) == 2
     assert capsys.readouterr() == ("", "error: resume diverged at seq 1\n")
     assert out.read_bytes() == cut
+
+
+def test_resume_on_a_platform_that_does_not_replay_exits_two(tmp_path, capsys, monkeypatch):
+    path = _write_config(tmp_path)
+    out = tmp_path / "run.log"
+    assert main(["run", "--config", str(path), "--seed", "12", "--out", str(out), "--max-hours", "0.5"]) == 0
+    cut = out.read_bytes()
+    capsys.readouterr()
+    posted = []
+
+    def live_platform(config):
+        platform = build_simulated_platform(config)
+        platform.replayable = False
+        platform.post = posted.append
+        return platform
+
+    monkeypatch.setattr(cli, "build_simulated_platform", live_platform)
+    assert main(["resume", "--log", str(out), "--config", str(path), "--seed", "12"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot resume on SimulatedPlatform: it does not replay its stream\n"
+    )
+    assert posted == [] and out.read_bytes() == cut
 
 
 def test_bad_log_is_a_runtime_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ import orjson
 import pytest
 from hypothesis import example, given, strategies as st
 
-from campaignkit import model
+from campaignkit import eventlog, model
 from campaignkit.analytics import compute_metrics, labels_to_map
 from campaignkit.eventlog import (
     EventLogWriter,
@@ -244,20 +244,103 @@ def test_an_edited_copy_of_a_validated_log_is_validated_again():
         validate_events(log[:1] + edited[1:])
 
 
-def test_cached_indices_equal_those_of_the_plain_list(small_campaign, tmp_path):
-    reply_heavy = tmp_path / "replies.log"
+@pytest.fixture(scope="module")
+def report_logs(tmp_path_factory, small_campaign, reference_log):
+    """Plain lists of three logs, each with its arms: the small campaign, a
+    reply-heavy campaign and the reference log."""
+    reply_heavy = tmp_path_factory.mktemp("replies") / "replies.log"
     config = _reply_heavy_config()
     run_campaign(config, build_simulated_platform(config), str(reply_heavy))
     arms = [spec.id for spec in config.strategies]
-    for path in (small_campaign[2], reply_heavy):
-        plain = read_events(str(path))
+    return {
+        "small": (read_events(str(small_campaign[2])), [s.id for s in small_campaign[0].strategies]),
+        "reply-heavy": (read_events(str(reply_heavy)), arms),
+        "reference": (list(reference_log), ["direct", "loss", "gain", "solidarity"]),
+    }
+
+
+def test_cached_indices_equal_those_of_the_plain_list(report_logs):
+    for plain, arms in report_logs.values():
         log = validate_events(plain)
+        assert replay(log) == replay(plain)
         assert conversation_members(log) == conversation_members(plain)
         assert conversation_members(log) is not conversation_members(log)
         assert list(volunteer_replies(log)) == list(volunteer_replies(plain))
         labels = labels_to_map(derive_labels(log))
         assert labels == labels_to_map(derive_labels(plain))
         assert compute_metrics(log, labels, arms=arms) == compute_metrics(list(log), labels, arms=arms)
+
+
+@pytest.mark.parametrize("name", ["small", "reply-heavy", "reference"])
+def test_the_report_of_a_sealed_log_reads_its_fold_without_walking_it(name, report_logs, monkeypatch):
+    plain, arms = report_logs[name]
+    walks, parsed = [], []
+    iterate, parse = ValidatedLog.__iter__, eventlog.mentions_in_text
+    monkeypatch.setattr(ValidatedLog, "__iter__", lambda log: walks.append(1) or iterate(log))
+    monkeypatch.setattr(eventlog, "mentions_in_text", lambda text: parsed.append(1) or parse(text))
+    log = validate_events(plain)
+    calls = [e for e in plain if e.kind is EventKind.OUTBOUND_CALL]
+    assert (len(walks), len(parsed)) == (1, len(calls))
+    walks.clear()
+    parsed.clear()
+    state, members, replies = replay(log), conversation_members(log), list(volunteer_replies(log))
+    compute_metrics(log, labels_to_map(derive_labels(log)), arms=arms)
+    assert (walks, parsed) == ([], [])
+    # The fold agrees with what it replaces: the live run's fold, each
+    # call's mentions, and the replies whose authors those mention.
+    live = eventlog.CampaignState()
+    for event in plain:
+        live.apply(event)
+    assert state == live
+    assert members == {e.conversation_id: tuple(parse(e.text)) for e in calls}
+    assert replies == [
+        e for e in plain
+        if e.kind is EventKind.INBOUND_REPLY and e.actor in members.get(e.conversation_id, ())
+    ]
+
+
+def test_editing_the_replayed_state_changes_no_later_report(report_logs):
+    plain, arms = report_logs["small"]
+    log = validate_events(plain)
+    report, members = compute_metrics(log, arms=arms), conversation_members(log)
+    replies = list(volunteer_replies(log))
+    state = replay(log)
+    for record in state.records.values():
+        record.members = ()
+        record.sent_messages.clear()
+    state.records.clear()
+    state.message_conversations.clear()
+    members.clear()
+    assert compute_metrics(log, arms=arms) == report
+    assert conversation_members(log) == conversation_members(plain) != {}
+    assert list(volunteer_replies(log)) == replies != []
+
+
+def test_a_volunteer_reply_counts_in_the_arm_of_its_conversation():
+    events = [_call(1), replace(_reply(2), strategy="loss")]
+    report = compute_metrics(events)
+    assert [(arm.strategy, arm.volunteer_replies, arm.volunteers) for arm in report.arms] == [("direct", 1, 1)]
+
+
+def test_validator_rejects_a_second_call_in_a_conversation():
+    # The second call would rewrite the first: its members, its arm and its
+    # sent messages, and a's reply would stop counting.
+    second = replace(_call(3, members="@x @y @z", strategy="loss"), message_id="m2")
+    with pytest.raises(MalformedLog, match=r"^record 3 \(seq 3\): c1 called twice$"):
+        validate_events([_call(1), _reply(2), second])
+    # An abort that opens a conversation stands for its call.
+    abort = _event(1, EventKind.ABORT, conversation_id="c1", members=("a", "b", "c"), text="rejected")
+    with pytest.raises(MalformedLog, match=r"^record 2 \(seq 2\): c1 called twice$"):
+        validate_events([abort, _call(2)])
+
+
+def test_validator_rejects_an_outbound_message_before_its_conversations_call():
+    quote = replace(_call(1), kind=EventKind.OUTBOUND_QUOTE, strategy="solidarity")
+    with pytest.raises(MalformedLog, match=r"^record 1 \(seq 1\): OutboundQuote before the call of c1$"):
+        validate_events([quote, _reply(2), _call(3)])
+    # A follow-up needs a reply in its conversation first, and says so.
+    with pytest.raises(MalformedLog, match=r"^record 1 \(seq 1\): follow-up before any reply in c1$"):
+        validate_events([_followup(1, 0)])
 
 
 def test_validator_rejects_seq_regression():

@@ -1,9 +1,9 @@
 """Source hygiene: every imported name in src/, tests/ and perfbench/ is
 used; no class in src/ but ``FieldCodec`` writes its own codec; no
-function body on the per-item paths looks up an enum member by attribute;
-nothing in src/ but ``model.load_yaml`` chooses a YAML loader; nothing in
-src/ but ``eventlog``, which encodes and decodes the event log, imports
-``orjson``; nothing in src/ imports from ``json.encoder``; no function body
+function body on the per-item paths looks up by attribute a member of any
+enum that src/ defines; nothing in src/ but ``model.load_yaml`` chooses a
+YAML loader; nothing in src/ but ``eventlog``, which encodes and decodes
+the event log, imports ``orjson``; nothing in src/ imports from ``json.encoder``; no function body
 in src/ imports; no function body in the simulated platform calls the rng's
 ``choice``, ``uniform`` or ``expovariate``; and every frozen slotted
 dataclass in src/ is built by ``slot_init``.
@@ -125,13 +125,46 @@ def test_only_field_codec_decodes_and_encodes_records():
     assert offenders == []
 
 
+def enum_classes(source: str) -> set[str]:
+    """The classes a module defines with ``Enum`` or ``enum.Enum`` among
+    their bases (an enum with members cannot be subclassed further)."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            (isinstance(base, ast.Name) and base.id == "Enum")
+            or (isinstance(base, ast.Attribute) and base.attr == "Enum")
+            for base in node.bases
+        )
+    }
+
+
 # Modules on the campaign's and the report's per-item paths, and the enums
-# whose members they must compare against as module globals: an attribute
-# lookup of a member goes through the enum metaclass on every call.
+# whose members they must compare against as module globals: every enum
+# that src/ defines. An attribute lookup of a member goes through the enum
+# metaclass on every call.
 HOT_MODULES = (
     "analytics", "eventlog", "orchestrator", "platform", "simulator", "strategy", "targeting",
 )
-ENUMS = {"EventKind", "ItemKind", "MessageKind", "TargetAuthor", "LabelValue"}
+ENUMS = {
+    name
+    for path in sorted((ROOT / "src").rglob("*.py"))
+    for name in enum_classes(path.read_text(encoding="utf-8"))
+}
+
+
+def test_enum_classes_are_detected():
+    source = (
+        "import enum\n"
+        "class A(str, Enum): pass\n"
+        "class B(enum.Enum):\n"
+        "    class C(Enum): pass\n"
+        "class D(str): pass\n"
+        "class E(EnumType): pass\n"
+    )
+    assert enum_classes(source) == {"A", "B", "C"}
+    assert {"AdmitResult", "EventKind", "ItemKind", "LabelValue", "MessageKind", "TargetAuthor"} <= ENUMS
 
 
 def enum_member_lookups(source: str) -> list[tuple[int, str]]:

@@ -20,7 +20,7 @@ from campaignkit.eventlog import (
     validate_events,
     write_events,
 )
-from campaignkit.model import EventKind, OUTBOUND_KINDS, replace
+from campaignkit.model import EventKind, OUTBOUND_KINDS, CampaignError, replace
 from campaignkit.orchestrator import (
     DRAIN_WINDOW_MS,
     AllQuotasExhausted,
@@ -574,6 +574,34 @@ def test_resume_on_another_seed_diverges_at_the_first_event(tmp_path):
     cut = out.read_bytes()
     with pytest.raises(MalformedLog, match="^resume diverged at seq 1$"):
         _run(_resumable(11), out, resume=True)
+    assert out.read_bytes() == cut
+
+
+class _LiveStub(StubPlatform):
+    """An adapter that does not replay, as a live network's stream does not;
+    counts the calls of its ``post``."""
+
+    replayable = False
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.post_calls = 0
+
+    def post(self, message) -> str:
+        self.post_calls += 1
+        return super().post(message)
+
+
+def test_resume_refuses_a_platform_that_does_not_replay(tmp_path):
+    out = tmp_path / "cut.log"
+    _run(_resumable(), out, max_hours=0.5)
+    with out.open("ab") as fh:
+        fh.write(b'{"seq":')  # a torn tail, which a resume would drop
+    cut = out.read_bytes()
+    platform = _LiveStub(_posts(6))
+    with pytest.raises(CampaignError, match="^cannot resume on _LiveStub: it does not replay its stream$"):
+        run_campaign(_resumable(), platform, str(out), resume=True)
+    assert platform.post_calls == 0
     assert out.read_bytes() == cut
 
 
