@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from operator import attrgetter
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
@@ -54,6 +54,10 @@ class ArmMetrics:
         return (
             self.volunteer_interactions / self.volunteer_replies if self.volunteer_replies else 0.0
         )
+
+
+# The validation fold tallies every integer column but the volunteers.
+assert set(TALLIED) == {f.name for f in fields(ArmMetrics) if f.type == "int"} - {"volunteers"}
 
 
 @dataclass(frozen=True)
@@ -112,13 +116,10 @@ def compute_metrics(
         return list(samples.values())
 
     anovas = {}
-    if len(arm_order) >= 2 and log.conv_arm:
-        # Each pair of indices holds its keys in the same order (see the fold).
-        contributors = map(len, log.contributors.values())
-        for name, samples in (
-            ("anova_volunteers", by_arm(zip(log.conv_arm.values(), contributors))),
-            ("anova_replies", by_arm(zip(log.message_arm.values(), log.message_replies.values()))),
-        ):
+    if len(arm_order) >= 2 and log.conversations:
+        contributors = ((arm, len(contributed)) for arm, contributed in log.conversations.values())
+        replies = ((arm, log.message_replies.get(message, 0)) for message, arm in log.messages.items())
+        for name, samples in (("anova_volunteers", by_arm(contributors)), ("anova_replies", by_arm(replies))):
             try:
                 anovas[name] = one_way_anova(samples)
             except DegenerateInput:

@@ -33,11 +33,11 @@ two deep.
 
 The log is the single source of truth. The orchestrator applies each event
 it writes to its :class:`CampaignState`. A log read back is walked once, by
-:func:`validate_events`: in the loop that checks each event it folds the
-event into the same state, parsing each call's mentions once, and into the
-report's indices. It returns a :class:`ValidatedLog`, a list sealed against
-change (its mutators raise ``TypeError``, events are frozen) that carries
-the fold. :func:`replay`, :func:`conversation_members`,
+:func:`validate_events`: in the loop that checks each event it applies the
+event to a state of its own, parsing each call's mentions once, and folds
+it into the report's indices. It returns a :class:`ValidatedLog`, a list
+sealed against change (its mutators raise ``TypeError``, events are frozen)
+that carries the fold. :func:`replay`, :func:`conversation_members`,
 :func:`volunteer_replies`, ``simulator.derive_labels`` and
 ``analytics.compute_metrics`` read the fold of a sealed log without walking
 it, and validate a plain list first. A resumed run does not fold its log: it
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import os
 import re
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Optional, Sequence
 
@@ -298,7 +298,8 @@ def volunteer_replies(events: Iterable[CampaignEvent]) -> Iterator[CampaignEvent
     return iter(validate_events(events).replies)
 
 
-# The report's per-arm counts (``analytics.ArmMetrics`` fields) that the fold tallies.
+# The report's per-arm counts that the fold tallies; ``analytics`` checks on
+# import that they are the integer fields of ``ArmMetrics`` but ``volunteers``.
 TALLIED = (
     "calls_to_action", "followups", "outbound_messages", "volunteer_replies",
     "bot_interactions", "volunteer_interactions",
@@ -318,10 +319,10 @@ class ValidatedLog(list):
     members each call mentions, by conversation; ``replies``, the volunteer
     replies. The report's indices are kept apart from ``state``, so editing
     it changes no later report: ``tallies`` (per arm, the :data:`TALLIED`
-    counts), ``repliers`` (per arm, its volunteers), ``conv_arm`` and
-    ``contributors`` (per called conversation, its arm and the volunteers
-    who replied in it), ``message_arm`` and ``message_replies`` (per outbound
-    message, its arm and volunteer replies). Each pair keeps one key order.
+    counts), ``repliers`` (per arm, its volunteers), ``conversations`` (per
+    called conversation, its arm and the set of volunteers who replied in
+    it), ``messages`` (per outbound message, its arm) and
+    ``message_replies`` (per message, the volunteer replies to it).
     """
 
     def _sealed(self, *args, **kwargs):
@@ -358,18 +359,17 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
         return events
     log = ValidatedLog(events)
     log.state = state = CampaignState()
-    records, routes = state.records, state.message_conversations  # routes: message_id -> conversation_id
+    apply, records, routes = state.apply, state.records, state.message_conversations
     log.members = members = {}
     log.replies = replies = []
     tallies: defaultdict[str, dict[str, int]] = defaultdict(lambda: dict.fromkeys(TALLIED, 0))
     repliers: defaultdict[str, set[str]] = defaultdict(set)
-    log.contributors = contributors = {}
-    log.conv_arm = conv_arm = {}
-    log.message_arm = message_arm = {}
-    log.message_replies = message_replies = {}
+    log.conversations = conversations = {}
+    log.messages = messages = {}
+    log.message_replies = message_replies = Counter()
     replied_conversations: set[str] = set()
     asked: dict[str, set[int]] = {}  # conversation_id -> question indices
-    last_seq, last_outbound_ts = 0, None
+    last_seq = 0
 
     for i, event in enumerate(log, start=1):
         try:
@@ -378,7 +378,7 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
             last_seq = event.seq
             kind, conv, strategy = event.kind, event.conversation_id, event.strategy or ""
             if kind in OUTBOUND_KINDS:
-                message, q = event.message_id, event.followup_index
+                message = event.message_id
                 if event.actor != BOT_ACTOR:
                     raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
                 if conv is None or message is None:
@@ -391,15 +391,15 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                 if kind is EVENT_OUTBOUND_CALL:
                     if conv in records:
                         raise MalformedLog(f"{conv} called twice")
-                    called = members[conv] = tuple(mentions_in_text(event.text or ""))
-                    record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, called)
-                    conv_arm[conv] = strategy
-                    contributors[conv] = set()
+                    apply(event)
+                    members[conv] = records[conv].members
+                    conversations[conv] = (strategy, set())
                     t["calls_to_action"] += 1
                 else:
                     if kind is EVENT_OUTBOUND_FOLLOWUP:
                         if conv not in replied_conversations:
                             raise MalformedLog(f"follow-up before any reply in {conv}")
+                        q = event.followup_index
                         if q is not None:
                             questions = asked.setdefault(conv, set())
                             if q in questions:
@@ -408,15 +408,9 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                         t["followups"] += 1
                     if conv not in members:
                         raise MalformedLog(f"{kind.value} before the call of {conv}")
-                    record = records[conv]
-                record.sent_messages.append(message)
-                if q is not None:
-                    record.used_followups.add(q)
-                last_outbound_ts = event.ts
-                routes[message] = conv
+                    apply(event)
                 t["outbound_messages"] += 1
-                message_replies[message] = 0
-                message_arm[message] = strategy
+                messages[message] = strategy
             elif kind is EVENT_INBOUND_REPLY:
                 to = event.in_reply_to
                 routed = routes.get(to)
@@ -424,20 +418,19 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                     raise MalformedLog("reply references unknown message")
                 if conv is not None and conv != routed:
                     raise MalformedLog("reply conversation mismatch")
-                if event.message_id is not None:
-                    routes[event.message_id] = routed
+                apply(event)
                 replied_conversations.add(routed)
                 if event.actor in members.get(conv, ()):
                     replies.append(event)
-                    arm = conv_arm[conv]
+                    arm, contributed = conversations[conv]
                     tallies[arm]["volunteer_replies"] += 1
                     repliers[arm].add(event.actor)
-                    contributors[conv].add(event.actor)
-                    if to in message_replies:
-                        message_replies[to] += 1
+                    contributed.add(event.actor)
+                    message_replies[to] += 1
             elif kind in INTERACTION_KINDS:
                 if event.target_author is None:
                     raise MalformedLog(f"{kind.value} missing target_author")
+                apply(event)
                 t = tallies[strategy]
                 t["bot_interactions" if event.target_author is TARGET_BOT else "volunteer_interactions"] += 1
             elif kind is EVENT_ABORT:
@@ -445,12 +438,9 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
                     raise MalformedLog("abort missing conversation")
                 if conv not in members and not event.members:
                     raise MalformedLog(f"abort opens {conv} without members")
-                # A rejected call leaves a closed record of the group it named.
-                opened = ConversationRecord(conv, event.topic or "", strategy, event.members or ())
-                records.setdefault(conv, opened).closed = True
+                apply(event)
         except MalformedLog as exc:
             raise MalformedLog(f"record {i} (seq {event.seq}): {exc}") from None
-    state.last_seq, state.last_outbound_ts = last_seq, last_outbound_ts
     log.tallies, log.repliers = dict(tallies), dict(repliers)  # a lookup adds no arm
     return log
 
@@ -459,9 +449,9 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
 class CampaignState:
     """Records and message routing, folded from the log.
 
-    :meth:`apply` is the live run's fold: the orchestrator calls it on every
-    event it writes. :func:`validate_events` folds a log it reads into the
-    same state inline; the tests hold the two equal.
+    :meth:`apply` is the one fold: the orchestrator calls it on every event
+    it writes, and :func:`validate_events` on every event of a log it reads,
+    once the event has passed its checks.
     """
 
     records: dict[str, ConversationRecord] = field(default_factory=dict)

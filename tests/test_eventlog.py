@@ -22,9 +22,13 @@ from campaignkit.eventlog import (
     volunteer_replies,
     write_events,
 )
-from campaignkit.model import CampaignEvent, EventKind, TargetAuthor, replace
+from campaignkit.model import (
+    INTERACTION_KINDS, OUTBOUND_KINDS, CampaignEvent, EventKind, TargetAuthor, replace,
+)
 from campaignkit.orchestrator import build_simulated_platform, run_campaign
 from campaignkit.simulator import derive_labels
+from campaignkit.stats import one_way_anova
+from campaignkit.text import mentions_in_text
 from conftest import reference_record, small_sim_config
 
 
@@ -269,6 +273,50 @@ def test_cached_indices_equal_those_of_the_plain_list(report_logs):
         labels = labels_to_map(derive_labels(log))
         assert labels == labels_to_map(derive_labels(plain))
         assert compute_metrics(log, labels, arms=arms) == compute_metrics(list(log), labels, arms=arms)
+
+
+def _reference_report(events, arm):
+    """The arm's report columns, volunteers included, and its ANOVA samples
+    (the volunteers who replied in each of its conversations, the volunteer
+    replies to each of its messages), counted from their definitions."""
+    calls = [e for e in events if e.kind is EventKind.OUTBOUND_CALL]
+    members = {e.conversation_id: set(mentions_in_text(e.text)) for e in calls}
+    conv_arm = {e.conversation_id: e.strategy for e in calls}
+    counted = [
+        e for e in events
+        if e.kind is EventKind.INBOUND_REPLY and e.actor in members.get(e.conversation_id, ())
+    ]
+    mine = [e for e in counted if conv_arm[e.conversation_id] == arm]
+    kinds = Counter(e.kind for e in events if e.strategy == arm and e.actor == "BOT")
+    targets = Counter(e.target_author for e in events if e.strategy == arm and e.kind in INTERACTION_KINDS)
+    replies_to = Counter(e.in_reply_to for e in counted)
+    columns = (
+        kinds[EventKind.OUTBOUND_CALL], kinds[EventKind.OUTBOUND_FOLLOWUP],
+        sum(kinds[kind] for kind in OUTBOUND_KINDS), len({e.actor for e in mine}), len(mine),
+        targets[TargetAuthor.BOT], targets[TargetAuthor.VOLUNTEER],
+    )
+    contributors = [
+        len({e.actor for e in mine if e.conversation_id == conv}) for conv in conv_arm if conv_arm[conv] == arm
+    ]
+    replies = [replies_to[e.message_id] for e in events if e.kind in OUTBOUND_KINDS and e.strategy == arm]
+    return columns, contributors, replies
+
+
+def test_the_folded_report_equals_a_reference_count(report_logs):
+    for plain, arms in report_logs.values():
+        report = compute_metrics(validate_events(plain), arms=arms)
+        assert [a.strategy for a in report.arms] == arms
+        references = [_reference_report(plain, arm) for arm in arms]
+        for a, (columns, _, _) in zip(report.arms, references):
+            assert (
+                a.calls_to_action, a.followups, a.outbound_messages, a.volunteers, a.volunteer_replies,
+                a.bot_interactions, a.volunteer_interactions,
+            ) == columns
+        for anova, samples in (
+            (report.anova_volunteers, [contributors for _, contributors, _ in references]),
+            (report.anova_replies, [replies for _, _, replies in references]),
+        ):
+            assert anova == one_way_anova([[float(v) for v in sample] for sample in samples])
 
 
 @pytest.mark.parametrize("name", ["small", "reply-heavy", "reference"])
