@@ -31,18 +31,19 @@ integer outside the range or a string holding a lone surrogate, so
 :meth:`EventLogWriter.append` refuses such an event, and its records nest
 two deep.
 
-The log is the single source of truth. The orchestrator applies each event
-it writes to its :class:`CampaignState`. A log read back is walked once, by
-:func:`validate_events`: in the loop that checks each event it applies the
-event to a state of its own, parsing each call's mentions once, and folds
-it into the report's indices. It returns a :class:`ValidatedLog`, a list
-sealed against change (its mutators raise ``TypeError``, events are frozen)
-that carries the fold. :func:`replay`, :func:`conversation_members`,
-:func:`volunteer_replies`, ``simulator.derive_labels`` and
-``analytics.compute_metrics`` read the fold of a sealed log without walking
-it, and validate a plain list first. A resumed run does not fold its log: it
-runs again from the start, and its :class:`EventLogWriter` checks the events
-it re-produces against the log before it appends.
+The log is the single source of truth, and :meth:`CampaignState.apply`
+both checks an event against the state folded so far and folds it in. The
+live run applies each event before it writes it, so it never writes one
+that its reader refuses. A log read back is walked once, by
+:func:`validate_events`, which applies each event to a fresh state and
+returns a :class:`ValidatedLog`, a list sealed against change (its mutators
+raise ``TypeError``, events are frozen) that carries the state.
+:func:`replay`, :func:`conversation_members`, :func:`volunteer_replies`,
+``simulator.derive_labels`` and ``analytics.compute_metrics`` read the state
+of a sealed log without walking it, and validate a plain list first. A
+resumed run does not fold its log: it runs again from the start, and its
+:class:`EventLogWriter` checks the events it re-produces against the log
+before it appends.
 """
 
 from __future__ import annotations
@@ -288,14 +289,14 @@ def drop_torn_tail(path: str) -> int:
 def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str, ...]]:
     """Each called conversation's members, the handles its call mentions; a
     fresh copy of the members that validation folded."""
-    return dict(validate_events(events).members)
+    return dict(validate_events(events).state.members)
 
 
 def volunteer_replies(events: Iterable[CampaignEvent]) -> Iterator[CampaignEvent]:
     """The replies that count, in log order: those whose author is a member
     of the conversation they name. Strangers' replies are logged, but they
     make nobody a volunteer. Read from the fold of the validated log."""
-    return iter(validate_events(events).replies)
+    return iter(validate_events(events).state.replies)
 
 
 # The report's per-arm counts that the fold tallies; ``analytics`` checks on
@@ -306,23 +307,148 @@ TALLIED = (
 )
 
 
+@dataclass
+class CampaignState:
+    """Records, message routing and the report's indices, folded from the log.
+
+    :meth:`apply` is the one fold and the one check of an event: the
+    orchestrator calls it on every event before it writes it, and
+    :func:`validate_events` on every event of a log it reads. It checks the
+    event against the state it already holds and raises
+    :class:`MalformedLog` on the first invariant the event breaks, folding
+    nothing. The invariants: strictly increasing seq; outbound messages
+    authored by the bot, carrying a non-empty strategy, a conversation id
+    and a message id not already in the log; one call per conversation (an
+    abort that opens a conversation stands for its call), logged before any
+    other outbound message of that conversation; replies reference a message
+    already in the log and belonging to the same conversation; every
+    follow-up is preceded by a reply in its conversation and never repeats a
+    question index (``q``) already asked there; interactions carry a target
+    author and reference a message already in the log; an abort names its
+    conversation, and an abort that opens one (no call for it logged before)
+    names the group it called.
+
+    A conversation's members are fixed by its one call, which precedes every
+    message a reply in it can answer, so a reply is known to be a
+    volunteer's when it is folded. ``replied`` holds the conversations that
+    have a reply. The report's indices are kept apart from ``records``, so
+    editing a record changes no report: ``members`` (per called
+    conversation, the handles its call mentions), ``replies`` (the volunteer
+    replies, in log order), ``tallies`` (per arm, the :data:`TALLIED`
+    counts), ``repliers`` (per arm, its volunteers), ``conversations`` (per
+    called conversation, its arm and the set of volunteers who replied in
+    it), ``messages`` (per outbound message, its arm) and
+    ``message_replies`` (per message, the volunteer replies to it).
+    """
+
+    records: dict[str, ConversationRecord] = field(default_factory=dict)
+    message_conversations: dict[str, str] = field(default_factory=dict)
+    last_seq: int = 0
+    # When the last outbound message was posted; None before the first.
+    last_outbound_ts: Optional[int] = None
+    replied: set[str] = field(default_factory=set)
+    members: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    replies: list[CampaignEvent] = field(default_factory=list)
+    tallies: defaultdict[str, dict[str, int]] = field(
+        default_factory=lambda: defaultdict(lambda: dict.fromkeys(TALLIED, 0))
+    )
+    repliers: defaultdict[str, set[str]] = field(default_factory=lambda: defaultdict(set))
+    conversations: dict[str, tuple[str, set[str]]] = field(default_factory=dict)
+    messages: dict[str, str] = field(default_factory=dict)
+    message_replies: Counter = field(default_factory=Counter)
+
+    def apply(self, event: CampaignEvent) -> None:
+        """Check the event against the state, then fold it in; raises
+        :class:`MalformedLog`, folding nothing, if it breaks an invariant."""
+        if event.seq <= self.last_seq:
+            raise MalformedLog("seq not strictly increasing")
+        kind, conv, strategy = event.kind, event.conversation_id, event.strategy or ""
+        records, routes = self.records, self.message_conversations
+        if kind in OUTBOUND_KINDS:
+            message = event.message_id
+            if event.actor != BOT_ACTOR:
+                raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
+            if conv is None or message is None:
+                raise MalformedLog("outbound message missing conv or msg")
+            if not strategy:  # an empty strategy names no arm
+                raise MalformedLog("outbound message missing strategy")
+            if message in routes:
+                raise MalformedLog(f"message {message} already in the log")
+            if kind is EVENT_OUTBOUND_CALL:
+                if conv in records:
+                    raise MalformedLog(f"{conv} called twice")
+                members = tuple(mentions_in_text(event.text or ""))
+                record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, members)
+                self.members[conv] = members
+                self.conversations[conv] = (strategy, set())
+                counted = "calls_to_action"
+            elif kind is EVENT_OUTBOUND_FOLLOWUP:
+                if conv not in self.replied:
+                    raise MalformedLog(f"follow-up before any reply in {conv}")
+                record = records[conv]  # a conversation with a reply was called
+                q = event.followup_index
+                if q is not None:
+                    if q in record.used_followups:
+                        raise MalformedLog(f"question {q} asked twice in {conv}")
+                    record.used_followups.add(q)
+                counted = "followups"
+            else:
+                if conv not in self.members:
+                    raise MalformedLog(f"{kind.value} before the call of {conv}")
+                record = records[conv]
+                counted = None
+            record.sent_messages.append(message)
+            routes[message] = conv
+            self.messages[message] = strategy
+            self.last_outbound_ts = event.ts
+            tally = self.tallies[strategy]
+            if counted is not None:
+                tally[counted] += 1
+            tally["outbound_messages"] += 1
+        elif kind is EVENT_INBOUND_REPLY:
+            to = event.in_reply_to
+            routed = routes.get(to)
+            if routed is None:
+                raise MalformedLog("reply references unknown message")
+            if conv is not None and conv != routed:
+                raise MalformedLog("reply conversation mismatch")
+            if event.message_id is not None:
+                routes[event.message_id] = routed
+            self.replied.add(routed)
+            if event.actor in self.members.get(conv, ()):
+                self.replies.append(event)
+                arm, contributed = self.conversations[conv]
+                self.tallies[arm]["volunteer_replies"] += 1
+                self.repliers[arm].add(event.actor)
+                contributed.add(event.actor)
+                self.message_replies[to] += 1
+        elif kind in INTERACTION_KINDS:
+            if event.target_author is None:
+                raise MalformedLog(f"{kind.value} missing target_author")
+            if event.in_reply_to not in routes:
+                raise MalformedLog(f"{kind.value} toward unknown message")
+            counted = "bot_interactions" if event.target_author is TARGET_BOT else "volunteer_interactions"
+            self.tallies[strategy][counted] += 1
+        elif kind is EVENT_ABORT:
+            if conv is None:
+                raise MalformedLog("abort missing conversation")
+            if conv not in self.members and not event.members:
+                raise MalformedLog(f"abort opens {conv} without members")
+            record = records.get(conv)
+            if record is None:  # a rejected call leaves a record of the group it named
+                record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, event.members)
+            record.closed = True
+        self.last_seq = event.seq
+
+
 class ValidatedLog(list):
     """A log that passed :func:`validate_events`, sealed against change, and
-    the fold that validation made of it.
+    ``state``, the :class:`CampaignState` that validation folded from it.
 
     Only :func:`validate_events` should build one. Every mutating list method
     raises ``TypeError``; reading, equality with a list, slicing and ``+``
     work as for a list, and their results are plain lists. Copies and
     pickles validate the events again.
-
-    The fold: ``state``, what :func:`replay` returns; ``members``, the
-    members each call mentions, by conversation; ``replies``, the volunteer
-    replies. The report's indices are kept apart from ``state``, so editing
-    it changes no later report: ``tallies`` (per arm, the :data:`TALLIED`
-    counts), ``repliers`` (per arm, its volunteers), ``conversations`` (per
-    called conversation, its arm and the set of volunteers who replied in
-    it), ``messages`` (per outbound message, its arm) and
-    ``message_replies`` (per message, the volunteer replies to it).
     """
 
     def _sealed(self, *args, **kwargs):
@@ -336,160 +462,26 @@ class ValidatedLog(list):
 
 
 def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
-    """Check log invariants and fold the log, in one walk; raises
-    MalformedLog on the first violation.
-
-    Enforced: strictly increasing seq; outbound messages authored by the bot,
-    carrying a non-empty strategy, a conversation id and a message id not
-    already in the log; one call per conversation (an abort that opens a
-    conversation stands for its call), logged before any other outbound
-    message of that conversation; replies reference a message already in the
-    log and belonging to the same conversation; every follow-up is preceded
-    by a reply in its conversation and never repeats a question index
-    (``q``) already asked there; interactions carry a target author; an
-    abort names its conversation, and an abort that opens one (no call for
-    it logged before) names the group it called.
-
-    Returns the events as a sealed :class:`ValidatedLog` carrying the fold.
-    A conversation's members are fixed by its one call, which precedes every
-    message a reply in it can answer, so a reply is known to be a
-    volunteer's when it is read. A ValidatedLog is returned as it is.
-    """
+    """The events as a sealed :class:`ValidatedLog`, folded through
+    :meth:`CampaignState.apply`, which checks each of them; raises
+    MalformedLog, naming the record, at the first that breaks an invariant.
+    A ValidatedLog is returned as it is."""
     if isinstance(events, ValidatedLog):
         return events
     log = ValidatedLog(events)
     log.state = state = CampaignState()
-    apply, records, routes = state.apply, state.records, state.message_conversations
-    log.members = members = {}
-    log.replies = replies = []
-    tallies: defaultdict[str, dict[str, int]] = defaultdict(lambda: dict.fromkeys(TALLIED, 0))
-    repliers: defaultdict[str, set[str]] = defaultdict(set)
-    log.conversations = conversations = {}
-    log.messages = messages = {}
-    log.message_replies = message_replies = Counter()
-    replied_conversations: set[str] = set()
-    asked: dict[str, set[int]] = {}  # conversation_id -> question indices
-    last_seq = 0
-
+    apply = state.apply
     for i, event in enumerate(log, start=1):
         try:
-            if event.seq <= last_seq:
-                raise MalformedLog("seq not strictly increasing")
-            last_seq = event.seq
-            kind, conv, strategy = event.kind, event.conversation_id, event.strategy or ""
-            if kind in OUTBOUND_KINDS:
-                message = event.message_id
-                if event.actor != BOT_ACTOR:
-                    raise MalformedLog(f"outbound message not authored by {BOT_ACTOR}")
-                if conv is None or message is None:
-                    raise MalformedLog("outbound message missing conv or msg")
-                if not strategy:  # an empty strategy names no arm
-                    raise MalformedLog("outbound message missing strategy")
-                if message in routes:
-                    raise MalformedLog(f"message {message} already in the log")
-                t = tallies[strategy]
-                if kind is EVENT_OUTBOUND_CALL:
-                    if conv in records:
-                        raise MalformedLog(f"{conv} called twice")
-                    apply(event)
-                    members[conv] = records[conv].members
-                    conversations[conv] = (strategy, set())
-                    t["calls_to_action"] += 1
-                else:
-                    if kind is EVENT_OUTBOUND_FOLLOWUP:
-                        if conv not in replied_conversations:
-                            raise MalformedLog(f"follow-up before any reply in {conv}")
-                        q = event.followup_index
-                        if q is not None:
-                            questions = asked.setdefault(conv, set())
-                            if q in questions:
-                                raise MalformedLog(f"question {q} asked twice in {conv}")
-                            questions.add(q)
-                        t["followups"] += 1
-                    if conv not in members:
-                        raise MalformedLog(f"{kind.value} before the call of {conv}")
-                    apply(event)
-                t["outbound_messages"] += 1
-                messages[message] = strategy
-            elif kind is EVENT_INBOUND_REPLY:
-                to = event.in_reply_to
-                routed = routes.get(to)
-                if routed is None:
-                    raise MalformedLog("reply references unknown message")
-                if conv is not None and conv != routed:
-                    raise MalformedLog("reply conversation mismatch")
-                apply(event)
-                replied_conversations.add(routed)
-                if event.actor in members.get(conv, ()):
-                    replies.append(event)
-                    arm, contributed = conversations[conv]
-                    tallies[arm]["volunteer_replies"] += 1
-                    repliers[arm].add(event.actor)
-                    contributed.add(event.actor)
-                    message_replies[to] += 1
-            elif kind in INTERACTION_KINDS:
-                if event.target_author is None:
-                    raise MalformedLog(f"{kind.value} missing target_author")
-                apply(event)
-                t = tallies[strategy]
-                t["bot_interactions" if event.target_author is TARGET_BOT else "volunteer_interactions"] += 1
-            elif kind is EVENT_ABORT:
-                if conv is None:
-                    raise MalformedLog("abort missing conversation")
-                if conv not in members and not event.members:
-                    raise MalformedLog(f"abort opens {conv} without members")
-                apply(event)
+            apply(event)
         except MalformedLog as exc:
             raise MalformedLog(f"record {i} (seq {event.seq}): {exc}") from None
-    log.tallies, log.repliers = dict(tallies), dict(repliers)  # a lookup adds no arm
     return log
-
-
-@dataclass
-class CampaignState:
-    """Records and message routing, folded from the log.
-
-    :meth:`apply` is the one fold: the orchestrator calls it on every event
-    it writes, and :func:`validate_events` on every event of a log it reads,
-    once the event has passed its checks.
-    """
-
-    records: dict[str, ConversationRecord] = field(default_factory=dict)
-    message_conversations: dict[str, str] = field(default_factory=dict)
-    last_seq: int = 0
-    # When the last outbound message was posted; None before the first.
-    last_outbound_ts: Optional[int] = None
-
-    def apply(self, event: CampaignEvent) -> None:
-        """Fold one valid event into the state."""
-        self.last_seq = event.seq
-        conv, kind = event.conversation_id, event.kind
-        if kind is EVENT_OUTBOUND_CALL:
-            members = tuple(mentions_in_text(event.text or ""))
-            self.records[conv] = ConversationRecord(conv, event.topic or "", event.strategy or "", members)
-        if kind in OUTBOUND_KINDS:
-            self.last_outbound_ts = event.ts
-            record = self.records.get(conv)
-            if record is not None:
-                record.sent_messages.append(event.message_id)
-                if event.followup_index is not None:
-                    record.used_followups.add(event.followup_index)
-            self.message_conversations[event.message_id] = conv
-        elif kind is EVENT_INBOUND_REPLY:
-            if event.message_id is not None:
-                conv = self.message_conversations[event.in_reply_to]
-                self.message_conversations[event.message_id] = conv
-        elif kind is EVENT_ABORT:
-            # A rejected call leaves a closed record of the group it named.
-            record = self.records.setdefault(
-                conv, ConversationRecord(conv, event.topic or "", event.strategy or "", event.members or ())
-            )
-            record.closed = True
 
 
 def replay(events: Iterable[CampaignEvent]) -> CampaignState:
     """The :class:`CampaignState` that :func:`validate_events` folded from a
     log, which the orchestrator built live while writing it. A sealed log is
-    not walked again: every replay of it returns the one state, which the
-    report does not read."""
+    not walked again: every replay of it returns the one state, whose
+    records the report does not read."""
     return validate_events(events).state

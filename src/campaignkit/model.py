@@ -287,11 +287,7 @@ class TargetUser:
 
 @dataclass
 class ConversationRecord:
-    """Per-group state, folded from the log by ``CampaignState.apply``.
-
-    The orchestrator also adds a follow-up's question to ``used_followups``
-    when it schedules it, before the follow-up is posted and logged.
-    """
+    """Per-group state, folded from the log by ``CampaignState.apply``."""
 
     conversation_id: str
     topic: str

@@ -4,12 +4,15 @@ One single-writer event loop owns all mutable state: the users it has
 admitted, the arm allocator, the group buffers, the conversation state and
 the append-only log. The platform's one ordered inbound stream feeds it;
 analytics reads log snapshots. The loop adds no conversation record, sent id
-or message mapping itself: it appends an event and applies it to its
-``CampaignState``, the state that ``replay`` folds from the log. A resume
-runs the same path from the start on a platform rebuilt from the seed, so
-every state comes back and the joined log is the uninterrupted one. A
-``max_hours`` deadline stops the loop and flushes nothing: the cut log is a
-byte prefix of the uninterrupted log, without the calls not yet posted.
+or message mapping itself: it applies each event to its ``CampaignState``,
+the state that ``replay`` folds from the log, and only then appends it.
+``CampaignState.apply`` both checks and folds, so the live run checks each
+event before writing it, and one that the log's reader would refuse stops
+the run unwritten. A resume runs the same path from the start on a platform
+rebuilt from the seed, so every state comes back and the joined log is the
+uninterrupted one. A ``max_hours`` deadline stops the loop and flushes
+nothing: the cut log is a byte prefix of the uninterrupted log, without the
+calls not yet posted.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -256,6 +259,10 @@ class Orchestrator:
         }
         self.schedule = DispatchSchedule()
         self.state = CampaignState()
+        # Per conversation, the follow-up questions drawn so far, posted or
+        # not, so that a reply that arrives before a follow-up is posted
+        # draws another question.
+        self._drawn: dict[str, set[int]] = {}
         self.registry = ContactRegistry()
         self.conv_counter = 0
         self.now = platform.now_ms()
@@ -269,12 +276,14 @@ class Orchestrator:
     # -- event emission -------------------------------------------------------
 
     def _emit(self, *fields) -> None:
-        """Append the next event to the log, then fold it into the state.
+        """Check the next event and fold it into the state, then append it to
+        the log; an event the state refuses raises ``MalformedLog`` and is
+        not written.
 
         ``fields`` are the event's fields after ``seq``, in field order."""
         event = CampaignEvent(self.state.last_seq + 1, *fields)
-        self.writer.append(event)
         self.state.apply(event)
+        self.writer.append(event)
 
     # -- group formation --------------------------------------------------------
 
@@ -418,13 +427,12 @@ class Orchestrator:
         if record.closed or item.author not in record.members:
             return  # logged, never answered
         spec = self.specs[record.strategy]
-        index = strategy_mod.select_followup(record, spec, self.rng_followup)
+        drawn = self._drawn.setdefault(conversation_id, set())
+        index = strategy_mod.select_followup(drawn, spec, self.rng_followup)
         if index is None:
-            return  # every question asked: the conversation goes quiet
-        # Reserved now, so a reply that arrives before this follow-up is
-        # posted draws another question; its event records it again.
-        record.used_followups.add(index)
-        turn = len(record.used_followups)
+            return  # every question drawn: the conversation goes quiet
+        drawn.add(index)
+        turn = len(drawn)
         try:
             messages = strategy_mod.compose_followup(
                 spec,

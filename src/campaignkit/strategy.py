@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .model import (
     EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, EVENT_OUTBOUND_QUOTE, CampaignError,
-    ConversationRecord, StrategyId, StrategySpec, slot_init,
+    StrategyId, StrategySpec, slot_init,
 )
 from .text import format_mentions
 
@@ -120,15 +120,15 @@ def compose_call(
 
 
 def select_followup(
-    record: ConversationRecord, spec: StrategySpec, rng: random.Random
+    used: Collection[int], spec: StrategySpec, rng: random.Random
 ) -> Optional[int]:
-    """Pick an unused follow-up question uniformly at random.
+    """Pick a follow-up question not in ``used`` uniformly at random.
 
     Sampling is without replacement per conversation: no group is ever asked
     the same question twice. Returns None once every question has been used;
     the conversation then gets no more follow-ups.
     """
-    unused = [i for i in range(len(spec.followups)) if i not in record.used_followups]
+    unused = [i for i in range(len(spec.followups)) if i not in used]
     if not unused:
         return None
     return rng.choice(unused)

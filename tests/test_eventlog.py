@@ -490,6 +490,20 @@ def test_validator_rejects_interaction_without_target_author():
         validate_events([_call(1), retweet])
 
 
+@pytest.mark.parametrize("kind", sorted(INTERACTION_KINDS))
+def test_validator_rejects_an_interaction_toward_an_unknown_message(kind):
+    # Counted, it would be a bot interaction of an arm with no message for it.
+    toward = _event(
+        2, kind, actor="a", strategy="direct", conversation_id="c1", message_id="x1",
+        in_reply_to="nothing", target_author=TargetAuthor.BOT,
+    )
+    with pytest.raises(MalformedLog, match=rf"^record 2 \(seq 2\): {kind.value} toward unknown message$"):
+        validate_events([_call(1), toward])
+    with pytest.raises(MalformedLog, match="toward unknown message"):
+        compute_metrics([_call(1), toward])
+    assert compute_metrics([_call(1), replace(toward, in_reply_to="m1")]).arm("direct").bot_interactions == 1
+
+
 def test_validator_accepts_reply_to_volunteer_message():
     events = [
         _call(1),

@@ -5,8 +5,10 @@ enum that src/ defines; nothing in src/ but ``model.load_yaml`` chooses a
 YAML loader; nothing in src/ but ``eventlog``, which encodes and decodes
 the event log, imports ``orjson``; nothing in src/ imports from ``json.encoder``; no function body
 in src/ imports; no function body in the simulated platform calls the rng's
-``choice``, ``uniform`` or ``expovariate``; and every frozen slotted
-dataclass in src/ is built by ``slot_init``.
+``choice``, ``uniform`` or ``expovariate``; every frozen slotted
+dataclass in src/ is built by ``slot_init``; and nothing in src/ but
+``eventlog``, whose ``CampaignState.apply`` folds the log, writes a
+conversation record's fields.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -468,5 +470,76 @@ def test_every_frozen_slotted_record_in_src_is_built_by_slot_init():
         f"{path.relative_to(ROOT)}:{line}: {name}"
         for path in sorted((ROOT / "src").rglob("*.py"))
         for line, name in slow_frozen_records(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+# The one writer of a conversation record: ``CampaignState.apply``, which
+# folds the log, so a record holds what the log says. Elsewhere in src/ its
+# fields are read, never stored to or changed in place.
+RECORD_FIELDS = {"members", "sent_messages", "used_followups", "closed"}
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop", "remove", "sort", "update"}
+
+
+def _stored(target: ast.expr):
+    """The expressions an assignment target stores into or deletes from."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _stored(elt)
+    elif isinstance(target, ast.Starred):
+        yield from _stored(target.value)
+    else:
+        yield target.value if isinstance(target, ast.Subscript) else target
+
+
+def record_writes(source: str) -> list[tuple[int, str]]:
+    """(line, field) of each store to, deletion from or mutating method call
+    on an attribute named like a field of a conversation record."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            written = [t for target in node.targets for t in _stored(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            written = list(_stored(node.target))
+        elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in MUTATORS:
+            written = [node.func.value]
+        else:
+            continue
+        found.update(
+            (node.lineno, w.attr) for w in written
+            if isinstance(w, ast.Attribute) and w.attr in RECORD_FIELDS
+        )
+    return sorted(found)
+
+
+def test_record_writes_are_detected():
+    source = (
+        "class ConversationRecord:\n"
+        "    members: tuple = ()\n"
+        "    closed: bool = False\n"
+        "def f(record, state, send):\n"
+        "    record.used_followups.add(3)\n"
+        "    record.closed = True\n"
+        "    state.records[c].sent_messages += ['m1']\n"
+        "    a, record.members = 1, ()\n"
+        "    record.sent_messages[0] = 'm2'\n"
+        "    del record.used_followups\n"
+        "    members = send.members\n"
+        "    seen = {m for m in record.members}\n"
+        "    seen.add(record.closed)\n"
+        "    return len(record.used_followups), record.members.count('a')\n"
+    )
+    assert record_writes(source) == [
+        (5, "used_followups"), (6, "closed"), (7, "sent_messages"), (8, "members"),
+        (9, "sent_messages"), (10, "used_followups"),
+    ]
+
+
+def test_only_the_fold_writes_conversation_records():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.stem != "eventlog"
+        for line, name in record_writes(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -401,24 +401,36 @@ def test_replay_reconstructs_records(small_campaign, tmp_path):
     assert replay(writer.events) == orchestrator.state == replay(events)
 
 
+def _overflowing(config, arm):
+    """The config with the arm's last follow-up question too long to post."""
+    return replace(config, strategies=tuple(
+        replace(spec, followups=spec.followups[:-1] + ("x" * 200,)) if spec.id == arm else spec
+        for spec in config.strategies
+    ))
+
+
+_SEED21 = small_sim_config(seed=21, groups=3, population=500)
 # More runs whose live state must equal the replay of their log, each with
-# the conversation whose posts the platform rejects, if any; the seed-5
-# campaign is checked by test_replay_reconstructs_records.
+# the posts the platform rejects, if any; the seed-5 campaign is checked by
+# test_replay_reconstructs_records. A rejected or an overflowing follow-up
+# draws a question that the log never asks.
 LIVE_RUNS = {
-    "seed21": (small_sim_config(seed=21, groups=3, population=500), None),
+    "seed21": (_SEED21, None),
     "partial60": (
         replace(small_sim_config(), partial_groups=model.PartialGroupPolicy(timeout_s=60)), None
     ),
-    "abort": (small_sim_config(seed=21, groups=3, population=500), "c000002"),
+    "abort": (_SEED21, lambda message: message.conversation_id == "c000002"),
+    "followup-rejected": (_SEED21, lambda message: message.kind is MessageKind.FOLLOWUP and message.turn == 1),
+    "followup-overflow": (_overflowing(_SEED21, "direct"), None),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LIVE_RUNS))
 def test_live_state_equals_replay_of_its_log(name, tmp_path):
-    config, rejected = LIVE_RUNS[name]
+    config, rejects = LIVE_RUNS[name]
     platform = build_simulated_platform(config)
-    if rejected is not None:
-        _rejecting(platform, lambda message: message.conversation_id == rejected)
+    if rejects is not None:
+        _rejecting(platform, rejects)
     out = tmp_path / "live.log"
     with EventLogWriter(str(out)) as writer:
         orchestrator = Orchestrator(config, platform, writer)
@@ -431,11 +443,35 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     events = read_events(str(out))
     replayed = replay(events)
     assert replayed == orchestrator.state
-    called = {user for users in conversation_members(events).values() for user in users}
-    aborted = {user for e in events if e.kind is EventKind.ABORT for user in e.members or ()}
+    members = conversation_members(events)
+    called = {user for users in members.values() for user in users}
+    aborts = [e for e in events if e.kind is EventKind.ABORT]
+    aborted = {user for e in aborts for user in e.members or ()}
     assert {user for record in replayed.records.values() for user in record.members} == called | aborted
-    assert bool(aborted) is (rejected is not None)
+    assert bool(aborts) is (rejects is not None)
+    # An abort names the group exactly when it stands for a call.
+    assert all(bool(e.members) is (e.conversation_id not in members) for e in aborts)
     assert any(record.used_followups for record in replayed.records.values())
+
+
+def test_a_run_stops_at_an_event_its_reader_would_refuse(tmp_path):
+    # The platform hands out a message id twice: its 5th post returns the
+    # id of its 2nd. The run raises before it writes that post's event, so
+    # what it leaves is a log that validates.
+    platform = build_simulated_platform(_SEED21)
+    post, ids = platform.post, []
+
+    def reusing_post(message):
+        ids.append(post(message))
+        return ids[1] if len(ids) == 5 else ids[-1]
+
+    platform.post = reusing_post
+    out = tmp_path / "live.log"
+    with pytest.raises(MalformedLog, match="^message m0000002 already in the log$"):
+        run_campaign(_SEED21, platform, str(out))
+    events = read_events(str(out))
+    assert len(events) == 4
+    assert validate_events(events) == events
 
 
 # The log of the seed-5 small campaign, pinned: a change that alters what a

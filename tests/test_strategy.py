@@ -3,7 +3,6 @@ import random
 import pytest
 
 from campaignkit import fixtures
-from campaignkit.model import ConversationRecord
 from campaignkit.strategy import (
     MessageKind,
     TemplateOverflow,
@@ -94,45 +93,34 @@ def test_template_overflow():
         compose_call(SPECS["loss"], "corruption", long_members, conversation_id="c1", char_limit=100)
 
 
-def _record(used=(), n_questions=7):
-    return ConversationRecord(
-        conversation_id="c1",
-        topic="corruption",
-        strategy="direct",
-        members=MEMBERS,
-        used_followups=set(used),
-    )
-
-
 def test_select_followup_exhaustion():
-    assert select_followup(_record(range(7)), SPECS["direct"], random.Random(1)) is None
+    assert select_followup(set(range(7)), SPECS["direct"], random.Random(1)) is None
 
 
 def test_select_followup_single_remaining():
-    assert select_followup(_record(range(6)), SPECS["direct"], random.Random(1)) == 6
+    assert select_followup(set(range(6)), SPECS["direct"], random.Random(1)) == 6
 
 
 def test_select_followup_never_repeats():
     rng = random.Random(42)
-    record = _record()
+    used = set()
     seen = set()
     for _ in range(7):
-        index = select_followup(record, SPECS["direct"], rng)
+        index = select_followup(used, SPECS["direct"], rng)
         assert index not in seen
         seen.add(index)
-        record.used_followups.add(index)
-    assert select_followup(record, SPECS["direct"], rng) is None
+        used.add(index)
+    assert select_followup(used, SPECS["direct"], rng) is None
     assert seen == set(range(7))
 
 
 def test_select_followup_uniform_chi_square():
     # 10,000 draws without marking used; chi-square over 7 cells, p > 0.01.
     rng = random.Random(2024)
-    record = _record()
     counts = [0] * 7
     draws = 10_000
     for _ in range(draws):
-        counts[select_followup(record, SPECS["direct"], rng)] += 1
+        counts[select_followup(set(), SPECS["direct"], rng)] += 1
     expected = draws / 7
     statistic = sum((c - expected) ** 2 / expected for c in counts)
     assert statistic < CHI2_CRIT_6DF_P01
