@@ -83,14 +83,14 @@ def compute_metrics(
 
     The events are validated first; a sealed ``ValidatedLog`` is taken as it
     is, and every count is read from the report's indices of its state (see
-    ``eventlog.CampaignState``) without walking an event. Replies count when
+    ``eventlog.ReportIndex``) without walking an event. Replies count when
     their author is a member of the conversation they landed in; strangers
     are recorded in the log but are not volunteers. Totals are computed from the per-arm columns. The
     cross-arm comparisons are one-way ANOVAs over per-conversation unique
     contributors and over per-message reply counts.
     """
-    state = validate_events(events).state
-    tallies, repliers = state.tallies, state.repliers
+    report = validate_events(events).state.report
+    tallies, repliers = report.tallies, report.repliers
     no_counts = dict.fromkeys(TALLIED, 0)
 
     def metrics(strategy: str, counts: dict[str, int], volunteers: Collection[str]) -> ArmMetrics:
@@ -116,9 +116,9 @@ def compute_metrics(
         return list(samples.values())
 
     anovas = {}
-    if len(arm_order) >= 2 and state.conversations:
-        contributors = ((arm, len(contributed)) for arm, contributed in state.conversations.values())
-        replies = ((arm, state.message_replies.get(message, 0)) for message, arm in state.messages.items())
+    if len(arm_order) >= 2 and report.conversations:
+        contributors = ((arm, len(contributed)) for arm, contributed in report.conversations.values())
+        replies = ((arm, report.message_replies.get(message, 0)) for message, arm in report.messages.items())
         for name, samples in (("anova_volunteers", by_arm(contributors)), ("anova_replies", by_arm(replies))):
             try:
                 anovas[name] = one_way_anova(samples)

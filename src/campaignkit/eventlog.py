@@ -34,10 +34,12 @@ two deep.
 The log is the single source of truth, and :meth:`CampaignState.apply`
 both checks an event against the state folded so far and folds it in. The
 live run applies each event before it writes it, so it never writes one
-that its reader refuses. A log read back is walked once, by
-:func:`validate_events`, which applies each event to a fresh state and
-returns a :class:`ValidatedLog`, a list sealed against change (its mutators
-raise ``TypeError``, events are frozen) that carries the state.
+that its reader refuses; its state only checks and routes. A log read back
+is walked once, by :func:`validate_events`, which applies each event to a
+fresh state that also carries ``report``, the report's indices (a
+:class:`ReportIndex`), and returns a :class:`ValidatedLog`, a list sealed
+against change (its mutators raise ``TypeError``, events are frozen) that
+carries the state. Only a read log's state carries ``report``.
 :func:`replay`, :func:`conversation_members`, :func:`volunteer_replies`,
 ``simulator.derive_labels`` and ``analytics.compute_metrics`` read the state
 of a sealed log without walking it, and validate a plain list first. A
@@ -296,7 +298,7 @@ def volunteer_replies(events: Iterable[CampaignEvent]) -> Iterator[CampaignEvent
     """The replies that count, in log order: those whose author is a member
     of the conversation they name. Strangers' replies are logged, but they
     make nobody a volunteer. Read from the fold of the validated log."""
-    return iter(validate_events(events).state.replies)
+    return iter(validate_events(events).state.report.replies)
 
 
 # The report's per-arm counts that the fold tallies; ``analytics`` checks on
@@ -308,8 +310,33 @@ TALLIED = (
 
 
 @dataclass
+class ReportIndex:
+    """The report's indices, folded from a log that is read: ``replies``
+    (the volunteer replies, in log order), ``tallies`` (per arm, the
+    :data:`TALLIED` counts), ``repliers`` (per arm, its volunteers),
+    ``conversations`` (per called conversation, its arm and the set of
+    volunteers who replied in it), ``messages`` (per outbound message, its
+    arm) and ``message_replies`` (per message, the volunteer replies to it).
+
+    Only :func:`validate_events` builds one, for the state it folds; the
+    live run reads none of them. They are kept apart from the state's
+    ``records``, so editing a record changes no report.
+    """
+
+    replies: list[CampaignEvent] = field(default_factory=list)
+    tallies: defaultdict[str, dict[str, int]] = field(
+        default_factory=lambda: defaultdict(lambda: dict.fromkeys(TALLIED, 0))
+    )
+    repliers: defaultdict[str, set[str]] = field(default_factory=lambda: defaultdict(set))
+    conversations: dict[str, tuple[str, set[str]]] = field(default_factory=dict)
+    messages: dict[str, str] = field(default_factory=dict)
+    message_replies: Counter = field(default_factory=Counter)
+
+
+@dataclass
 class CampaignState:
-    """Records, message routing and the report's indices, folded from the log.
+    """Records and message routing, folded from the log, and the report's
+    indices when the log is read.
 
     :meth:`apply` is the one fold and the one check of an event: the
     orchestrator calls it on every event before it writes it, and
@@ -328,17 +355,14 @@ class CampaignState:
     conversation, and an abort that opens one (no call for it logged before)
     names the group it called.
 
-    A conversation's members are fixed by its one call, which precedes every
-    message a reply in it can answer, so a reply is known to be a
-    volunteer's when it is folded. ``replied`` holds the conversations that
-    have a reply. The report's indices are kept apart from ``records``, so
-    editing a record changes no report: ``members`` (per called
-    conversation, the handles its call mentions), ``replies`` (the volunteer
-    replies, in log order), ``tallies`` (per arm, the :data:`TALLIED`
-    counts), ``repliers`` (per arm, its volunteers), ``conversations`` (per
-    called conversation, its arm and the set of volunteers who replied in
-    it), ``messages`` (per outbound message, its arm) and
-    ``message_replies`` (per message, the volunteer replies to it).
+    The live state checks and routes: ``members`` holds, per called
+    conversation, the handles its call mentions, and ``replied`` the
+    conversations that have a reply. Only a read log's state carries
+    ``report``, a :class:`ReportIndex` that :meth:`apply` also folds; the
+    orchestrator's is None, so the campaign loop pays for no index it does
+    not read. A conversation's members are fixed by its one call, which
+    precedes every message a reply in it can answer, so a reply is known to
+    be a volunteer's when it is folded.
     """
 
     records: dict[str, ConversationRecord] = field(default_factory=dict)
@@ -348,14 +372,7 @@ class CampaignState:
     last_outbound_ts: Optional[int] = None
     replied: set[str] = field(default_factory=set)
     members: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    replies: list[CampaignEvent] = field(default_factory=list)
-    tallies: defaultdict[str, dict[str, int]] = field(
-        default_factory=lambda: defaultdict(lambda: dict.fromkeys(TALLIED, 0))
-    )
-    repliers: defaultdict[str, set[str]] = field(default_factory=lambda: defaultdict(set))
-    conversations: dict[str, tuple[str, set[str]]] = field(default_factory=dict)
-    messages: dict[str, str] = field(default_factory=dict)
-    message_replies: Counter = field(default_factory=Counter)
+    report: Optional[ReportIndex] = None
 
     def apply(self, event: CampaignEvent) -> None:
         """Check the event against the state, then fold it in; raises
@@ -363,7 +380,7 @@ class CampaignState:
         if event.seq <= self.last_seq:
             raise MalformedLog("seq not strictly increasing")
         kind, conv, strategy = event.kind, event.conversation_id, event.strategy or ""
-        records, routes = self.records, self.message_conversations
+        records, routes, report = self.records, self.message_conversations, self.report
         if kind in OUTBOUND_KINDS:
             message = event.message_id
             if event.actor != BOT_ACTOR:
@@ -380,7 +397,6 @@ class CampaignState:
                 members = tuple(mentions_in_text(event.text or ""))
                 record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, members)
                 self.members[conv] = members
-                self.conversations[conv] = (strategy, set())
                 counted = "calls_to_action"
             elif kind is EVENT_OUTBOUND_FOLLOWUP:
                 if conv not in self.replied:
@@ -399,12 +415,15 @@ class CampaignState:
                 counted = None
             record.sent_messages.append(message)
             routes[message] = conv
-            self.messages[message] = strategy
             self.last_outbound_ts = event.ts
-            tally = self.tallies[strategy]
-            if counted is not None:
-                tally[counted] += 1
-            tally["outbound_messages"] += 1
+            if report is not None:
+                if kind is EVENT_OUTBOUND_CALL:
+                    report.conversations[conv] = (strategy, set())
+                report.messages[message] = strategy
+                tally = report.tallies[strategy]
+                if counted is not None:
+                    tally[counted] += 1
+                tally["outbound_messages"] += 1
         elif kind is EVENT_INBOUND_REPLY:
             to = event.in_reply_to
             routed = routes.get(to)
@@ -415,20 +434,21 @@ class CampaignState:
             if event.message_id is not None:
                 routes[event.message_id] = routed
             self.replied.add(routed)
-            if event.actor in self.members.get(conv, ()):
-                self.replies.append(event)
-                arm, contributed = self.conversations[conv]
-                self.tallies[arm]["volunteer_replies"] += 1
-                self.repliers[arm].add(event.actor)
+            if report is not None and event.actor in self.members.get(conv, ()):
+                report.replies.append(event)
+                arm, contributed = report.conversations[conv]
+                report.tallies[arm]["volunteer_replies"] += 1
+                report.repliers[arm].add(event.actor)
                 contributed.add(event.actor)
-                self.message_replies[to] += 1
+                report.message_replies[to] += 1
         elif kind in INTERACTION_KINDS:
             if event.target_author is None:
                 raise MalformedLog(f"{kind.value} missing target_author")
             if event.in_reply_to not in routes:
                 raise MalformedLog(f"{kind.value} toward unknown message")
-            counted = "bot_interactions" if event.target_author is TARGET_BOT else "volunteer_interactions"
-            self.tallies[strategy][counted] += 1
+            if report is not None:
+                counted = "bot_interactions" if event.target_author is TARGET_BOT else "volunteer_interactions"
+                report.tallies[strategy][counted] += 1
         elif kind is EVENT_ABORT:
             if conv is None:
                 raise MalformedLog("abort missing conversation")
@@ -469,7 +489,7 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
     if isinstance(events, ValidatedLog):
         return events
     log = ValidatedLog(events)
-    log.state = state = CampaignState()
+    log.state = state = CampaignState(report=ReportIndex())
     apply = state.apply
     for i, event in enumerate(log, start=1):
         try:
@@ -481,7 +501,7 @@ def validate_events(events: Iterable[CampaignEvent]) -> ValidatedLog:
 
 def replay(events: Iterable[CampaignEvent]) -> CampaignState:
     """The :class:`CampaignState` that :func:`validate_events` folded from a
-    log, which the orchestrator built live while writing it. A sealed log is
-    not walked again: every replay of it returns the one state, whose
-    records the report does not read."""
+    log: the state the orchestrator built live while writing it, plus the
+    report's indices. A sealed log is not walked again: every replay of it
+    returns the one state, whose records the report does not read."""
     return validate_events(events).state

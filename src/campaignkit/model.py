@@ -27,9 +27,10 @@ to each enum (``EVENT_ABORT``, ``platform.ITEM_PUBLIC_POST``): a lookup such
 as ``EventKind.ABORT`` goes through the enum metaclass, 140-190 ns against
 13 ns for a global, and ``.value`` costs about 250 ns. And they build their
 records (``CampaignEvent``, ``platform.InboundItem`` and ``BotMessageMeta``,
-``strategy.OutboundMessage``, ``analytics.TermScore``) positionally through
-the ``__new__`` that :func:`slot_init` generates: an ``InboundItem`` costs
-1.5 us by keyword through the frozen dataclass ``__init__``, 0.6 us this way.
+``strategy.OutboundMessage``, ``analytics.TermScore``, ``VolunteerLabel``)
+positionally through the ``__new__`` that :func:`slot_init` generates: an
+``InboundItem`` costs 1.5 us by keyword through the frozen dataclass
+``__init__``, 0.6 us this way.
 Set-up parses YAML through :func:`load_yaml` with libyaml's loader (the
 shipped data files: 12.1 ms with ``SafeLoader``, 1.2 ms) and builds agents
 positionally (0.3 us, 0.8 us by keyword) and slotted (80 bytes, not 176).
@@ -108,6 +109,9 @@ _SCALARS = {str: (str,), int: (int,), bool: (bool,), float: (float, int)}  # a f
 
 class FieldCodec:
     """Base of the config and label records: the codec in the module docstring."""
+
+    # No instance dict of its own, so a slotted record built on it stays slotted.
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls: type[_R], raw: Any) -> _R:
@@ -307,22 +311,23 @@ def slot_init(cls: _C) -> _C:
     ``@dataclass(frozen=True, slots=True, init=False)``.
 
     The ``__new__`` allocates an instance of the class's twin,
-    ``_<Name>Fill``: a class with the same ``__slots__`` and no
-    ``__setattr__``, so each field is a plain attribute store. It then
-    assigns ``__class__``, which CPython allows between the two because
-    their layouts match, and the record is frozen from then on. Without an
-    ``__init__`` of its own, ``type.__call__`` ends in ``object.__init__``,
-    which ignores the arguments of a class that overrides ``__new__``; a
-    dataclass ``__init__`` would set every field a second time, so a class
-    that has one is refused. ``__reduce__`` rebuilds a record from its
-    field values, so pickle and ``copy`` go through the ``__new__`` too
-    instead of calling it with no arguments."""
+    ``_<Name>Fill``: a class on the same bases with the same ``__slots__``
+    and no ``__setattr__``, so each field is a plain attribute store. It
+    then assigns ``__class__``, which CPython allows between the two because
+    their layouts match (a twin on ``object`` does not match a record on a
+    slotted base such as ``FieldCodec``), and the record is frozen from then
+    on. Without an ``__init__`` of its own, ``type.__call__`` ends in
+    ``object.__init__``, which ignores the arguments of a class that
+    overrides ``__new__``; a dataclass ``__init__`` would set every field a
+    second time, so a class that has one is refused. ``__reduce__`` rebuilds
+    a record from its field values, so pickle and ``copy`` go through the
+    ``__new__`` too instead of calling it with no arguments."""
     if "__init__" in cls.__dict__:
         raise TypeError(f"{cls.__name__}: slot_init needs @dataclass(init=False)")
     fields = dataclasses.fields(cls)
     # The class and twin, then the defaults, that the __new__ closes over.
     closure: dict[str, Any] = {
-        "_cls": cls, "_fill": type(f"_{cls.__name__}Fill", (), {"__slots__": cls.__slots__}),
+        "_cls": cls, "_fill": type(f"_{cls.__name__}Fill", cls.__bases__, {"__slots__": cls.__slots__}),
     }
     params = []
     for i, f in enumerate(fields):
@@ -384,7 +389,8 @@ class CampaignEvent:
     members: Optional[tuple[str, ...]] = None
 
 
-@dataclass(frozen=True)
+@slot_init
+@dataclass(frozen=True, slots=True, init=False)
 class VolunteerLabel(FieldCodec):
     user_id: str
     label: LabelValue

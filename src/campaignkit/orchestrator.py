@@ -8,11 +8,14 @@ or message mapping itself: it applies each event to its ``CampaignState``,
 the state that ``replay`` folds from the log, and only then appends it.
 ``CampaignState.apply`` both checks and folds, so the live run checks each
 event before writing it, and one that the log's reader would refuse stops
-the run unwritten. A resume runs the same path from the start on a platform
-rebuilt from the seed, so every state comes back and the joined log is the
-uninterrupted one. A ``max_hours`` deadline stops the loop and flushes
-nothing: the cut log is a byte prefix of the uninterrupted log, without the
-calls not yet posted.
+the run unwritten. The live state only checks and routes: it carries no
+``report``, since the report's indices are folded where the log is read. A
+reply's text is logged with U+FFFD in place of each lone surrogate, which
+UTF-8 cannot encode. A resume runs the same path from the start on a
+platform rebuilt from the seed, so every state comes back and the joined log
+is the uninterrupted one. A ``max_hours`` deadline stops the loop and
+flushes nothing: the cut log is a byte prefix of the uninterrupted log,
+without the calls not yet posted.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -63,6 +66,7 @@ from .strategy import (
     EVENT_KIND_BY_MESSAGE, MESSAGE_CALL, MESSAGE_FOLLOWUP, OutboundMessage, TemplateOverflow,
 )
 from .targeting import DUPLICATE_REJECTED, ContactRegistry, TopicKeywords, match_target
+from .text import replace_surrogates
 
 logger = logging.getLogger(__name__)
 
@@ -422,7 +426,7 @@ class Orchestrator:
         record = self.state.records[conversation_id]
         self._emit(
             item.timestamp, EVENT_INBOUND_REPLY, item.author, record.strategy, record.topic,
-            conversation_id, item.message_id, item.in_reply_to, None, item.text,
+            conversation_id, item.message_id, item.in_reply_to, None, replace_surrogates(item.text),
         )
         if record.closed or item.author not in record.members:
             return  # logged, never answered

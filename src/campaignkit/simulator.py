@@ -391,10 +391,6 @@ def derive_labels(events, coder_id: str = "sim") -> list[VolunteerLabel]:
         if event.text is not None and event.actor not in stance:
             stance[event.actor] = ON_TOPIC_TAG in event.text
     return [
-        VolunteerLabel(
-            user_id=user,
-            label=LABEL_ON_TOPIC if on else LABEL_OFF_TOPIC,
-            coder_id=coder_id,
-        )
+        VolunteerLabel(user, LABEL_ON_TOPIC if on else LABEL_OFF_TOPIC, coder_id)
         for user, on in sorted(stance.items())
     ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import string
 import unicodedata
 from typing import Iterable, Optional, Sequence
@@ -10,6 +11,8 @@ from typing import Iterable, Optional, Sequence
 _LEAD_PUNCT = string.punctuation.replace("#", "").replace("@", "")
 # The sigil that marks a mention; formatted and parsed only here.
 MENTION_SIGIL = "@"
+# Code points that UTF-8 cannot encode, so a string holding one cannot be logged.
+_SURROGATES = re.compile("[\ud800-\udfff]")
 
 
 def fold(text: str) -> str:
@@ -19,6 +22,15 @@ def fold(text: str) -> str:
         return text.casefold()
     decomposed = unicodedata.normalize("NFD", text.casefold())
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+
+
+def replace_surrogates(text: str) -> str:
+    """The text with each lone surrogate replaced by U+FFFD, the replacement
+    character, so that it encodes as UTF-8; a text without one is returned
+    as it is. A live adapter can decode a ``\\ud800`` escape from JSON."""
+    if text.isascii():
+        return text
+    return _SURROGATES.sub("\ufffd", text)
 
 
 class FoldedKeywords(tuple):

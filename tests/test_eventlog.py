@@ -25,7 +25,7 @@ from campaignkit.eventlog import (
 from campaignkit.model import (
     INTERACTION_KINDS, OUTBOUND_KINDS, CampaignEvent, EventKind, TargetAuthor, replace,
 )
-from campaignkit.orchestrator import build_simulated_platform, run_campaign
+from campaignkit.orchestrator import Orchestrator, build_simulated_platform, run_campaign
 from campaignkit.simulator import derive_labels
 from campaignkit.stats import one_way_anova
 from campaignkit.text import mentions_in_text
@@ -339,12 +339,37 @@ def test_the_report_of_a_sealed_log_reads_its_fold_without_walking_it(name, repo
     live = eventlog.CampaignState()
     for event in plain:
         live.apply(event)
-    assert state == live
+    assert replace(state, report=None) == live
     assert members == {e.conversation_id: tuple(parse(e.text)) for e in calls}
     assert replies == [
         e for e in plain
         if e.kind is EventKind.INBOUND_REPLY and e.actor in members.get(e.conversation_id, ())
     ]
+
+
+def test_the_live_run_folds_no_report_index():
+    # The live state checks and routes; only a read log carries the report's
+    # indices, and they equal the counts taken from their definitions.
+    config = small_sim_config()
+    with EventLogWriter(None) as writer:
+        orchestrator = Orchestrator(config, build_simulated_platform(config), writer)
+        orchestrator.run()
+    assert orchestrator.state.report is None
+    events = writer.events
+    report = replay(events).report
+    assert report.replies == [
+        e for e in events
+        if e.kind is EventKind.INBOUND_REPLY and e.actor in orchestrator.state.members.get(e.conversation_id, ())
+    ]
+    for arm in (spec.id for spec in config.strategies):
+        columns, contributors, replies = _reference_report(events, arm)
+        tally = report.tallies[arm]
+        assert (
+            tally["calls_to_action"], tally["followups"], tally["outbound_messages"], len(report.repliers[arm]),
+            tally["volunteer_replies"], tally["bot_interactions"], tally["volunteer_interactions"],
+        ) == columns
+        assert [len(users) for a, users in report.conversations.values() if a == arm] == contributors
+        assert [report.message_replies[m] for m, a in report.messages.items() if a == arm] == replies
 
 
 def test_editing_the_replayed_state_changes_no_later_report(report_logs):

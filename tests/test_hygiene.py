@@ -6,9 +6,11 @@ YAML loader; nothing in src/ but ``eventlog``, which encodes and decodes
 the event log, imports ``orjson``; nothing in src/ imports from ``json.encoder``; no function body
 in src/ imports; no function body in the simulated platform calls the rng's
 ``choice``, ``uniform`` or ``expovariate``; every frozen slotted
-dataclass in src/ is built by ``slot_init``; and nothing in src/ but
+dataclass in src/ is built by ``slot_init``; nothing in src/ but
 ``eventlog``, whose ``CampaignState.apply`` folds the log, writes a
-conversation record's fields.
+conversation record's fields; and nothing in src/ but
+``eventlog.validate_events`` builds a ``ReportIndex``, so the live run's
+state carries none.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -541,5 +543,65 @@ def test_only_the_fold_writes_conversation_records():
         for path in sorted((ROOT / "src").rglob("*.py"))
         if path.stem != "eventlog"
         for line, name in record_writes(path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
+
+
+# The one builder of the report's indices: ``eventlog.validate_events``, for
+# the state of a log that is read. The live run's state carries none, so the
+# campaign loop never pays for an index it does not read.
+REPORT_BUILDERS = {"eventlog": {"validate_events"}}
+
+
+def _values(node: ast.AST):
+    """The node and every node below it, leaving out annotations."""
+    yield node
+    for name, child in ast.iter_fields(node):
+        if name in ("annotation", "returns"):
+            continue
+        for item in child if isinstance(child, list) else [child]:
+            if isinstance(item, ast.AST):
+                yield from _values(item)
+
+
+def report_index_uses(source: str, allowed=frozenset()) -> list[int]:
+    """Lines that use ``ReportIndex`` as a value, by name or attribute,
+    outside the top-level definitions named in ``allowed``: a call builds
+    one, and the class handed on can be called anywhere. Annotations and
+    imports are not uses."""
+    found = set()
+    for top in ast.parse(source).body:
+        if getattr(top, "name", None) in allowed:
+            continue
+        for node in _values(top):
+            if getattr(node, "id", None) == "ReportIndex" or getattr(node, "attr", None) == "ReportIndex":
+                found.add(node.lineno)
+    return sorted(found)
+
+
+def test_report_index_uses_are_detected():
+    source = (
+        "from .eventlog import ReportIndex\n"
+        "class CampaignState:\n"
+        "    report: Optional[ReportIndex] = None\n"
+        "def validate_events(events):\n"
+        "    return CampaignState(report=ReportIndex())\n"
+        "def run(writer: 'ReportIndex') -> ReportIndex:\n"
+        "    state = CampaignState(report=eventlog.ReportIndex())\n"
+        "    make = field(default_factory=ReportIndex)\n"
+        "    return state.report\n"
+        "DEFAULT = ReportIndex\n"
+    )
+    assert report_index_uses(source, {"validate_events"}) == [7, 8, 10]
+    assert report_index_uses(source) == [5, 7, 8, 10]
+
+
+def test_only_validate_events_builds_the_report_index():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in report_index_uses(
+            path.read_text(encoding="utf-8"), REPORT_BUILDERS.get(path.stem, frozenset())
+        )
     ]
     assert offenders == []

@@ -143,6 +143,7 @@ SLOT_RECORDS = [
         "strategy": "direct", "topic": "corruption", "conversation_id": "c1", "turn": 2,
     }),
     (analytics.TermScore, {"term": "#voluntariado", "score": 0.75}),
+    (VolunteerLabel, {"user_id": "u1", "label": LabelValue.OFF_TOPIC, "coder_id": "coder_a"}),
     # A rate-limited turn is rescheduled through dataclasses.replace.
     (orchestrator._Send, {
         "kind": "followup", "conversation_id": "c1", "topic": "corruption", "arm": "direct",
@@ -184,6 +185,8 @@ def test_event_constructor_contract(cls, values):
     ]
     if cls is CampaignEvent:
         made.append(record_to_event(reference_record(record)))
+    if cls is VolunteerLabel:
+        made.append(cls.from_dict(record.to_dict()))
     assert [type(r) for r in made] == [cls] * len(made)
     assert made == [record] * len(made)
 

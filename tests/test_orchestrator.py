@@ -398,7 +398,9 @@ def test_replay_reconstructs_records(small_campaign, tmp_path):
     with EventLogWriter(str(tmp_path / "rerun.log")) as writer:
         orchestrator = Orchestrator(config, platform, writer)
         orchestrator.run()
-    assert replay(writer.events) == orchestrator.state == replay(events)
+    replayed = replay(writer.events)
+    assert replayed == replay(events)
+    assert replace(replayed, report=None) == orchestrator.state
 
 
 def _overflowing(config, arm):
@@ -442,7 +444,7 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     assert orchestrator._calls_in_flight == 0
     events = read_events(str(out))
     replayed = replay(events)
-    assert replayed == orchestrator.state
+    assert replace(replayed, report=None) == orchestrator.state
     members = conversation_members(events)
     called = {user for users in members.values() for user in users}
     aborts = [e for e in events if e.kind is EventKind.ABORT]
@@ -452,6 +454,37 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     # An abort names the group exactly when it stands for a call.
     assert all(bool(e.members) is (e.conversation_id not in members) for e in aborts)
     assert any(record.used_followups for record in replayed.records.values())
+
+
+def _surrogate_replies(platform):
+    """The platform, with a lone surrogate appended to every reply's text,
+    as a live adapter can decode one from a JSON escape."""
+    inbound = platform.inbound
+
+    def hostile(item):
+        return replace(item, text=item.text + "\ud800") if item.kind is ItemKind.REPLY_TO_BOT else item
+
+    # map asks the stream again on every next, so a stream that stopped and
+    # restarts after a post keeps yielding through it.
+    platform.inbound = lambda keywords: map(hostile, inbound(keywords))
+    return platform
+
+
+def test_a_lone_surrogate_in_a_reply_is_logged_as_a_replacement_character(tmp_path):
+    config = small_sim_config(seed=21, groups=3, population=500)
+    out = tmp_path / "campaign.log"
+    with EventLogWriter(str(out)) as writer:
+        orchestrator = Orchestrator(config, _surrogate_replies(build_simulated_platform(config)), writer)
+        orchestrator.run()
+    events = validate_events(read_events(str(out)))
+    assert events == writer.events
+    replies = [e for e in events if e.kind is EventKind.INBOUND_REPLY]
+    assert replies and all(e.text.endswith("\ufffd") and "\ud800" not in e.text for e in replies)
+    assert replace(replay(events), report=None) == orchestrator.state
+    whole = out.read_bytes()
+    out.write_bytes(whole[: len(whole) // 2])
+    run_campaign(config, _surrogate_replies(build_simulated_platform(config)), str(out), resume=True)
+    assert out.read_bytes() == whole
 
 
 def test_a_run_stops_at_an_event_its_reader_would_refuse(tmp_path):

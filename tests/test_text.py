@@ -9,6 +9,7 @@ from campaignkit.text import (
     format_mentions,
     match_keyword,
     mentions_in_text,
+    replace_surrogates,
     tokenize,
 )
 
@@ -166,3 +167,10 @@ def test_mentions_in_text():
 def test_formatted_mentions_parse_back():
     assert format_mentions(["ana", "beto_c"]) == "@ana @beto_c"
     assert mentions_in_text(format_mentions(["ana", "beto_c"]) + " hola") == ["ana", "beto_c"]
+
+
+def test_replace_surrogates_leaves_encodable_text_as_it_is():
+    for text in ("plain ascii", "Corrupción 😀"):
+        assert replace_surrogates(text) is text
+    assert replace_surrogates("a\ud800b\udfff é\udc80") == "a\ufffdb\ufffd é\ufffd"
+    assert replace_surrogates("\ud83d\ude00").encode("utf-8") == "\ufffd\ufffd".encode("utf-8")
