@@ -1,22 +1,30 @@
-"""Shipped fixtures: the four default framing arms, the reference campaign
-counts, and deterministic builders for fixture logs and label studies.
+"""Shipped fixtures: the four default framing arms, the default config, the
+reference campaign counts, and deterministic builders for fixture logs,
+label studies, agreement labels and tweet histories.
 
 The reference campaign is a two-day field deployment of this design whose
-published per-arm counts are frozen here; the fixture log reproduces those
-columns exactly so the metrics pipeline can be checked end to end without a
-live platform.
+published per-arm counts are frozen here. :func:`build_reference_log` builds
+a log that reproduces those columns exactly, and :func:`build_label_study` a
+log with coder files that reproduce its on-topic fractions, so the metrics
+pipeline can be checked end to end without a live platform.
 """
 
 from __future__ import annotations
 
 import importlib.resources
-import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
 from .model import (
     BOT_ACTOR,
+    EVENT_FAVORITE,
+    EVENT_INBOUND_REPLY,
+    EVENT_RETWEET,
+    LABEL_OFF_TOPIC,
+    LABEL_ON_TOPIC,
+    TARGET_BOT,
+    TARGET_VOLUNTEER,
     BotIdentity,
     CampaignConfig,
     CampaignEvent,
@@ -24,14 +32,15 @@ from .model import (
     JitterBounds,
     LabelValue,
     StrategySpec,
-    TargetAuthor,
     Topic,
     VolunteerLabel,
     load_yaml,
 )
-from .strategy import EVENT_KIND_BY_MESSAGE, MessageKind
+from .strategy import EVENT_KIND_BY_MESSAGE, MESSAGE_FOLLOWUP
 
 BASE_TS = 1_430_000_000_000
+# The fixture logs' topics: a call's topic alternates between them.
+TOPICS = ("corruption", "impunity")
 
 
 def _data_text(name: str) -> str:
@@ -59,16 +68,10 @@ def default_topics() -> tuple[Topic, ...]:
     )
 
 
-def default_config(
-    *,
-    groups_per_strategy_per_topic: int = 47,
-    language: str = "en",
-    random_seed: int = 7,
-    simulation: Optional[Mapping[str, Any]] = None,
-) -> CampaignConfig:
+def default_config(*, groups_per_strategy_per_topic: int = 47, random_seed: int = 7) -> CampaignConfig:
     return CampaignConfig(
         topics=default_topics(),
-        strategies=default_strategies(language),
+        strategies=default_strategies(),
         groups_per_strategy_per_topic=groups_per_strategy_per_topic,
         group_size=3,
         jitter=JitterBounds(min_delay=60, max_delay=300),
@@ -78,7 +81,7 @@ def default_config(
             is_declared_bot=True,
         ),
         random_seed=random_seed,
-        simulation=dict(simulation) if simulation is not None else {"profile": "reference"},
+        simulation={"profile": "reference"},
     )
 
 
@@ -104,200 +107,108 @@ REFERENCE_COUNTS: dict[str, ArmCounts] = {
     "solidarity": ArmCounts(94, 120, 23, 92, 250, 62),
 }
 
+# An interaction's kind alternates between these, starting with a retweet.
+_INTERACTIONS = (EVENT_RETWEET, EVENT_FAVORITE)
+
 
 class _LogBuilder:
+    """A fixture log in the making. Event ``seq`` is stamped ``BASE_TS +
+    1000 * seq``; the bot's messages are numbered ``m000001``, ``m000002``…
+    and replies and interactions ``r000001``… in the order they are added."""
+
     def __init__(self) -> None:
         self.events: list[CampaignEvent] = []
-        self._msg_counter = 0
-        self._item_counter = 0
-        self._ts = BASE_TS
+        self._counters = {"m": 0, "r": 0}
 
-    def next_ts(self) -> int:
-        self._ts += 1000
-        return self._ts
+    def _add(self, kind: EventKind, prefix: str, **fields) -> str:
+        self._counters[prefix] += 1
+        message_id = f"{prefix}{self._counters[prefix]:06d}"
+        seq = len(self.events) + 1
+        self.events.append(CampaignEvent(seq, BASE_TS + 1000 * seq, kind, message_id=message_id, **fields))
+        return message_id
 
-    def mint_message(self) -> str:
-        self._msg_counter += 1
-        return f"m{self._msg_counter:06d}"
+    def turn(
+        self, spec: StrategySpec, topic: str, members: Sequence[str], conv: str,
+        question: Optional[int] = None, turn: int = 0,
+    ) -> list[str]:
+        """Compose one outbound turn, the call or (given ``question``) that
+        follow-up, and add its messages; returns their ids."""
+        if question is None:
+            messages = strategy_mod.compose_call(spec, topic, members, conversation_id=conv)
+        else:
+            messages = strategy_mod.compose_followup(
+                spec, topic, members, question, conversation_id=conv, turn=turn
+            )
+        return [
+            self._add(
+                EVENT_KIND_BY_MESSAGE[message.kind], "m", actor=BOT_ACTOR, strategy=spec.id,
+                topic=topic, conversation_id=conv, text=message.text,
+                followup_index=question if message.kind is MESSAGE_FOLLOWUP else None,
+            )
+            for message in messages
+        ]
 
-    def mint_item(self) -> str:
-        self._item_counter += 1
-        return f"r{self._item_counter:06d}"
-
-    def emit(self, kind: EventKind, **fields) -> CampaignEvent:
-        event = CampaignEvent(seq=len(self.events) + 1, ts=self.next_ts(), kind=kind, **fields)
-        self.events.append(event)
-        return event
-
-
-def _emit_turn(
-    builder: _LogBuilder,
-    spec: StrategySpec,
-    topic: str,
-    members: Sequence[str],
-    conversation_id: str,
-    *,
-    followup_index: Optional[int] = None,
-    turn: int = 0,
-) -> list[str]:
-    """Compose and append one outbound turn; returns the new message ids."""
-    if followup_index is None:
-        messages = strategy_mod.compose_call(
-            spec, topic, members, conversation_id=conversation_id
+    def react(self, kind: EventKind, user: str, arm: str, topic: str, conv: str, to: str, **fields) -> str:
+        """Add a reply or an interaction by ``user`` toward message ``to``;
+        returns its id."""
+        return self._add(
+            kind, "r", actor=user, strategy=arm, topic=topic, conversation_id=conv, in_reply_to=to,
+            **fields,
         )
-    else:
-        messages = strategy_mod.compose_followup(
-            spec, topic, members, followup_index, conversation_id=conversation_id, turn=turn
-        )
-    ids = []
-    for message in messages:
-        message_id = builder.mint_message()
-        builder.emit(
-            EVENT_KIND_BY_MESSAGE[message.kind],
-            actor=BOT_ACTOR,
-            strategy=spec.id,
-            topic=topic,
-            conversation_id=conversation_id,
-            message_id=message_id,
-            text=message.text,
-            followup_index=followup_index if message.kind is MessageKind.FOLLOWUP else None,
-        )
-        ids.append(message_id)
-    return ids
-
-
-def build_fixture_log(
-    counts: Mapping[str, ArmCounts],
-    *,
-    strategies: Optional[Sequence[StrategySpec]] = None,
-    topics: Sequence[str] = ("corruption", "impunity"),
-    group_size: int = 3,
-) -> list[CampaignEvent]:
-    """Deterministic synthetic log hitting the given per-arm counts exactly.
-
-    Calls go out in rounds of one group per arm (so per-arm counts stay
-    balanced at every prefix) alternating topics; replies, follow-ups and
-    interactions are distributed round-robin under the log invariants (a
-    follow-up only after a reply in its conversation, distinct question
-    indices per conversation, one call mention per user).
-    """
-    specs = {s.id: s for s in (strategies or default_strategies("en"))}
-    for arm in counts:
-        if arm not in specs:
-            raise KeyError(f"no strategy spec for arm {arm!r}")
-    builder = _LogBuilder()
-    arm_order = list(counts)
-    rounds = max(c.calls for c in counts.values())
-    call_ids: dict[str, list[str]] = {arm: [] for arm in arm_order}
-    conv_ids: dict[str, list[str]] = {arm: [] for arm in arm_order}
-    conv_topics: dict[str, str] = {}
-    members: dict[str, list[str]] = {}
-
-    for round_no in range(rounds):
-        topic = topics[round_no % len(topics)]
-        for arm in arm_order:
-            if round_no >= counts[arm].calls:
-                continue
-            conversation_id = f"{arm}-{round_no:04d}"
-            group = [f"{arm[0]}{round_no:04d}x{k}" for k in range(group_size)]
-            ids = _emit_turn(builder, specs[arm], topic, group, conversation_id)
-            call_ids[arm].append(ids[0])
-            conv_ids[arm].append(conversation_id)
-            conv_topics[conversation_id] = topic
-            members[conversation_id] = group
-
-    for arm in arm_order:
-        c = counts[arm]
-        spec = specs[arm]
-        volunteers = []
-        reply_ids: list[str] = []
-        active = conv_ids[arm][: c.volunteers]
-        # First reply from each volunteer (member 0 of its conversation).
-        for i, conversation_id in enumerate(active):
-            user = members[conversation_id][0]
-            volunteers.append((user, conversation_id))
-            reply_id = builder.mint_item()
-            builder.emit(
-                EventKind.INBOUND_REPLY,
-                actor=user,
-                strategy=arm,
-                topic=conv_topics[conversation_id],
-                conversation_id=conversation_id,
-                message_id=reply_id,
-                in_reply_to=call_ids[arm][i],
-                text=f"count me in on {conv_topics[conversation_id]}",
-            )
-            reply_ids.append(reply_id)
-        # Follow-ups round-robin over the conversations that replied.
-        question_cursor: dict[str, int] = {conv: 0 for conv in active}
-        turn_cursor: dict[str, int] = {conv: 0 for conv in active}
-        for i in range(c.followups):
-            conversation_id = active[i % len(active)]
-            index = question_cursor[conversation_id]
-            if index >= len(spec.followups):
-                raise ValueError(f"arm {arm} needs more than {len(spec.followups)} questions")
-            question_cursor[conversation_id] += 1
-            turn_cursor[conversation_id] += 1
-            user = members[conversation_id][0]
-            _emit_turn(
-                builder,
-                spec,
-                conv_topics[conversation_id],
-                [user],
-                conversation_id,
-                followup_index=index,
-                turn=turn_cursor[conversation_id],
-            )
-        # Remaining replies cycle through the volunteers.
-        for i in range(c.replies - c.volunteers):
-            user, conversation_id = volunteers[i % len(volunteers)]
-            reply_id = builder.mint_item()
-            builder.emit(
-                EventKind.INBOUND_REPLY,
-                actor=user,
-                strategy=arm,
-                topic=conv_topics[conversation_id],
-                conversation_id=conversation_id,
-                message_id=reply_id,
-                in_reply_to=call_ids[arm][conv_ids[arm].index(conversation_id)],
-                text="here is another idea",
-            )
-            reply_ids.append(reply_id)
-        # Interactions: alternate retweet/favorite toward bot then volunteer content.
-        for i in range(c.bot_interactions):
-            user, _ = volunteers[i % len(volunteers)]
-            target = call_ids[arm][i % len(call_ids[arm])]
-            conversation_id = conv_ids[arm][i % len(call_ids[arm])]
-            builder.emit(
-                EventKind.RETWEET if i % 2 == 0 else EventKind.FAVORITE,
-                actor=user,
-                strategy=arm,
-                topic=conv_topics[conversation_id],
-                conversation_id=conversation_id,
-                message_id=builder.mint_item(),
-                in_reply_to=target,
-                target_author=TargetAuthor.BOT,
-            )
-        for i in range(c.volunteer_interactions):
-            user, _ = volunteers[(i + 1) % len(volunteers)]
-            target = reply_ids[i % len(reply_ids)]
-            conversation_id = volunteers[i % len(volunteers)][1]
-            builder.emit(
-                EventKind.RETWEET if i % 2 == 0 else EventKind.FAVORITE,
-                actor=user,
-                strategy=arm,
-                topic=conv_topics[conversation_id],
-                conversation_id=conversation_id,
-                message_id=builder.mint_item(),
-                in_reply_to=target,
-                target_author=TargetAuthor.VOLUNTEER,
-            )
-    return builder.events
 
 
 def build_reference_log() -> list[CampaignEvent]:
-    """The shipped fixture log encoding the reference campaign's columns."""
-    return build_fixture_log(REFERENCE_COUNTS)
+    """The shipped fixture log: exactly :data:`REFERENCE_COUNTS` per arm.
+
+    The calls go first, in rounds of one group of three per arm (so per-arm
+    call counts stay balanced at every prefix), each round on the next topic.
+    Then, arm by arm: one reply from member 0 of each of the arm's first
+    ``volunteers`` conversations, the volunteers; follow-ups round-robin
+    over those conversations, each asking the conversation's next question;
+    the remaining replies, cycling through the volunteers; and retweets and
+    favorites, alternately, of the arm's calls and then of its volunteers'
+    replies.
+    """
+    specs = {spec.id: spec for spec in default_strategies()}
+    builder = _LogBuilder()
+    # Per arm, each call's (conversation, topic, call id, member 0).
+    calls: dict[str, list[tuple[str, str, str, str]]] = {arm: [] for arm in REFERENCE_COUNTS}
+    for round_no in range(max(counts.calls for counts in REFERENCE_COUNTS.values())):
+        topic = TOPICS[round_no % 2]
+        for arm, counts in REFERENCE_COUNTS.items():
+            if round_no < counts.calls:
+                conv = f"{arm}-{round_no:04d}"
+                group = [f"{arm[0]}{round_no:04d}x{k}" for k in range(3)]
+                calls[arm].append((conv, topic, builder.turn(specs[arm], topic, group, conv)[0], group[0]))
+
+    for arm, counts in REFERENCE_COUNTS.items():
+        volunteers = calls[arm][: counts.volunteers]
+        n = len(volunteers)
+        replies = [
+            builder.react(EVENT_INBOUND_REPLY, user, arm, topic, conv, call, text=f"count me in on {topic}")
+            for conv, topic, call, user in volunteers
+        ]
+        for i in range(counts.followups):
+            conv, topic, _call, user = volunteers[i % n]
+            builder.turn(specs[arm], topic, [user], conv, question=i // n, turn=i // n + 1)
+        for i in range(counts.replies - n):
+            conv, topic, call, user = volunteers[i % n]
+            replies.append(
+                builder.react(EVENT_INBOUND_REPLY, user, arm, topic, conv, call, text="here is another idea")
+            )
+        for i in range(counts.bot_interactions):
+            conv, topic, call, _member = calls[arm][i % len(calls[arm])]
+            builder.react(
+                _INTERACTIONS[i % 2], volunteers[i % n][3], arm, topic, conv, call,
+                target_author=TARGET_BOT,
+            )
+        for i in range(counts.volunteer_interactions):
+            conv, topic, _call, _user = volunteers[i % n]
+            builder.react(
+                _INTERACTIONS[i % 2], volunteers[(i + 1) % n][3], arm, topic, conv,
+                replies[i % len(replies)], target_author=TARGET_VOLUNTEER,
+            )
+    return builder.events
 
 
 # -- label study fixture ------------------------------------------------------------
@@ -313,56 +224,32 @@ def build_label_study() -> tuple[
     """A log plus two coder files and a tiebreaker reproducing the reference
     on-topic fractions once merged.
 
-    Coder B matches the intended final labels; coder A disagrees on every
-    tenth volunteer, and the tiebreaker sides with B.
+    Each arm calls groups of three, each on the next topic, until it has
+    called its volunteers, and each volunteer replies once; in each arm the
+    first ``on_topic`` volunteers are on-topic. Coder B matches the intended
+    final labels; coder A disagrees on every tenth volunteer of an arm, and
+    the tiebreaker sides with B.
     """
-    counts = {
-        arm: ArmCounts(
-            calls=math.ceil(v / 3), followups=0, volunteers=v, replies=v,
-            bot_interactions=0, volunteer_interactions=0,
-        )
-        for arm, (v, _on) in LABEL_STUDY_VOLUNTEERS.items()
-    }
-    specs = {s.id: s for s in default_strategies("en")}
+    specs = {spec.id: spec for spec in default_strategies()}
     builder = _LogBuilder()
     labels_a: list[VolunteerLabel] = []
     labels_b: list[VolunteerLabel] = []
     labels_c: list[VolunteerLabel] = []
-    flip = {LabelValue.ON_TOPIC: LabelValue.OFF_TOPIC, LabelValue.OFF_TOPIC: LabelValue.ON_TOPIC}
-    user_counter = 0
-
+    flip = {LABEL_ON_TOPIC: LABEL_OFF_TOPIC, LABEL_OFF_TOPIC: LABEL_ON_TOPIC}
+    users = 0
     for arm, (volunteers, on_topic) in LABEL_STUDY_VOLUNTEERS.items():
-        spec = specs[arm]
-        remaining = volunteers
-        conv_no = 0
-        labeled = 0
-        while remaining > 0:
-            conversation_id = f"study-{arm}-{conv_no:03d}"
-            topic = ("corruption", "impunity")[conv_no % 2]
-            group = [f"s{arm[:3]}{user_counter + k:04d}" for k in range(3)]
-            user_counter += 3
-            ids = _emit_turn(builder, spec, topic, group, conversation_id)
-            for user in group[: min(3, remaining)]:
-                builder.emit(
-                    EventKind.INBOUND_REPLY,
-                    actor=user,
-                    strategy=arm,
-                    topic=topic,
-                    conversation_id=conversation_id,
-                    message_id=builder.mint_item(),
-                    in_reply_to=ids[0],
-                    text=f"my two cents on {topic}",
-                )
-                final = LabelValue.ON_TOPIC if labeled < on_topic else LabelValue.OFF_TOPIC
-                disagrees = labeled % 10 == 9
-                labels_a.append(
-                    VolunteerLabel(user, flip[final] if disagrees else final, "coder_a")
-                )
+        for start in range(0, volunteers, 3):
+            conv = f"study-{arm}-{start // 3:03d}"
+            topic = TOPICS[start // 3 % 2]
+            group = [f"s{arm[:3]}{users + k:04d}" for k in range(3)]
+            users += 3
+            call = builder.turn(specs[arm], topic, group, conv)[0]
+            for labeled, user in enumerate(group[: volunteers - start], start=start):
+                builder.react(EVENT_INBOUND_REPLY, user, arm, topic, conv, call, text=f"my two cents on {topic}")
+                final = LABEL_ON_TOPIC if labeled < on_topic else LABEL_OFF_TOPIC
+                labels_a.append(VolunteerLabel(user, flip[final] if labeled % 10 == 9 else final, "coder_a"))
                 labels_b.append(VolunteerLabel(user, final, "coder_b"))
                 labels_c.append(VolunteerLabel(user, final, "coder_c"))
-                labeled += 1
-            remaining -= min(3, remaining)
-            conv_no += 1
     return builder.events, labels_a, labels_b, labels_c
 
 

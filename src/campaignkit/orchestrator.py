@@ -11,11 +11,12 @@ event before writing it, and one that the log's reader would refuse stops
 the run unwritten. The live state only checks and routes: it carries no
 ``report``, since the report's indices are folded where the log is read. A
 reply's text is logged with U+FFFD in place of each lone surrogate, which
-UTF-8 cannot encode. A resume runs the same path from the start on a
-platform rebuilt from the seed, so every state comes back and the joined log
-is the uninterrupted one. A ``max_hours`` deadline stops the loop and
-flushes nothing: the cut log is a byte prefix of the uninterrupted log,
-without the calls not yet posted.
+UTF-8 cannot encode; a post, reply or interaction whose author's handle
+holds one is ignored, since a handle is an identity. A resume runs the same
+path from the start on a platform rebuilt from the seed, so every state comes
+back and the joined log is the uninterrupted one. A ``max_hours`` deadline
+stops the loop and flushes nothing: the cut log is a byte prefix of the
+uninterrupted log, without the calls not yet posted.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -154,7 +155,8 @@ class _Buffer:
 
 
 class GroupBuffer:
-    """Queued targets per (topic, arm); emits groups of exactly group_size."""
+    """Queued targets per (topic, arm); emits groups of exactly group_size.
+    Targets are added one at a time, so a full group is the whole buffer."""
 
     def __init__(self, group_size: int):
         self.group_size = group_size
@@ -173,10 +175,8 @@ class GroupBuffer:
         if buf.oldest_ts is None:
             buf.oldest_ts = now
         buf.targets.append(target)
-        if len(buf.targets) >= self.group_size:
-            group = buf.targets[: self.group_size]
-            buf.targets = buf.targets[self.group_size:]
-            buf.oldest_ts = now if buf.targets else None
+        if len(buf.targets) == self.group_size:
+            group, buf.targets, buf.oldest_ts = buf.targets, [], None
             return group
         return None
 
@@ -413,7 +413,9 @@ class Orchestrator:
     # -- inbound ------------------------------------------------------------------
 
     def _handle_notification(self, item: InboundItem) -> None:
-        if item.kind is ITEM_REPLY_TO_BOT:
+        if replace_surrogates(item.author) != item.author:
+            logger.warning("%s %s by a handle the log cannot hold; ignored", item.kind.value, item.message_id)
+        elif item.kind is ITEM_REPLY_TO_BOT:
             self._handle_reply(item)
         else:
             self._handle_interaction(item)

@@ -380,8 +380,8 @@ class AgentPopulation:
         return items
 
 
-def derive_labels(events, coder_id: str = "sim") -> list[VolunteerLabel]:
-    """Volunteer labels recovered from the stance tags in simulated replies.
+def derive_labels(events) -> list[VolunteerLabel]:
+    """Coder ``sim``'s volunteer labels, from the stance tags in simulated replies.
 
     A volunteer is on-topic when any of their replies carries the on-topic
     tag; simulated agents keep a fixed stance, so first reply decides.
@@ -391,6 +391,6 @@ def derive_labels(events, coder_id: str = "sim") -> list[VolunteerLabel]:
         if event.text is not None and event.actor not in stance:
             stance[event.actor] = ON_TOPIC_TAG in event.text
     return [
-        VolunteerLabel(user, LABEL_ON_TOPIC if on else LABEL_OFF_TOPIC, coder_id)
+        VolunteerLabel(user, LABEL_ON_TOPIC if on else LABEL_OFF_TOPIC, "sim")
         for user, on in sorted(stance.items())
     ]

@@ -6,8 +6,8 @@ from enum import Enum
 from typing import Optional, Sequence
 
 from .model import BOT_ACTOR, TargetUser, Topic
-from .platform import ITEM_PUBLIC_POST, InboundItem
-from .text import FoldedKeywords, match_keyword
+from .platform import InboundItem
+from .text import FoldedKeywords, match_keyword, replace_surrogates
 
 
 class TopicKeywords:
@@ -29,20 +29,20 @@ def match_target(item: InboundItem, keywords: TopicKeywords) -> Optional[TargetU
     """Match one public post against the campaign topics.
 
     Returns a fresh TargetUser for the first topic whose keyword appears in
-    the text (folded substring), or None when nothing matches or the author
-    is the campaign's own bot (no feedback loops). The text is folded once:
-    the first keyword found in topic order is in the first topic that has
-    one.
+    the text (folded substring), or None when nothing matches, when the
+    author is the campaign's own bot (no feedback loops), or when the
+    author's handle holds a lone surrogate, which the log cannot hold. The
+    text is folded once: the first keyword found in topic order is in the
+    first topic that has one.
     """
-    if item.kind is not ITEM_PUBLIC_POST:
-        return None
-    if item.author == BOT_ACTOR:
+    author = item.author
+    if author == BOT_ACTOR or replace_surrogates(author) != author:
         return None
     keyword = match_keyword(item.text, keywords.folded)
     if keyword is None:
         return None
     return TargetUser(
-        user_id=item.author,
+        user_id=author,
         matched_keyword=keyword,
         matched_message_id=item.message_id,
         topic=keywords.topic_of[keyword],

@@ -188,12 +188,19 @@ def test_fixtures_and_keyterms_end_to_end(tmp_path, capsys):
     # The written config is loadable and valid.
     config = model.load_config(str(outdir / "campaign.yaml"))
     assert model.validate_config(config) == []
-    assert (
-        main(["keyterms", "--log", str(outdir / "reference.log"), "--history", str(outdir / "history")])
-        == 0
-    )
+    command = ["keyterms", "--log", str(outdir / "reference.log"), "--history", str(outdir / "history")]
+    assert main(command) == 0
     out = capsys.readouterr().out
     assert fixtures.PLANTED_HASHTAG in out
+    head, non_responders = out.split("non-responders key terms:\n")
+    responders = head.split("responders key terms:\n")[1]
+    assert main(command + ["--format", "json-lines"]) == 0
+    line = json.loads(capsys.readouterr().out)
+    assert line["vocabulary_size"] == 35
+    assert line["responders"][0] == {"term": fixtures.PLANTED_HASHTAG, "score": 1.0}
+    assert [len(line["responders"]), len(line["non_responders"])] == [
+        len(responders.splitlines()), len(non_responders.splitlines())
+    ]
 
 
 @pytest.mark.parametrize("top_fraction", ["-0.5", "1.5", "nan"])

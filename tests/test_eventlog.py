@@ -494,6 +494,22 @@ def test_validator_rejects_an_abort_that_opens_a_conversation_without_members():
     assert validate_events([_call(1), replace(abort, members=("d", "e", "f"))])
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (replace(_call(2, conv="c2"), actor="a"), "outbound message not authored by BOT"),
+        (replace(_call(2), conversation_id=None), "outbound message missing conv or msg"),
+        (replace(_call(2, conv="c2"), message_id=None), "outbound message missing conv or msg"),
+        (_reply(2, conv="c2"), "reply conversation mismatch"),
+        (_event(2, EventKind.ABORT, text="platform rejected call"), "abort missing conversation"),
+    ],
+    ids=["call-by-a-user", "call-without-conv", "call-without-msg", "reply-in-another-conv", "abort-without-conv"],
+)
+def test_validator_rejects_an_event_with_a_wrong_author_or_conversation(bad, message):
+    with pytest.raises(MalformedLog, match=rf"^record 2 \(seq 2\): {message}$"):
+        validate_events([_call(1), bad])
+
+
 @pytest.mark.parametrize("strategy", [None, ""])
 def test_validator_rejects_an_outbound_message_without_a_strategy(strategy):
     with pytest.raises(MalformedLog, match=r"^record 2 \(seq 2\): outbound message missing strategy"):

@@ -10,7 +10,8 @@ dataclass in src/ is built by ``slot_init``; nothing in src/ but
 ``eventlog``, whose ``CampaignState.apply`` folds the log, writes a
 conversation record's fields; and nothing in src/ but
 ``eventlog.validate_events`` builds a ``ReportIndex``, so the live run's
-state carries none.
+state carries none; and every defaulted parameter of a function in src/ is
+passed by some call in src/, tests/ or perfbench/.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -603,5 +604,93 @@ def test_only_validate_events_builds_the_report_index():
         for line in report_index_uses(
             path.read_text(encoding="utf-8"), REPORT_BUILDERS.get(path.stem, frozenset())
         )
+    ]
+    assert offenders == []
+
+
+# No knob that no caller sets: a defaulted parameter that no call passes
+# is a second code path that nothing runs.
+def defaulted_parameters(source: str) -> list[tuple[int, str, str, int | None, bool]]:
+    """(line, function, parameter, position, by keyword) of each parameter
+    with a default of each function or method, dunders aside. ``position``
+    counts the arguments a call passes before it, so a method's ``self`` or
+    ``cls`` is not counted; it is None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for item in node.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name.startswith("__"):
+            continue
+        args = node.args
+        bound = id(node) in methods and "staticmethod" not in {getattr(d, "id", None) for d in node.decorator_list}
+        positional = args.posonlyargs + args.args
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            found.append((node.lineno, node.name, positional[i].arg, i - bound, i >= len(args.posonlyargs)))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((node.lineno, node.name, arg.arg, None, True))
+    return found
+
+
+def calls_by_name(sources) -> dict[str, list[ast.Call]]:
+    """Every call in the sources, by the name it calls, bare or as an attribute."""
+    calls: dict[str, list[ast.Call]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position, by_keyword: bool) -> bool:
+    """Whether the call passes the parameter; ``*args`` passes every
+    positional one and ``**kwargs`` every one a keyword can name."""
+    if position is not None and (
+        len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args)
+    ):
+        return True
+    return by_keyword and any(keyword.arg in (None, name) for keyword in call.keywords)
+
+
+def unset_knobs(source: str, calls: dict[str, list[ast.Call]]) -> list[tuple[int, str]]:
+    """(line, ``function(parameter)``) of each defaulted parameter that the
+    source defines and that none of the calls to its function's name passes."""
+    return [
+        (line, f"{function}({name})")
+        for line, function, name, position, by_keyword in defaulted_parameters(source)
+        if not any(_passes(call, name, position, by_keyword) for call in calls.get(function, ()))
+    ]
+
+
+def test_unset_knobs_are_detected():
+    source = (
+        "def f(a, b=1, /, c=2, *, d=3, e):\n"
+        "    return a\n"
+        "class C:\n"
+        "    def __init__(self, x=0): ...\n"
+        "    def m(self, p=1, q=2): ...\n"
+        "    @staticmethod\n"
+        "    def s(p=1, q=2): ...\n"
+        "    def k(self, r=1): ...\n"
+        "def g(t=1): ...\n"
+        "f(0, e=4)\n"
+        "f(0, 1, c=2, e=4)\n"
+        "C().m(0)\n"
+        "C.s(0, 1)\n"
+        "C().k(**{})\n"
+        "g(*())\n"
+    )
+    assert unset_knobs(source, calls_by_name([source])) == [(1, "f(d)"), (5, "m(q)")]
+
+
+def test_every_defaulted_parameter_in_src_is_passed_by_some_call():
+    calls = calls_by_name(
+        path.read_text(encoding="utf-8") for top in CHECKED for path in sorted((ROOT / top).rglob("*.py"))
+    )
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {knob}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, knob in unset_knobs(path.read_text(encoding="utf-8"), calls)
     ]
     assert offenders == []

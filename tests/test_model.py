@@ -64,6 +64,37 @@ def test_group_size_and_jitter_rules():
     assert any(v.field == "jitter" for v in violations)
 
 
+_DEFAULT = fixtures.default_config()
+_DIRECT = _DEFAULT.strategies[0]
+# One config per violation that no other test reaches, each with the field
+# that it names.
+VIOLATIONS = {
+    "no-groups": (replace(_DEFAULT, groups_per_strategy_per_topic=0), "groups_per_strategy_per_topic"),
+    "negative-jitter": (replace(_DEFAULT, jitter=model.JitterBounds(min_delay=-1, max_delay=5)), "jitter.min_delay"),
+    "no-char-limit": (replace(_DEFAULT, char_limit=0), "char_limit"),
+    "negative-timeout": (
+        replace(_DEFAULT, partial_groups=model.PartialGroupPolicy(timeout_s=-1)), "partial_groups.timeout_s"
+    ),
+    "no-topics": (replace(_DEFAULT, topics=()), "topics"),
+    "empty-topic-name": (
+        replace(_DEFAULT, topics=(replace(_DEFAULT.topics[0], name=""),) + _DEFAULT.topics[1:]), "topics[0].name"
+    ),
+    "no-strategies": (replace(_DEFAULT, strategies=()), "strategies"),
+    "empty-strategy-id": (replace(_DEFAULT, strategies=(replace(_DIRECT, id=""),)), "strategies[0].id"),
+    "duplicate-strategy-id": (replace(_DEFAULT, strategies=(_DIRECT, _DIRECT)), "strategies[1].id"),
+    "no-followups": (replace(_DEFAULT, strategies=(replace(_DIRECT, followups=()),)), "strategies[0].followups"),
+    "three-messages-per-turn": (
+        replace(_DEFAULT, strategies=(replace(_DIRECT, messages_per_turn=3),)), "strategies[0].messages_per_turn"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATIONS))
+def test_each_violation_names_its_field(name):
+    config, field = VIOLATIONS[name]
+    assert [violation.field for violation in validate_config(config)] == [field]
+
+
 def test_empty_keywords_rejected():
     config = fixtures.default_config()
     topics = (model.Topic(name="corruption", keywords=()),) + config.topics[1:]

@@ -456,18 +456,22 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     assert any(record.used_followups for record in replayed.records.values())
 
 
+def _edited(platform, edit):
+    """The platform, with ``edit`` applied to every inbound item."""
+    inbound = platform.inbound
+    # map asks the stream again on every next, so a stream that stopped and
+    # restarts after a post keeps yielding through it.
+    platform.inbound = lambda keywords: map(edit, inbound(keywords))
+    return platform
+
+
 def _surrogate_replies(platform):
     """The platform, with a lone surrogate appended to every reply's text,
     as a live adapter can decode one from a JSON escape."""
-    inbound = platform.inbound
-
-    def hostile(item):
-        return replace(item, text=item.text + "\ud800") if item.kind is ItemKind.REPLY_TO_BOT else item
-
-    # map asks the stream again on every next, so a stream that stopped and
-    # restarts after a post keeps yielding through it.
-    platform.inbound = lambda keywords: map(hostile, inbound(keywords))
-    return platform
+    return _edited(
+        platform,
+        lambda item: replace(item, text=item.text + "\ud800") if item.kind is ItemKind.REPLY_TO_BOT else item,
+    )
 
 
 def test_a_lone_surrogate_in_a_reply_is_logged_as_a_replacement_character(tmp_path):
@@ -485,6 +489,41 @@ def test_a_lone_surrogate_in_a_reply_is_logged_as_a_replacement_character(tmp_pa
     out.write_bytes(whole[: len(whole) // 2])
     run_campaign(config, _surrogate_replies(build_simulated_platform(config)), str(out), resume=True)
     assert out.read_bytes() == whole
+
+
+# Items of a kind whose author gets a lone surrogate appended, by their
+# index among the items of that kind. Not every author: then the quotas
+# never fill, the stream never closes and the run never ends.
+HOSTILE_HANDLES = {
+    "every-5th-post": (ItemKind.PUBLIC_POST, lambda i: i % 5 == 0),
+    "one-retweet": (ItemKind.RETWEET, lambda i: i == 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_HANDLES))
+def test_a_handle_the_log_cannot_hold_is_ignored(name, tmp_path, caplog):
+    kind, hostile = HOSTILE_HANDLES[name]
+    seen, edited = Counter(), []
+
+    def edit(item):
+        if item.kind is kind and hostile(seen[kind]):
+            item = replace(item, author=item.author + "\ud800")
+            edited.append(item)
+        seen[item.kind] += 1
+        return item
+
+    out = tmp_path / "campaign.log"
+    with EventLogWriter(str(out)) as writer:
+        orchestrator = Orchestrator(_SEED21, _edited(build_simulated_platform(_SEED21), edit), writer)
+        orchestrator.run()
+    events = validate_events(read_events(str(out)))
+    assert events == writer.events
+    assert replace(replay(events), report=None) == orchestrator.state
+    assert edited and not any("\ud800" in event.actor for event in events)
+    logged = {event.message_id for event in events}
+    assert not any(item.message_id in logged for item in edited)
+    if kind is ItemKind.RETWEET:
+        assert f"Retweet {edited[0].message_id} by a handle the log cannot hold; ignored" in caplog.messages
 
 
 def test_a_run_stops_at_an_event_its_reader_would_refuse(tmp_path):

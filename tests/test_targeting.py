@@ -36,6 +36,13 @@ def test_bot_self_posts_excluded():
     assert match_target(item, TOPICS) is None
 
 
+def test_a_handle_the_log_cannot_hold_is_not_a_target():
+    # A lone surrogate cannot be encoded as UTF-8; an accent or a non-BMP character can.
+    assert match_target(public_post("maria\ud800", "corrupcion", 1000), TOPICS) is None
+    for author in ("mar\u00eda", "maria\U0001F600"):
+        assert match_target(public_post(author, "corrupcion", 1000), TOPICS).user_id == author
+
+
 def test_first_topic_wins_for_dual_topic_posts():
     item = public_post("maria", "corrupcion e impunidad van juntas", 1000)
     target = match_target(item, TOPICS)
