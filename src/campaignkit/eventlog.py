@@ -54,7 +54,7 @@ import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import orjson
 
@@ -174,29 +174,30 @@ class EventLogWriter:
         self._logged = logged
         self.replaying = bool(logged)
 
-    def append(self, event: CampaignEvent) -> None:
-        """Log the event; raises ValueError, keeping and writing nothing, if
-        its ``seq``, ``ts`` or ``q`` lies outside [-2**63, 2**64 - 1] or one
-        of its strings holds a lone surrogate: :func:`format_event` encodes
-        the event first, with or without a path."""
+    def append(self, event: CampaignEvent, fold: Optional[Callable[[CampaignEvent], None]] = None) -> None:
+        """Log the event. While replaying, it is checked against the log;
+        otherwise :func:`format_event` encodes it first, with or without a
+        path, and raises ValueError if its ``seq``, ``ts`` or ``q`` lies
+        outside [-2**63, 2**64 - 1] or one of its strings holds a lone
+        surrogate. Then ``fold(event)`` is called, if given, and only then is
+        the event kept and written: one that the check, the encoder or
+        ``fold`` refuses is none of these."""
         if self.replaying:
-            self._check(event)
-            return
-        line = format_event(event)
+            logged = self._logged[len(self.events)]
+            if event != logged:
+                raise MalformedLog(f"resume diverged at seq {logged.seq}")
+        else:
+            line = format_event(event)
+        if fold is not None:
+            fold(event)
         self.events.append(event)
-        if self._fh is None:
-            return
-        self._fh.write(line + b"\n")
-        self._since_sync += 1
-        if self._since_sync >= _FSYNC_BLOCK:
-            self._sync()
-
-    def _check(self, event: CampaignEvent) -> None:
-        logged = self._logged[len(self.events)]
-        if event != logged:
-            raise MalformedLog(f"resume diverged at seq {logged.seq}")
-        self.events.append(event)
-        self.replaying = len(self.events) < len(self._logged)
+        if self.replaying:
+            self.replaying = len(self.events) < len(self._logged)
+        elif self._fh is not None:
+            self._fh.write(line + b"\n")
+            self._since_sync += 1
+            if self._since_sync >= _FSYNC_BLOCK:
+                self._sync()
 
     def _sync(self) -> None:
         if self._fh is None:
@@ -336,7 +337,9 @@ class ReportIndex:
 @dataclass
 class CampaignState:
     """Records and message routing, folded from the log, and the report's
-    indices when the log is read.
+    indices when the log is read. ``records`` holds each conversation's
+    :class:`ConversationRecord` under its id, and ``message_conversations``
+    the conversation of each bot message and reply in the log.
 
     :meth:`apply` is the one fold and the one check of an event: the
     orchestrator calls it on every event before it writes it, and
@@ -395,7 +398,7 @@ class CampaignState:
                 if conv in records:
                     raise MalformedLog(f"{conv} called twice")
                 members = tuple(mentions_in_text(event.text or ""))
-                record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, members)
+                record = records[conv] = ConversationRecord(event.topic or "", strategy, members)
                 self.members[conv] = members
                 counted = "calls_to_action"
             elif kind is EVENT_OUTBOUND_FOLLOWUP:
@@ -456,7 +459,7 @@ class CampaignState:
                 raise MalformedLog(f"abort opens {conv} without members")
             record = records.get(conv)
             if record is None:  # a rejected call leaves a record of the group it named
-                record = records[conv] = ConversationRecord(conv, event.topic or "", strategy, event.members)
+                record = records[conv] = ConversationRecord(event.topic or "", strategy, event.members)
             record.closed = True
         self.last_seq = event.seq
 

@@ -26,7 +26,7 @@ Xeon). They compare against enum members bound once to module globals next
 to each enum (``EVENT_ABORT``, ``platform.ITEM_PUBLIC_POST``): a lookup such
 as ``EventKind.ABORT`` goes through the enum metaclass, 140-190 ns against
 13 ns for a global, and ``.value`` costs about 250 ns. And they build their
-records (``CampaignEvent``, ``platform.InboundItem`` and ``BotMessageMeta``,
+records (``CampaignEvent``, ``platform.InboundItem``,
 ``strategy.OutboundMessage``, ``analytics.TermScore``, ``VolunteerLabel``)
 positionally through the ``__new__`` that :func:`slot_init` generates: an
 ``InboundItem`` costs 1.5 us by keyword through the frozen dataclass
@@ -281,19 +281,10 @@ def dump_config(config: CampaignConfig, path: str) -> None:
 
 
 @dataclass
-class TargetUser:
-    user_id: str
-    matched_keyword: str
-    matched_message_id: str
-    topic: str
-    assigned_strategy: Optional[StrategyId] = None
-
-
-@dataclass
 class ConversationRecord:
-    """Per-group state, folded from the log by ``CampaignState.apply``."""
+    """Per-group state, folded from the log by ``CampaignState.apply`` and
+    keyed by its conversation id in ``CampaignState.records``."""
 
-    conversation_id: str
     topic: str
     strategy: StrategyId
     members: tuple[str, ...]

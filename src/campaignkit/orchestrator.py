@@ -4,17 +4,17 @@ One single-writer event loop owns all mutable state: the users it has
 admitted, the arm allocator, the group buffers, the conversation state and
 the append-only log. The platform's one ordered inbound stream feeds it;
 analytics reads log snapshots. The loop adds no conversation record, sent id
-or message mapping itself: it applies each event to its ``CampaignState``,
-the state that ``replay`` folds from the log, and only then appends it.
-``CampaignState.apply`` both checks and folds, so the live run checks each
-event before writing it, and one that the log's reader would refuse stops
-the run unwritten. The live state only checks and routes: it carries no
-``report``, since the report's indices are folded where the log is read. A
-reply's text is logged with U+FFFD in place of each lone surrogate, which
-UTF-8 cannot encode; a post, reply or interaction whose author's handle
-holds one is ignored, since a handle is an identity. A resume runs the same
-path from the start on a platform rebuilt from the seed, so every state comes
-back and the joined log is the uninterrupted one. A ``max_hours`` deadline
+or message mapping itself: the log's writer encodes each event, applies it
+to the loop's ``CampaignState``, the state that ``replay`` folds from the
+log, and only then writes it. ``CampaignState.apply`` both checks and folds,
+so an event that the log cannot hold or its reader would refuse stops the
+run unwritten and unfolded. The live state only checks and routes: it
+carries no ``report``, since the report's indices are folded where the log
+is read. A reply's text is logged with U+FFFD in place of each lone
+surrogate, which UTF-8 cannot encode; a post, reply or interaction whose
+author's handle holds one is ignored, since a handle is an identity. A
+resume runs the same path from the start on a platform rebuilt from the
+seed, so every state comes back and the joined log is the uninterrupted one. A ``max_hours`` deadline
 stops the loop and flushes nothing: the cut log is a byte prefix of the
 uninterrupted log, without the calls not yet posted.
 
@@ -55,8 +55,8 @@ from . import strategy as strategy_mod
 from .eventlog import CampaignState, EventLogWriter, MalformedLog, drop_torn_tail, read_events
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_FAVORITE, EVENT_INBOUND_REPLY, EVENT_RETWEET, TARGET_BOT,
-    TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, TargetUser,
-    slot_init, validate_config,
+    TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, slot_init,
+    validate_config,
 )
 from .platform import (
     ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, InboundItem, Platform,
@@ -150,13 +150,14 @@ class ArmAllocator:
 
 @dataclass
 class _Buffer:
-    targets: list[TargetUser] = field(default_factory=list)
+    targets: list[str] = field(default_factory=list)
     oldest_ts: Optional[int] = None
 
 
 class GroupBuffer:
-    """Queued targets per (topic, arm); emits groups of exactly group_size.
-    Targets are added one at a time, so a full group is the whole buffer."""
+    """Queued target handles per (topic, arm); emits groups of exactly
+    group_size. Targets are added one at a time, so a full group is the
+    whole buffer."""
 
     def __init__(self, group_size: int):
         self.group_size = group_size
@@ -169,18 +170,17 @@ class GroupBuffer:
             buf = self._buffers[key] = _Buffer()
         return buf
 
-    def add(self, target: TargetUser, now: int) -> Optional[list[TargetUser]]:
-        assert target.assigned_strategy is not None
-        buf = self._buffer(target.topic, target.assigned_strategy)
+    def add(self, user: str, topic: str, arm: StrategyId, now: int) -> Optional[list[str]]:
+        buf = self._buffer(topic, arm)
         if buf.oldest_ts is None:
             buf.oldest_ts = now
-        buf.targets.append(target)
+        buf.targets.append(user)
         if len(buf.targets) == self.group_size:
             group, buf.targets, buf.oldest_ts = buf.targets, [], None
             return group
         return None
 
-    def stale(self, now: int, timeout_ms: int) -> list[tuple[str, str, list[TargetUser]]]:
+    def stale(self, now: int, timeout_ms: int) -> list[tuple[str, str, list[str]]]:
         """Pop every partial buffer older than the timeout."""
         out = []
         for (topic, arm), buf in self._buffers.items():
@@ -198,15 +198,13 @@ class GroupBuffer:
 @slot_init
 @dataclass(frozen=True, slots=True, init=False)
 class _Send:
-    """One scheduled outbound turn (a call or a follow-up, plus its quote)."""
+    """One scheduled outbound turn: a call or a follow-up, plus its quote.
+    The messages name the conversation, arm, topic and mentions; the send
+    holds only what they lack. It is a call exactly when its messages are
+    turn 0, as is a rate-limited call's remainder that starts with the quote."""
 
-    kind: str  # "call" | "followup"
-    conversation_id: str
-    topic: str
-    arm: StrategyId
     messages: tuple[OutboundMessage, ...]
-    members: tuple[str, ...] = ()
-    partial: bool = False
+    partial: bool = False  # a call to an undersized group
     question: Optional[int] = None  # the follow-up's question index
 
 
@@ -258,7 +256,7 @@ class Orchestrator:
             self.rng_assign,
         )
         self.buffers = GroupBuffer(config.group_size)
-        self.ready: dict[str, dict[str, list[tuple[list[TargetUser], int]]]] = {
+        self.ready: dict[str, dict[str, list[tuple[list[str], int]]]] = {
             topic: {arm: [] for arm in self.arm_ids} for topic in self.topic_names
         }
         self.schedule = DispatchSchedule()
@@ -280,36 +278,35 @@ class Orchestrator:
     # -- event emission -------------------------------------------------------
 
     def _emit(self, *fields) -> None:
-        """Check the next event and fold it into the state, then append it to
-        the log; an event the state refuses raises ``MalformedLog`` and is
-        not written.
+        """Append the next event to the log: the writer encodes it, the state
+        checks and folds it, and only then is it written. An event the
+        encoder refuses raises ``ValueError``, and one the state refuses
+        ``MalformedLog``; either leaves state and log as they were.
 
         ``fields`` are the event's fields after ``seq``, in field order."""
-        event = CampaignEvent(self.state.last_seq + 1, *fields)
-        self.state.apply(event)
-        self.writer.append(event)
+        self.writer.append(CampaignEvent(self.state.last_seq + 1, *fields), self.state.apply)
 
     # -- group formation --------------------------------------------------------
 
     def _handle_public(self, item: InboundItem) -> None:
         if not self.allocator.any_capacity():
             return  # a post that an adapter delivers after the close
-        target = match_target(item, self.topic_keywords)
-        if target is None:
+        topic = match_target(item, self.topic_keywords)
+        if topic is None:
             return
-        if not self.allocator.has_capacity(target.topic):
+        if not self.allocator.has_capacity(topic):
             return
-        if self.registry.admit(target) is DUPLICATE_REJECTED:
+        if self.registry.admit(item.author) is DUPLICATE_REJECTED:
             return
-        target.assigned_strategy = self.allocator.assign(target.topic)
+        arm = self.allocator.assign(topic)
         if not self.allocator.any_capacity():
             self.platform.close_public()
-        group = self.buffers.add(target, self.now)
+        group = self.buffers.add(item.author, topic, arm, self.now)
         # Every buffer start and every ready group's formation time is the
         # ``now`` of some add, so this keeps the deadline a lower bound.
         self._stale_deadline = min(self._stale_deadline, self.now + self._timeout_ms)
         if group is not None:
-            self.ready[target.topic][target.assigned_strategy].append((group, self.now))
+            self.ready[topic][arm].append((group, self.now))
             self._try_release_batch()
 
     def _try_release_batch(self) -> None:
@@ -348,28 +345,17 @@ class Orchestrator:
         return int(round(self.rng_jitter.uniform(j.min_delay, j.max_delay) * 1000))
 
     def _schedule_call(
-        self, topic: str, arm: StrategyId, group: list[TargetUser], *, partial: bool
+        self, topic: str, arm: StrategyId, group: list[str], *, partial: bool
     ) -> None:
         self.conv_counter += 1
-        conversation_id = f"c{self.conv_counter:06d}"
-        members = tuple(t.user_id for t in group)
         messages = strategy_mod.compose_call(
             self.specs[arm],
             topic,
-            members,
-            conversation_id=conversation_id,
+            group,
+            conversation_id=f"c{self.conv_counter:06d}",
             char_limit=self.config.char_limit,
         )
-        send = _Send(
-            kind="call",
-            conversation_id=conversation_id,
-            topic=topic,
-            arm=arm,
-            messages=tuple(messages),
-            members=members,
-            partial=partial,
-        )
-        self.schedule.push(self.now + self._jitter_ms(), send)
+        self.schedule.push(self.now + self._jitter_ms(), _Send(tuple(messages), partial))
         self._calls_in_flight += 1
 
     # -- dispatch -----------------------------------------------------------------
@@ -389,26 +375,22 @@ class Orchestrator:
                 # A rejected call still counts as the one touch: its abort
                 # names the group.
                 self._emit(
-                    due, EVENT_ABORT, BOT_ACTOR, send.arm, send.topic, send.conversation_id,
-                    None, None, None, f"platform rejected {message.kind.value}: {exc}", False,
-                    None, send.members if send.kind == "call" else None,
+                    due, EVENT_ABORT, BOT_ACTOR, message.strategy, message.topic,
+                    message.conversation_id, None, None, None,
+                    f"platform rejected {message.kind.value}: {exc}", False, None,
+                    message.mentions if message.turn == 0 else None,
                 )
-                if send.kind == "call":
-                    self._finish_call(send)
-                return
+                break
             kind = message.kind
             self._emit(
-                due, EVENT_KIND_BY_MESSAGE[kind], BOT_ACTOR, send.arm, send.topic,
-                send.conversation_id, message_id, None, None, message.text,
+                due, EVENT_KIND_BY_MESSAGE[kind], BOT_ACTOR, message.strategy, message.topic,
+                message.conversation_id, message_id, None, None, message.text,
                 send.partial and kind is MESSAGE_CALL,
                 send.question if kind is MESSAGE_FOLLOWUP else None,
             )
-        if send.kind == "call":
-            self._finish_call(send)
-
-    def _finish_call(self, send: _Send) -> None:
-        self._calls_in_flight -= 1
-        self._try_release_batch()
+        if send.messages[0].turn == 0:  # a call, posted or aborted: the next batch may go
+            self._calls_in_flight -= 1
+            self._try_release_batch()
 
     # -- inbound ------------------------------------------------------------------
 
@@ -452,15 +434,7 @@ class Orchestrator:
         except TemplateOverflow as exc:
             logger.warning("follow-up overflow in %s: %s", conversation_id, exc)
             return
-        send = _Send(
-            kind="followup",
-            conversation_id=conversation_id,
-            topic=record.topic,
-            arm=record.strategy,
-            messages=tuple(messages),
-            question=index,
-        )
-        self.schedule.push(self.now + self._jitter_ms(), send)
+        self.schedule.push(self.now + self._jitter_ms(), _Send(tuple(messages), question=index))
 
     def _handle_interaction(self, item: InboundItem) -> None:
         target_id = item.in_reply_to or ""

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .model import CampaignError, slot_init
-from .strategy import MESSAGE_CALL, MESSAGE_QUOTE, OutboundMessage
+from .strategy import MESSAGE_CALL, OutboundMessage
 from .text import FoldedKeywords, match_keyword
 
 if TYPE_CHECKING:  # the simulator imports this module; this one needs it for hints only
@@ -68,18 +68,6 @@ class InboundItem:
     timestamp: int
     in_reply_to: Optional[str] = None
     text: str = ""
-
-
-@slot_init
-@dataclass(frozen=True, slots=True, init=False)
-class BotMessageMeta:
-    """What the population needs to know about a delivered bot message."""
-
-    message_id: str
-    conversation_id: str
-    strategy: str
-    topic: str
-    solicits: bool  # calls and follow-ups solicit replies; quotes do not
 
 
 class Platform(ABC):
@@ -208,17 +196,13 @@ class SimulatedPlatform(Platform):
         self._message_counter += 1
         message_id = f"m{self._message_counter:07d}"
         self._posted[key] = message_id
-        meta = BotMessageMeta(
-            message_id, message.conversation_id, message.strategy, message.topic,
-            kind is not MESSAGE_QUOTE,
-        )
         if kind is MESSAGE_CALL:
             self._conversation_members[message.conversation_id] = tuple(message.mentions)
         members = self._conversation_members.get(message.conversation_id, tuple(message.mentions))
         favorites = self.capabilities.supports_favorites
         for user in message.mentions:
             reactions = self.population.react(
-                user, meta, self._now, self.rng, favorites_enabled=favorites
+                user, message, message_id, self._now, self.rng, favorites_enabled=favorites
             )
             for item in reactions:
                 self._push(item.timestamp, "item", item)

@@ -11,14 +11,14 @@ budget (``random()`` until a geometric stop, none for a mean of 1 or less),
 then each agent's first post gap, in agent order. Each public post draws a
 topic index, a keyword index within the topic, a post-pattern index, then
 the gap to the agent's next post. Each bot message delivered to a member
-draws, if it solicits and the member has turns left, the reply draw; on a
-reply, the stance (at the member's first reply only), the reply-pattern
-index and the reply delay. Then come the member's retweet draw and, if it
-hits, its delay, and the favorite draw and, if it hits, its delay (without
-favorites, no favorite draw). After a reply, each co-member of the
-conversation makes the same retweet and favorite draws toward it. Once the
-platform's public stream is closed no post draw is made, and reactions go on
-drawing from the same rng. The rng's ``choice``, ``expovariate`` and
+draws, if it is not a quote and the member has turns left, the reply draw;
+on a reply, the stance (at the member's first reply only), the
+reply-pattern index and the reply delay. Then come the member's retweet
+draw and, if it hits, its delay, and the favorite draw and, if it hits, its
+delay (without favorites, no favorite draw). After a reply, each co-member
+of the conversation makes the same retweet and favorite draws toward it.
+Once the platform's public stream is closed no post draw is made, and
+reactions go on drawing from the same rng. The rng's ``choice``, ``expovariate`` and
 ``uniform`` are not called; their draws are reproduced as CPython 3.10-3.13
 makes them. An index below ``n`` is ``getrandbits(n.bit_length())``, redrawn
 until below ``n`` (:func:`draw_index`); a gap is ``-log(1 - random()) /
@@ -42,9 +42,8 @@ from .model import (
     LABEL_OFF_TOPIC, LABEL_ON_TOPIC, CampaignError, FieldCodec, Topic, VolunteerLabel, load_yaml,
     replace,
 )
-from .platform import (
-    ITEM_FAVORITE, ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, BotMessageMeta, InboundItem,
-)
+from .platform import ITEM_FAVORITE, ITEM_PUBLIC_POST, ITEM_REPLY_TO_BOT, ITEM_RETWEET, InboundItem
+from .strategy import MESSAGE_QUOTE, OutboundMessage
 
 # Machine-readable stance tags appended to generated replies so label
 # fixtures can be derived from a log without human coders.
@@ -297,23 +296,26 @@ class AgentPopulation:
     def react(
         self,
         user_id: str,
-        message: BotMessageMeta,
+        message: OutboundMessage,
+        message_id: str,
         now: int,
         rng: random.Random,
         *,
         favorites_enabled: bool = True,
     ) -> list[InboundItem]:
-        """Reactions of one recipient to one delivered bot message.
+        """Reactions of one recipient to one bot message, delivered under
+        ``message_id``.
 
-        At most one reply per received message; replies stop once the agent's
-        turn budget is spent. Retweet and favorite draws are independent of
-        the reply draw.
+        Calls and follow-ups solicit a reply; quotes do not. At most one
+        reply per received message; replies stop once the agent's turn
+        budget is spent. Retweet and favorite draws are independent of the
+        reply draw.
         """
         agent = self.by_id.get(user_id)
         if agent is None:
             return []
         items: list[InboundItem] = []
-        if message.solicits and agent.replies_made < agent.max_turns:
+        if message.kind is not MESSAGE_QUOTE and agent.replies_made < agent.max_turns:
             if rng.random() < resolve_propensity(agent.reply_propensity, message.strategy):
                 agent.replies_made += 1
                 if agent.on_topic is None:
@@ -328,7 +330,7 @@ class AgentPopulation:
                         user_id,
                         self._mint("r"),
                         now + self._reply_delay_ms(rng),
-                        message.message_id,
+                        message_id,
                         pattern.format(
                             topic=message.topic,
                             tag=ON_TOPIC_TAG if agent.on_topic else OFF_TOPIC_TAG,
@@ -339,7 +341,7 @@ class AgentPopulation:
             self.interaction_draws(
                 user_id,
                 message.strategy,
-                message.message_id,
+                message_id,
                 now,
                 rng,
                 favorites_enabled=favorites_enabled,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Optional, Sequence
 
-from .model import BOT_ACTOR, TargetUser, Topic
+from .model import BOT_ACTOR, Topic
 from .platform import InboundItem
 from .text import FoldedKeywords, match_keyword, replace_surrogates
 
@@ -25,28 +25,21 @@ class TopicKeywords:
         self.folded = FoldedKeywords(self.topic_of)
 
 
-def match_target(item: InboundItem, keywords: TopicKeywords) -> Optional[TargetUser]:
+def match_target(item: InboundItem, keywords: TopicKeywords) -> Optional[str]:
     """Match one public post against the campaign topics.
 
-    Returns a fresh TargetUser for the first topic whose keyword appears in
-    the text (folded substring), or None when nothing matches, when the
-    author is the campaign's own bot (no feedback loops), or when the
-    author's handle holds a lone surrogate, which the log cannot hold. The
-    text is folded once: the first keyword found in topic order is in the
-    first topic that has one.
+    Returns the name of the first topic whose keyword appears in the text
+    (folded substring), which makes the post's author a target; or None
+    when nothing matches, when the author is the campaign's own bot (no
+    feedback loops), or when the author's handle holds a lone surrogate,
+    which the log cannot hold. The text is folded once: the first keyword
+    found in topic order is in the first topic that has one.
     """
     author = item.author
     if author == BOT_ACTOR or replace_surrogates(author) != author:
         return None
     keyword = match_keyword(item.text, keywords.folded)
-    if keyword is None:
-        return None
-    return TargetUser(
-        user_id=author,
-        matched_keyword=keyword,
-        matched_message_id=item.message_id,
-        topic=keywords.topic_of[keyword],
-    )
+    return None if keyword is None else keywords.topic_of[keyword]
 
 
 class AdmitResult(str, Enum):
@@ -69,8 +62,8 @@ class ContactRegistry:
     def __init__(self) -> None:
         self._seen: set[str] = set()
 
-    def admit(self, target: TargetUser) -> AdmitResult:
-        if target.user_id in self._seen:
+    def admit(self, user: str) -> AdmitResult:
+        if user in self._seen:
             return DUPLICATE_REJECTED
-        self._seen.add(target.user_id)
+        self._seen.add(user)
         return ADMITTED

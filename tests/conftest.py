@@ -16,6 +16,7 @@ from campaignkit.platform import (
     RateLimited,
     SimulatedPlatform,
 )
+from campaignkit.strategy import MessageKind
 
 # Configuration used by the statistical acceptance campaign: 500 groups per
 # strategy per topic over two topics = 1,000 groups per arm.
@@ -111,12 +112,12 @@ class ReferencePopulation(simulator.AgentPopulation):
     def _reply_delay_ms(self, rng):
         return int(round(math.exp(rng.uniform(*self._log_delay_ms))))
 
-    def react(self, user_id, message, now, rng, *, favorites_enabled=True):
+    def react(self, user_id, message, message_id, now, rng, *, favorites_enabled=True):
         agent = self.by_id.get(user_id)
         if agent is None:
             return []
         items = []
-        if message.solicits and agent.replies_made < agent.max_turns:
+        if message.kind is not MessageKind.QUOTE and agent.replies_made < agent.max_turns:
             if rng.random() < simulator.resolve_propensity(agent.reply_propensity, message.strategy):
                 agent.replies_made += 1
                 if agent.on_topic is None:
@@ -129,11 +130,11 @@ class ReferencePopulation(simulator.AgentPopulation):
                 tag = simulator.ON_TOPIC_TAG if agent.on_topic else simulator.OFF_TOPIC_TAG
                 items.append(InboundItem(
                     ItemKind.REPLY_TO_BOT, user_id, self._mint("r"),
-                    now + self._reply_delay_ms(rng), message.message_id,
+                    now + self._reply_delay_ms(rng), message_id,
                     pattern.format(topic=message.topic, tag=tag),
                 ))
         items.extend(self.interaction_draws(
-            user_id, message.strategy, message.message_id, now, rng,
+            user_id, message.strategy, message_id, now, rng,
             favorites_enabled=favorites_enabled,
         ))
         return items

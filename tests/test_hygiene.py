@@ -10,8 +10,10 @@ dataclass in src/ is built by ``slot_init``; nothing in src/ but
 ``eventlog``, whose ``CampaignState.apply`` folds the log, writes a
 conversation record's fields; and nothing in src/ but
 ``eventlog.validate_events`` builds a ``ReportIndex``, so the live run's
-state carries none; and every defaulted parameter of a function in src/ is
-passed by some call in src/, tests/ or perfbench/.
+state carries none; every defaulted parameter of a function in src/ is
+passed by some call in src/, tests/ or perfbench/; and every field of a
+dataclass in src/ that is not a ``FieldCodec`` is read by name somewhere in
+src/.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -692,5 +694,65 @@ def test_every_defaulted_parameter_in_src_is_passed_by_some_call():
         f"{path.relative_to(ROOT)}:{line}: {knob}"
         for path in sorted((ROOT / "src").rglob("*.py"))
         for line, knob in unset_knobs(path.read_text(encoding="utf-8"), calls)
+    ]
+    assert offenders == []
+
+
+# No write-only record field: a field that nothing reads is a copy of a fact
+# its neighbour already holds. The config records are exempt, since
+# ``FieldCodec`` reads their fields through ``dataclasses.fields``.
+def record_fields(source: str) -> list[tuple[int, str, str]]:
+    """(line, class, field) of each field of each dataclass that does not
+    derive from ``FieldCodec``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or "FieldCodec" in {getattr(b, "id", None) for b in node.bases}:
+            continue
+        if "dataclass" in {getattr(getattr(d, "func", d), "id", None) for d in node.decorator_list}:
+            found.extend(
+                (item.lineno, node.name, item.target.id) for item in node.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            )
+    return found
+
+
+def read_names(sources) -> set[str]:
+    """Every attribute name the sources load, and every string constant."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def write_only_fields(source: str, read: set[str]) -> list[tuple[int, str]]:
+    """(line, ``Class.field``) of each record field the source defines whose
+    name is not in ``read``."""
+    return [(line, f"{cls}.{name}") for line, cls, name in record_fields(source) if name not in read]
+
+
+def test_write_only_fields_are_detected():
+    source = (
+        "@dataclass\nclass Target:\n    user: str\n    keyword: str\n    note: str = ''\n"
+        "@dataclass(frozen=True)\nclass Config(FieldCodec):\n    unread: int = 0\n"
+        "class Plain:\n    hidden: int = 0\n"
+        "@slot_init\n@dataclass(frozen=True, slots=True, init=False)\nclass Meta:\n    solicits: bool\n"
+        "def f(target, meta):\n"
+        "    target.keyword = 'x'\n"
+        "    return target.user, getattr(target, 'note')\n"
+    )
+    assert write_only_fields(source, read_names([source])) == [(4, "Target.keyword"), (14, "Meta.solicits")]
+
+
+def test_no_record_field_in_src_is_write_only():
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted((ROOT / "src").rglob("*.py"))}
+    read = read_names(sources.values())
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {field}"
+        for path, source in sources.items()
+        for line, field in write_only_fields(source, read)
     ]
     assert offenders == []

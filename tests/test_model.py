@@ -21,7 +21,7 @@ from campaignkit.model import (
     replace,
     validate_config,
 )
-from campaignkit.platform import BotMessageMeta, InboundItem, ItemKind
+from campaignkit.platform import InboundItem, ItemKind
 from campaignkit.simulator import SimulationProfile
 from campaignkit.strategy import MessageKind, OutboundMessage
 from conftest import reference_record
@@ -165,10 +165,6 @@ SLOT_RECORDS = [
         "kind": ItemKind.REPLY_TO_BOT, "author": "u1", "message_id": "r1", "timestamp": 2,
         "in_reply_to": "m1", "text": "hi",
     }),
-    (BotMessageMeta, {
-        "message_id": "m1", "conversation_id": "c1", "strategy": "direct",
-        "topic": "corruption", "solicits": True,
-    }),
     (OutboundMessage, {
         "kind": MessageKind.FOLLOWUP, "text": "@u1 why?", "mentions": ("u1",),
         "strategy": "direct", "topic": "corruption", "conversation_id": "c1", "turn": 2,
@@ -177,11 +173,10 @@ SLOT_RECORDS = [
     (VolunteerLabel, {"user_id": "u1", "label": LabelValue.OFF_TOPIC, "coder_id": "coder_a"}),
     # A rate-limited turn is rescheduled through dataclasses.replace.
     (orchestrator._Send, {
-        "kind": "followup", "conversation_id": "c1", "topic": "corruption", "arm": "direct",
         "messages": (
             OutboundMessage(MessageKind.FOLLOWUP, "@u1 why?", ("u1",), "direct", "corruption", "c1", 2),
         ),
-        "members": ("u1",), "partial": True, "question": 3,
+        "partial": True, "question": 3,
     }),
 ]
 

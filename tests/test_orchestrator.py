@@ -87,37 +87,23 @@ def test_allocator_reference_quota_split():
 
 # -- group buffer -------------------------------------------------------------------
 
-def _target(user, topic="corruption", arm="direct"):
-    from campaignkit.model import TargetUser
-
-    return TargetUser(
-        user_id=user, matched_keyword="corrupcion", matched_message_id=f"p-{user}",
-        topic=topic, assigned_strategy=arm,
-    )
-
-
 def test_buffer_emits_group_at_size():
     buffer = GroupBuffer(group_size=3)
-    assert buffer.add(_target("a"), now=0) is None
-    assert buffer.add(_target("b"), now=1) is None
-    group = buffer.add(_target("c"), now=2)
-    assert [t.user_id for t in group] == ["a", "b", "c"]
-    assert buffer.add(_target("d"), now=3) is None  # buffer restarted
+    assert buffer.add("a", "corruption", "direct", now=0) is None
+    assert buffer.add("b", "corruption", "direct", now=1) is None
+    assert buffer.add("c", "corruption", "direct", now=2) == ["a", "b", "c"]
+    assert buffer.add("d", "corruption", "direct", now=3) is None  # buffer restarted
 
 
 def test_buffer_stale_flush():
     buffer = GroupBuffer(group_size=3)
-    buffer.add(_target("a"), now=0)
-    buffer.add(_target("b"), now=5_000)
+    buffer.add("a", "corruption", "direct", now=0)
+    buffer.add("b", "corruption", "direct", now=5_000)
     assert buffer.stale(now=100_000, timeout_ms=3_600_000) == []
-    flushed = buffer.stale(now=4_000_000, timeout_ms=3_600_000)
-    assert len(flushed) == 1
-    topic, arm, targets = flushed[0]
-    assert (topic, arm) == ("corruption", "direct")
-    assert [t.user_id for t in targets] == ["a", "b"]
+    assert buffer.stale(now=4_000_000, timeout_ms=3_600_000) == [("corruption", "direct", ["a", "b"])]
     # With no timeout every queued target goes, as at the end of a run.
-    buffer.add(_target("c", arm="loss"), now=4_000_000)
-    assert [(a, [t.user_id for t in ts]) for _, a, ts in buffer.stale(4_000_000, 0)] == [("loss", ["c"])]
+    buffer.add("c", "corruption", "loss", now=4_000_000)
+    assert buffer.stale(4_000_000, 0) == [("corruption", "loss", ["c"])]
 
 
 # -- orchestrator against the scripted platform ------------------------------------------
@@ -180,7 +166,7 @@ def test_partial_group_discard_policy():
     assert [e for e in events if e.kind is EventKind.OUTBOUND_CALL] == []
     # Admitted but never called: in no record, yet not admitted again.
     assert orchestrator.state.records == {}
-    assert orchestrator.registry.admit(_target("user00")) is AdmitResult.DUPLICATE_REJECTED
+    assert orchestrator.registry.admit("user00") is AdmitResult.DUPLICATE_REJECTED
 
 
 def test_stale_flush_fires_exactly_at_the_timeout():
@@ -250,15 +236,24 @@ class _QuoteRateLimitedOnce(StubPlatform):
 def test_rate_limited_quote_retry_keeps_the_call_record():
     solidarity = next(s for s in fixtures.default_strategies("en") if s.id == "solidarity")
     config = _single_arm_config(strategies=(solidarity,))
-    platform = _QuoteRateLimitedOnce(_posts(3))
+    # Two groups, the second formed while the first call's quote waits.
+    posts = [public_post(f"user{i:02d}", "no mas corrupcion", 1_000_000 + i * 100) for i in range(6)]
+    platform = _QuoteRateLimitedOnce(posts)
     orchestrator, events = _run_with_stub(config, platform)
     assert platform.quote_limited
     # The retry posts the quote again, not the call that already went out.
-    assert platform.attempts == {MessageKind.CALL: 1, MessageKind.QUOTE: 2}
+    assert platform.attempts == {MessageKind.CALL: 2, MessageKind.QUOTE: 3}
     outbound = [e for e in events if e.kind in OUTBOUND_KINDS]
-    assert [e.kind for e in outbound] == [EventKind.OUTBOUND_CALL, EventKind.OUTBOUND_QUOTE]
-    record = orchestrator.state.records[outbound[0].conversation_id]
-    assert record.sent_messages == [e.message_id for e in outbound]
+    assert [(e.kind, e.conversation_id) for e in outbound] == [
+        (EventKind.OUTBOUND_CALL, "c000001"), (EventKind.OUTBOUND_QUOTE, "c000001"),
+        (EventKind.OUTBOUND_CALL, "c000002"), (EventKind.OUTBOUND_QUOTE, "c000002"),
+    ]
+    record = orchestrator.state.records["c000001"]
+    assert record.sent_messages == [e.message_id for e in outbound[:2]]
+    # The retried quote finishes the first call and releases the second
+    # within one jitter window, not at the stale timeout.
+    assert outbound[2].ts - outbound[1].ts <= config.jitter.max_delay * 1000
+    assert orchestrator._calls_in_flight == 0
 
 
 def test_a_reply_in_a_closed_conversation_gets_no_followup():
@@ -269,8 +264,10 @@ def test_a_reply_in_a_closed_conversation_gets_no_followup():
     )
     platform = _rejecting(StubPlatform(_posts(3) + [reply]), lambda m: m.kind is MessageKind.QUOTE)
     orchestrator, events = _run_with_stub(config, platform)
-    # The call went out, its quote was rejected: the conversation is closed.
+    # The call went out, its quote was rejected: the conversation is closed,
+    # and the abort of a call's message names the group.
     assert [e.kind for e in events] == [EventKind.OUTBOUND_CALL, EventKind.ABORT, EventKind.INBOUND_REPLY]
+    assert events[1].members == ("user00", "user01", "user02")
     assert orchestrator.state.records["c000001"].closed
 
 
@@ -453,6 +450,8 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     assert bool(aborts) is (rejects is not None)
     # An abort names the group exactly when it stands for a call.
     assert all(bool(e.members) is (e.conversation_id not in members) for e in aborts)
+    if name == "followup-rejected":
+        assert all(e.members is None for e in aborts)  # a follow-up's abort names no group
     assert any(record.used_followups for record in replayed.records.values())
 
 
@@ -544,6 +543,30 @@ def test_a_run_stops_at_an_event_its_reader_would_refuse(tmp_path):
     events = read_events(str(out))
     assert len(events) == 4
     assert validate_events(events) == events
+
+
+def test_an_event_the_log_cannot_hold_is_neither_folded_nor_written(tmp_path):
+    # The first retweet's id holds a lone surrogate, which UTF-8 cannot
+    # encode: the run stops at that event, and the live state is still the
+    # fold of the log it wrote.
+    seen = []
+
+    def edit(item):
+        if item.kind is ItemKind.RETWEET:
+            seen.append(item)
+            if len(seen) == 1:
+                item = replace(item, message_id=item.message_id + "\ud800")
+        return item
+
+    out = tmp_path / "campaign.log"
+    with EventLogWriter(str(out)) as writer:
+        orchestrator = Orchestrator(_SEED21, _edited(build_simulated_platform(_SEED21), edit), writer)
+        with pytest.raises(ValueError, match="^seq 11: cannot be logged"):
+            orchestrator.run()
+    events = read_events(str(out))
+    assert events == writer.events and len(events) == 10
+    assert orchestrator.state.last_seq == 10
+    assert replace(replay(events), report=None) == orchestrator.state
 
 
 # The log of the seed-5 small campaign, pinned: a change that alters what a

@@ -15,7 +15,6 @@ from campaignkit.simulator import (
     HOUR_MS,
     ON_TOPIC_TAG,
     AgentPopulation,
-    BotMessageMeta,
     MixtureComponent,
     ReplyDelay,
     SimulationProfile,
@@ -127,6 +126,11 @@ def test_poisson_post_volume_within_three_sigma():
     assert abs(count - 10_000) <= 3 * math.sqrt(10_000)
 
 
+def _bot_message(kind, strategy):
+    """A bot message of ``kind`` in arm ``strategy`` on corruption."""
+    return OutboundMessage(kind, "", (), strategy, "corruption", "c1")
+
+
 def test_single_turn_agent_replies_once_then_goes_silent():
     rng = random.Random(0)
     profile = SimulationProfile(
@@ -134,10 +138,8 @@ def test_single_turn_agent_replies_once_then_goes_silent():
         interaction_propensity=0.0,
     )
     population = AgentPopulation(profile, TOPICS, rng)
-    meta1 = BotMessageMeta("m1", "c1", "direct", "corruption", solicits=True)
-    meta2 = BotMessageMeta("m2", "c1", "direct", "corruption", solicits=True)
-    first = population.react("u00000", meta1, 0, rng)
-    second = population.react("u00000", meta2, 0, rng)
+    first = population.react("u00000", _bot_message(MessageKind.CALL, "direct"), "m1", 0, rng)
+    second = population.react("u00000", _bot_message(MessageKind.FOLLOWUP, "direct"), "m2", 0, rng)
     assert [i.kind for i in first] == [ItemKind.REPLY_TO_BOT]
     assert second == []
 
@@ -147,8 +149,8 @@ def test_quotes_do_not_solicit_replies():
     profile = SimulationProfile(population=1, post_rate=0.0, reply_propensity=1.0,
                                 interaction_propensity=0.0)
     population = AgentPopulation(profile, TOPICS, rng)
-    quote = BotMessageMeta("m1", "c1", "solidarity", "corruption", solicits=False)
-    assert population.react("u00000", quote, 0, rng) == []
+    quote = _bot_message(MessageKind.QUOTE, "solidarity")
+    assert population.react("u00000", quote, "m1", 0, rng) == []
 
 
 def test_on_topic_fraction_tracks_probability():
@@ -161,8 +163,7 @@ def test_on_topic_fraction_tracks_probability():
     population = AgentPopulation(profile, TOPICS, rng)
     on = 0
     for i, agent in enumerate(population.agents):
-        meta = BotMessageMeta(f"m{i}", f"c{i}", "direct", "corruption", solicits=True)
-        (reply,) = population.react(agent.user_id, meta, 0, rng)
+        (reply,) = population.react(agent.user_id, _bot_message(MessageKind.CALL, "direct"), f"m{i}", 0, rng)
         on += ON_TOPIC_TAG in reply.text
     assert abs(on / 3000 - 0.94) <= 0.02
 
@@ -183,8 +184,7 @@ def test_off_topic_replies_mention_bots():
     )
     population = AgentPopulation(profile, TOPICS, rng)
     for i in range(50):
-        meta = BotMessageMeta(f"m{i}", f"c{i}", "loss", "corruption", solicits=True)
-        (reply,) = population.react(f"u{i:05d}", meta, 0, rng)
+        (reply,) = population.react(f"u{i:05d}", _bot_message(MessageKind.CALL, "loss"), f"m{i}", 0, rng)
         assert "bots" in reply.text
         assert "#offtopic" in reply.text
 

@@ -14,17 +14,12 @@ TOPICS = TopicKeywords(fixtures.default_topics())
 
 def test_match_corrupcion_post():
     item = public_post("maria", "odio la corrupcion en mi ciudad", 1000)
-    target = match_target(item, TOPICS)
-    assert target is not None
-    assert target.topic == "corruption"
-    assert target.matched_keyword == "corrupcion"
-    assert target.matched_message_id == item.message_id
+    assert match_target(item, TOPICS) == "corruption"
 
 
 def test_match_accented_variant():
     item = public_post("maria", "la Corrupción nos ahoga", 1000)
-    target = match_target(item, TOPICS)
-    assert target is not None and target.topic == "corruption"
+    assert match_target(item, TOPICS) == "corruption"
 
 
 def test_no_keyword_no_match():
@@ -40,21 +35,19 @@ def test_a_handle_the_log_cannot_hold_is_not_a_target():
     # A lone surrogate cannot be encoded as UTF-8; an accent or a non-BMP character can.
     assert match_target(public_post("maria\ud800", "corrupcion", 1000), TOPICS) is None
     for author in ("mar\u00eda", "maria\U0001F600"):
-        assert match_target(public_post(author, "corrupcion", 1000), TOPICS).user_id == author
+        assert match_target(public_post(author, "corrupcion", 1000), TOPICS) == "corruption"
 
 
 def test_first_topic_wins_for_dual_topic_posts():
     item = public_post("maria", "corrupcion e impunidad van juntas", 1000)
-    target = match_target(item, TOPICS)
-    assert target.topic == "corruption"
+    assert match_target(item, TOPICS) == "corruption"
 
 
 def test_admit_fresh_then_duplicate():
     registry = ContactRegistry()
-    target = match_target(public_post("maria", "corrupcion", 1000), TOPICS)
-    assert registry.admit(target) is AdmitResult.ADMITTED
-    again = match_target(public_post("maria", "mas corrupcion", 2000), TOPICS)
-    assert registry.admit(again) is AdmitResult.DUPLICATE_REJECTED
+    assert registry.admit("maria") is AdmitResult.ADMITTED
+    assert registry.admit("maria") is AdmitResult.DUPLICATE_REJECTED
+    assert registry.admit("maria2") is AdmitResult.ADMITTED
 
 
 def test_admitted_users_unique_over_random_streams():
@@ -68,21 +61,20 @@ def test_admitted_users_unique_over_random_streams():
         for ts in range(300):
             author = rng.choice(authors)
             text = rng.choice(["abajo la corrupcion", "impunidad total", "hola mundo"])
-            target = match_target(public_post(author, text, 1000 + ts), TOPICS)
-            if target is None:
+            if match_target(public_post(author, text, 1000 + ts), TOPICS) is None:
                 continue
-            if registry.admit(target) is AdmitResult.ADMITTED:
-                admitted.append(target.user_id)
+            if registry.admit(author) is AdmitResult.ADMITTED:
+                admitted.append(author)
         assert len(admitted) == len(set(admitted))
 
 
 def _target_reference(text, topics):
-    """(topic, keyword) of the first topic with a keyword in the text,
-    folding the text once per topic and every keyword it tries."""
+    """The first topic with a keyword in the text, folding the text once
+    per topic and every keyword it tries."""
     for topic in topics:
         for keyword in topic.keywords:
             if fold(keyword) in fold(text):
-                return topic.name, keyword
+                return topic.name
     return None
 
 
@@ -96,6 +88,4 @@ _WORDS = ["corrupción", "Corrupcion", "IMPUNIDAD", "impunidad", "crimen", "Stra
 def test_match_target_matches_like_a_per_topic_scan(keyword_lists, words):
     topics = [Topic(f"t{i}", tuple(keywords)) for i, keywords in enumerate(keyword_lists)]
     text = " ".join(words)
-    target = match_target(public_post("maria", text, 1000), TopicKeywords(topics))
-    expected = _target_reference(text, topics)
-    assert (None if target is None else (target.topic, target.matched_keyword)) == expected
+    assert match_target(public_post("maria", text, 1000), TopicKeywords(topics)) == _target_reference(text, topics)
