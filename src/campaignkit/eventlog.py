@@ -200,8 +200,6 @@ class EventLogWriter:
                 self._sync()
 
     def _sync(self) -> None:
-        if self._fh is None:
-            return
         self._fh.flush()
         os.fsync(self._fh.fileno())
         self._since_sync = 0

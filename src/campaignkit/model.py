@@ -251,12 +251,6 @@ class CampaignConfig(FieldCodec):
     # ``simulator.resolve_profile`` so profile knobs never touch the core model.
     simulation: Mapping[str, Any] = field(default_factory=dict)
 
-    def keywords(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for topic in self.topics:
-            out.extend(topic.keywords)
-        return tuple(out)
-
 
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # PyYAML may lack libyaml
 

@@ -23,7 +23,9 @@ permutation blocks (one occurrence of each arm per block), buffered per
 (topic, arm), and called in serialized batches of one group per arm so that
 per-arm call counts never differ by more than one at any log prefix. All
 calls of a batch are scheduled within one jitter window; batches alternate
-topics whenever both topics have work.
+topics whenever both topics have work. Composing a message never fails: the
+platform alone judges what may be posted, and a message it refuses (too long,
+say) is logged as the abort that closes its conversation; the run goes on.
 
 The loop does work per inbound item only where it has some. Partial buffers
 and ready groups that wait past the partial-group timeout are flushed, but the
@@ -63,9 +65,7 @@ from .platform import (
     PlatformCapabilities, PlatformRejected, RateLimited, SimulatedPlatform,
 )
 from .simulator import AgentPopulation, resolve_profile
-from .strategy import (
-    EVENT_KIND_BY_MESSAGE, MESSAGE_CALL, MESSAGE_FOLLOWUP, OutboundMessage, TemplateOverflow,
-)
+from .strategy import EVENT_KIND_BY_MESSAGE, MESSAGE_CALL, MESSAGE_FOLLOWUP, OutboundMessage
 from .targeting import DUPLICATE_REJECTED, ContactRegistry, TopicKeywords, match_target
 from .text import replace_surrogates
 
@@ -349,11 +349,7 @@ class Orchestrator:
     ) -> None:
         self.conv_counter += 1
         messages = strategy_mod.compose_call(
-            self.specs[arm],
-            topic,
-            group,
-            conversation_id=f"c{self.conv_counter:06d}",
-            char_limit=self.config.char_limit,
+            self.specs[arm], topic, group, conversation_id=f"c{self.conv_counter:06d}"
         )
         self.schedule.push(self.now + self._jitter_ms(), _Send(tuple(messages), partial))
         self._calls_in_flight += 1
@@ -372,8 +368,9 @@ class Orchestrator:
                 self.schedule.push(due + max(1, exc.retry_after_ms), rest)
                 return
             except PlatformRejected as exc:
-                # A rejected call still counts as the one touch: its abort
-                # names the group.
+                # Every refusal ends here, an over-long message included. A
+                # rejected call still counts as the one touch: its abort
+                # names the group. A follow-up's names none.
                 self._emit(
                     due, EVENT_ABORT, BOT_ACTOR, message.strategy, message.topic,
                     message.conversation_id, None, None, None,
@@ -420,20 +417,9 @@ class Orchestrator:
         if index is None:
             return  # every question drawn: the conversation goes quiet
         drawn.add(index)
-        turn = len(drawn)
-        try:
-            messages = strategy_mod.compose_followup(
-                spec,
-                record.topic,
-                [item.author],
-                index,
-                conversation_id=conversation_id,
-                turn=turn,
-                char_limit=self.config.char_limit,
-            )
-        except TemplateOverflow as exc:
-            logger.warning("follow-up overflow in %s: %s", conversation_id, exc)
-            return
+        messages = strategy_mod.compose_followup(
+            spec, record.topic, [item.author], index, conversation_id=conversation_id, turn=len(drawn)
+        )
         self.schedule.push(self.now + self._jitter_ms(), _Send(tuple(messages), question=index))
 
     def _handle_interaction(self, item: InboundItem) -> None:
@@ -489,7 +475,7 @@ class Orchestrator:
         window has passed; or stop at the first item or timeout ``max_hours``
         past the start, flushing nothing."""
         deadline = None if max_hours is None else self.now + int(max_hours * 3_600_000)
-        stream = self.platform.inbound(list(self.config.keywords()))
+        stream = self.platform.inbound(list(self.topic_keywords.topic_of))
         pending: Optional[InboundItem] = None
         while True:
             if pending is None:

@@ -1,6 +1,7 @@
 """The boundary to a social platform.
 
-The port contract: post one message, consume one inbound stream that merges
+The port contract: post one message or refuse it (the one judge of a
+message's length and mentions), consume one inbound stream that merges
 the public posts matching the campaign keywords with the bot's notifications
 (replies to the bot, retweets, favorites) in timestamp order, and close the
 public half of that stream once the campaign needs no more targets. One
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .model import CampaignError, slot_init
+from .model import DEFAULT_CHAR_LIMIT, CampaignError, slot_init
 from .strategy import MESSAGE_CALL, OutboundMessage
 from .text import FoldedKeywords, match_keyword
 
@@ -44,7 +45,7 @@ class PlatformRejected(CampaignError):
 
 @dataclass(frozen=True)
 class PlatformCapabilities:
-    char_limit: int = 140
+    char_limit: int = DEFAULT_CHAR_LIMIT
     max_mentions_per_message: int = 3
     supports_favorites: bool = True
 
@@ -91,7 +92,10 @@ class Platform(ABC):
     @abstractmethod
     def post(self, message: OutboundMessage) -> str:
         """Deliver one outbound message, at most once per idempotency key
-        (conversation, kind, turn); returns the durable message id."""
+        (conversation, kind, turn); returns the durable message id. Raises
+        ``PlatformRejected`` for a message over the adapter's limits, which
+        only it can apply: a live platform counts length its own way
+        (Twitter weights URLs and CJK characters, say)."""
 
     @abstractmethod
     def inbound(self, keywords: Sequence[str]) -> Iterator[InboundItem]:

@@ -3,7 +3,10 @@
 Everything here is stateless given its inputs; randomness comes in through
 the caller's rng so determinism stays the caller's choice. Mention formatting
 (the '@' sigil) comes from the text module, which also parses mentions back
-out of logged calls, so templates remain platform-neutral.
+out of logged calls, so templates remain platform-neutral. Composing is pure
+formatting and never fails: what a message may be (its length, its mentions)
+is the platform's to judge when it is posted, since only the adapter knows
+how its platform counts.
 """
 
 from __future__ import annotations
@@ -14,14 +17,10 @@ from enum import Enum
 from typing import Collection, Optional, Sequence
 
 from .model import (
-    EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, EVENT_OUTBOUND_QUOTE, CampaignError,
+    EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, EVENT_OUTBOUND_QUOTE,
     StrategyId, StrategySpec, slot_init,
 )
 from .text import format_mentions
-
-
-class TemplateOverflow(CampaignError):
-    """A template expanded past the platform character limit."""
 
 
 class MessageKind(str, Enum):
@@ -54,21 +53,14 @@ class OutboundMessage:
     turn: int = 0
 
 
-def expand_template(
-    template: str, *, topic: str, members: Sequence[str], char_limit: int
-) -> str:
+def expand_template(template: str, *, topic: str, members: Sequence[str]) -> str:
     """Fill ``{topic}``/``{mentions}`` placeholders, prepending mentions when
     the template does not place them itself."""
     mention_block = format_mentions(members)
     if "{mentions}" in template:
-        text = template.format(topic=topic, mentions=mention_block)
-    else:
-        text = f"{mention_block} {template.format(topic=topic)}" if mention_block else template.format(topic=topic)
-    if len(text) > char_limit:
-        raise TemplateOverflow(
-            f"expanded to {len(text)} characters, limit is {char_limit}: {text!r}"
-        )
-    return text
+        return template.format(topic=topic, mentions=mention_block)
+    text = template.format(topic=topic)
+    return f"{mention_block} {text}" if mention_block else text
 
 
 def _compose_turn(
@@ -80,7 +72,6 @@ def _compose_turn(
     *,
     conversation_id: str,
     turn: int,
-    char_limit: int,
 ) -> list[OutboundMessage]:
     """One message per unit of the strategy budget: the turn's own message,
     plus the solidarity quote when the strategy sends two tweets per turn."""
@@ -91,7 +82,7 @@ def _compose_turn(
     return [
         OutboundMessage(
             part_kind,
-            expand_template(part_template, topic=topic, members=members, char_limit=char_limit),
+            expand_template(part_template, topic=topic, members=members),
             mentions, spec.id, topic, conversation_id, turn,
         )
         for part_kind, part_template in parts
@@ -104,18 +95,10 @@ def compose_call(
     members: Sequence[str],
     *,
     conversation_id: str,
-    char_limit: int = 140,
 ) -> list[OutboundMessage]:
     """Compose the call to action for a freshly formed group (turn 0)."""
     return _compose_turn(
-        spec,
-        MESSAGE_CALL,
-        spec.call_to_action,
-        topic,
-        members,
-        conversation_id=conversation_id,
-        turn=0,
-        char_limit=char_limit,
+        spec, MESSAGE_CALL, spec.call_to_action, topic, members, conversation_id=conversation_id, turn=0
     )
 
 
@@ -142,18 +125,10 @@ def compose_followup(
     *,
     conversation_id: str,
     turn: int,
-    char_limit: int = 140,
 ) -> list[OutboundMessage]:
-    """Compose the follow-up question at ``index`` for the addressed members."""
-    if index < 0 or index >= len(spec.followups):
-        raise IndexError(f"follow-up index {index} out of range for {spec.id}")
+    """Compose the follow-up question at ``index`` (one that
+    :func:`select_followup` drew) for the addressed members."""
     return _compose_turn(
-        spec,
-        MESSAGE_FOLLOWUP,
-        spec.followups[index],
-        topic,
-        members,
-        conversation_id=conversation_id,
-        turn=turn,
-        char_limit=char_limit,
+        spec, MESSAGE_FOLLOWUP, spec.followups[index], topic, members,
+        conversation_id=conversation_id, turn=turn,
     )

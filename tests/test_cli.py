@@ -219,6 +219,24 @@ def test_keyterms_rejects_a_top_fraction_outside_zero_to_one(tmp_path, capsys, t
         )
 
 
+@pytest.mark.parametrize("side", [0, 1], ids=["responders", "non-responders"])
+def test_keyterms_with_fewer_than_two_histories_on_a_side_exits_one(tmp_path, capsys, side):
+    outdir = tmp_path / "fixtures"
+    assert main(["fixtures", "--out", str(outdir)]) == 0
+    capsys.readouterr()
+    log, history = outdir / "reference.log", outdir / "history"
+    # Keep one history of the side, and every history of the other.
+    users = cli._split_responders(eventlog.read_events(str(log)))[side]
+    kept = [history / f"{user}.txt" for user in users if (history / f"{user}.txt").exists()]
+    assert len(kept) >= 2
+    for path in kept[1:]:
+        path.unlink()
+    assert main(["keyterms", "--log", str(log), "--history", str(history)]) == 1
+    assert capsys.readouterr() == (
+        "", "need history files for at least two responders and two non-responders\n"
+    )
+
+
 def test_resume_cli(tmp_path, capsys):
     path = _write_config(tmp_path)
     whole, out = tmp_path / "whole.log", tmp_path / "run.log"
@@ -230,6 +248,20 @@ def test_resume_cli(tmp_path, capsys):
     assert main(["resume", "--log", str(out), "--config", str(path), "--seed", "12"]) == 0
     assert out.read_bytes() == whole.read_bytes()
     assert capsys.readouterr().out == f"log {out} now holds {len(eventlog.read_events(str(whole)))} events\n"
+
+
+def test_resume_with_a_config_that_violates_an_invariant_exits_one(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    out = tmp_path / "run.log"
+    assert main(["run", "--config", str(path), "--seed", "12", "--out", str(out), "--max-hours", "0.5"]) == 0
+    cut = out.read_bytes()
+    capsys.readouterr()
+    invalid = model.replace(model.load_config(str(path)), group_size=0)
+    invalid = _write_config(tmp_path, invalid, "invalid.yaml")
+    assert main(["resume", "--log", str(out), "--config", str(invalid), "--seed", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "group_size" in captured.err
+    assert out.read_bytes() == cut
 
 
 def test_resume_on_another_seed_exits_two_naming_the_seq(tmp_path, capsys):

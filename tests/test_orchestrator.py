@@ -412,7 +412,8 @@ _SEED21 = small_sim_config(seed=21, groups=3, population=500)
 # More runs whose live state must equal the replay of their log, each with
 # the posts the platform rejects, if any; the seed-5 campaign is checked by
 # test_replay_reconstructs_records. A rejected or an overflowing follow-up
-# draws a question that the log never asks.
+# draws a question that the log never asks; the platform refuses the
+# overflowing one, so both log a follow-up's abort.
 LIVE_RUNS = {
     "seed21": (_SEED21, None),
     "partial60": (
@@ -447,11 +448,13 @@ def test_live_state_equals_replay_of_its_log(name, tmp_path):
     aborts = [e for e in events if e.kind is EventKind.ABORT]
     aborted = {user for e in aborts for user in e.members or ()}
     assert {user for record in replayed.records.values() for user in record.members} == called | aborted
-    assert bool(aborts) is (rejects is not None)
+    assert bool(aborts) is (rejects is not None or name == "followup-overflow")
     # An abort names the group exactly when it stands for a call.
     assert all(bool(e.members) is (e.conversation_id not in members) for e in aborts)
-    if name == "followup-rejected":
+    if name.startswith("followup-"):
         assert all(e.members is None for e in aborts)  # a follow-up's abort names no group
+    if name == "followup-overflow":
+        assert all(e.text.startswith("platform rejected Followup: message is 2") for e in aborts)
     assert any(record.used_followups for record in replayed.records.values())
 
 
@@ -462,6 +465,63 @@ def _edited(platform, edit):
     # restarts after a post keeps yielding through it.
     platform.inbound = lambda keywords: map(edit, inbound(keywords))
     return platform
+
+
+def _long_handles(platform):
+    """The platform, with every inbound author padded to 15 characters, the
+    longest handle Twitter allows. The population knows no padded handle, so
+    no one reacts to a call."""
+    return _edited(platform, lambda item: replace(item, author=item.author.ljust(15, "_")))
+
+
+def test_a_call_too_long_to_post_aborts_its_group_and_the_run_goes_on(tmp_path):
+    # Three 15-character handles push the loss and gain calls past 140
+    # characters: composing them succeeds, the platform refuses them, and
+    # each is logged as the abort of its group.
+    out = tmp_path / "campaign.log"
+    with EventLogWriter(str(out)) as writer:
+        orchestrator = Orchestrator(_SEED21, _long_handles(build_simulated_platform(_SEED21)), writer)
+        orchestrator.run()
+    events = validate_events(read_events(str(out)))
+    assert events == writer.events
+    assert Counter(e.kind for e in events) == {
+        EventKind.OUTBOUND_CALL: 12, EventKind.OUTBOUND_QUOTE: 6, EventKind.ABORT: 12,
+    }
+    aborts = [e for e in events if e.kind is EventKind.ABORT]
+    assert {e.strategy for e in aborts} == {"loss", "gain"}
+    assert all(len(e.members) == 3 and all(len(m) == 15 for m in e.members) for e in aborts)
+    assert all(e.text.startswith("platform rejected Call: message is 1") for e in aborts)
+    assert replace(replay(events), report=None) == orchestrator.state
+    whole = out.read_bytes()
+    out.write_bytes(whole[: len(whole) // 2])
+    run_campaign(_SEED21, _long_handles(build_simulated_platform(_SEED21)), str(out), resume=True)
+    assert out.read_bytes() == whole
+
+
+def test_a_reply_or_a_retweet_toward_an_unknown_message_is_ignored(tmp_path, caplog):
+    # The first reply and the first retweet name a message the bot never
+    # posted: neither is logged, each is warned about, and the run goes on.
+    edited = {}
+
+    def edit(item):
+        if item.kind in (ItemKind.REPLY_TO_BOT, ItemKind.RETWEET) and item.kind not in edited:
+            item = edited[item.kind] = replace(item, in_reply_to="m9999999")
+        return item
+
+    out = tmp_path / "campaign.log"
+    with EventLogWriter(str(out)) as writer:
+        orchestrator = Orchestrator(_SEED21, _edited(build_simulated_platform(_SEED21), edit), writer)
+        orchestrator.run()
+    assert set(edited) == {ItemKind.REPLY_TO_BOT, ItemKind.RETWEET}
+    events = validate_events(read_events(str(out)))
+    assert events == writer.events
+    logged = {e.message_id for e in events}
+    assert not any(item.message_id in logged for item in edited.values())
+    reply, retweet = edited[ItemKind.REPLY_TO_BOT], edited[ItemKind.RETWEET]
+    assert f"reply {reply.message_id} references unknown conversation; ignored" in caplog.messages
+    assert f"Retweet toward unknown message {retweet.in_reply_to}; ignored" in caplog.messages
+    assert replace(replay(events), report=None) == orchestrator.state
+    assert orchestrator.buffers.oldest() is None and len(orchestrator.schedule) == 0
 
 
 def _surrogate_replies(platform):

@@ -1,11 +1,8 @@
 import random
 
-import pytest
-
-from campaignkit import fixtures
+from campaignkit import fixtures, model
 from campaignkit.strategy import (
     MessageKind,
-    TemplateOverflow,
     compose_call,
     compose_followup,
     select_followup,
@@ -87,10 +84,14 @@ def test_solidarity_followup_sends_two_tweets():
         assert msgs[1].kind is MessageKind.QUOTE
 
 
-def test_template_overflow():
-    long_members = tuple(f"user{i:02d}extremelylonghandle" for i in range(3))
-    with pytest.raises(TemplateOverflow):
-        compose_call(SPECS["loss"], "corruption", long_members, conversation_id="c1", char_limit=100)
+def test_a_mentions_placeholder_places_the_block_where_it_stands():
+    spec = model.replace(SPECS["direct"], call_to_action="Hey {mentions}, talk {topic}?")
+    config = fixtures.default_config()
+    config = model.replace(config, strategies=tuple(spec if s.id == spec.id else s for s in config.strategies))
+    assert model.validate_config(config) == []
+    msgs = compose_call(spec, "corruption", MEMBERS, conversation_id="c1")
+    # No block is prepended: the text starts with the template's own words.
+    assert msgs[0].text == "Hey @ana @beto @carla, talk corruption?"
 
 
 def test_select_followup_exhaustion():
