@@ -2,8 +2,10 @@
 
 Subcommands: run, resume, report, keyterms, validate, fixtures. run and
 resume drive the campaign against the simulated platform; resume re-runs it
-from the start with the interrupted run's --config and --seed, checking it
-against the log, and --max-hours counts from the campaign start. Exit codes:
+from the start with the interrupted run's --config and --seed into a new
+file, and replaces the log with it only if its bytes begin with the log's
+complete lines, so a failed resume leaves the log as it was. --max-hours
+counts from the campaign start. Exit codes:
 0 success; 1 a violated config invariant (or too few key-term histories);
 2 a config that does not decode, simulation subtree included, or another
 runtime error such as an invalid log. All output is deterministic under a
@@ -192,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     resume = sub.add_parser(
-        "resume", help="re-run an interrupted run from its start, checking and then appending to its log"
+        "resume", help="re-run an interrupted run from its start; replace its log if the new one extends it"
     )
     resume.add_argument("--log", required=True)
     resume.add_argument("--config", required=True, help="the interrupted run's config")

@@ -42,10 +42,12 @@ against change (its mutators raise ``TypeError``, events are frozen) that
 carries the state. Only a read log's state carries ``report``.
 :func:`replay`, :func:`conversation_members`, :func:`volunteer_replies`,
 ``simulator.derive_labels`` and ``analytics.compute_metrics`` read the state
-of a sealed log without walking it, and validate a plain list first. A
-resumed run does not fold its log: it runs again from the start, and its
-:class:`EventLogWriter` checks the events it re-produces against the log
-before it appends.
+of a sealed log without walking it, and validate a plain list first.
+
+The log has one writer mode: :class:`EventLogWriter` creates its file and
+appends to it, and nothing truncates a log. A resume reads no events: it
+runs afresh into a new file, which replaces the log only if its bytes begin
+with the old log's complete lines (see ``orchestrator.run_campaign``).
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 import orjson
 
@@ -158,42 +160,31 @@ def record_to_event(record: dict) -> CampaignEvent:
 
 
 class EventLogWriter:
-    """Append-only writer; fsyncs every block of records and on close.
+    """The log's one writer: it creates the file afresh and appends to it,
+    fsyncing every block of records and on close. A resume writes a new
+    file through one too, and keeps it only if it extends the old log.
 
     A None path keeps the events in memory only (handy for property tests).
-    While ``replaying`` the events already ``logged``, each append must equal
-    the next of them, or :class:`MalformedLog` names its seq; nothing is
-    written until all are re-produced. ``events`` holds them too.
+    ``events`` holds every event appended.
     """
 
-    def __init__(self, path: Optional[str], append: bool = False, logged: Sequence[CampaignEvent] = ()):
-        self.path = path
-        self._fh: Optional[IO[bytes]] = open(path, "ab" if append else "wb") if path is not None else None
+    def __init__(self, path: Optional[str]):
+        self._fh: Optional[IO[bytes]] = open(path, "wb") if path is not None else None
         self._since_sync = 0
         self.events: list[CampaignEvent] = []
-        self._logged = logged
-        self.replaying = bool(logged)
 
     def append(self, event: CampaignEvent, fold: Optional[Callable[[CampaignEvent], None]] = None) -> None:
-        """Log the event. While replaying, it is checked against the log;
-        otherwise :func:`format_event` encodes it first, with or without a
-        path, and raises ValueError if its ``seq``, ``ts`` or ``q`` lies
-        outside [-2**63, 2**64 - 1] or one of its strings holds a lone
+        """Log the event. :func:`format_event` encodes it first, with or
+        without a path, and raises ValueError if its ``seq``, ``ts`` or ``q``
+        lies outside [-2**63, 2**64 - 1] or one of its strings holds a lone
         surrogate. Then ``fold(event)`` is called, if given, and only then is
-        the event kept and written: one that the check, the encoder or
-        ``fold`` refuses is none of these."""
-        if self.replaying:
-            logged = self._logged[len(self.events)]
-            if event != logged:
-                raise MalformedLog(f"resume diverged at seq {logged.seq}")
-        else:
-            line = format_event(event)
+        the event kept and written: one that the encoder or ``fold`` refuses
+        is neither."""
+        line = format_event(event)
         if fold is not None:
             fold(event)
         self.events.append(event)
-        if self.replaying:
-            self.replaying = len(self.events) < len(self._logged)
-        elif self._fh is not None:
+        if self._fh is not None:
             self._fh.write(line + b"\n")
             self._since_sync += 1
             if self._since_sync >= _FSYNC_BLOCK:
@@ -266,25 +257,6 @@ def _too_deep(line: str) -> bool:
 
 def read_events(path: str) -> list[CampaignEvent]:
     return list(iter_events(path))
-
-
-def drop_torn_tail(path: str) -> int:
-    """Cut an unterminated final line off the log; return the bytes cut.
-
-    A crash inside an append can leave the last line without its newline.
-    Only that one line is dropped, so the file ends at its last newline and
-    new appends start on a fresh line; a bad line anywhere else still makes
-    :func:`read_events` raise :class:`MalformedLog`.
-    """
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        keep = data.rfind(b"\n") + 1
-        if keep == len(data):
-            return 0
-        fh.truncate(keep)
-        fh.flush()
-        os.fsync(fh.fileno())
-    return len(data) - keep
 
 
 def conversation_members(events: Iterable[CampaignEvent]) -> dict[str, tuple[str, ...]]:

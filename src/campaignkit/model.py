@@ -50,6 +50,8 @@ from typing import IO, Any, Mapping, Optional, TypeVar, Union
 
 import yaml
 
+from .text import fold
+
 
 class CampaignError(Exception):
     """Base class for all errors raised by this package."""
@@ -415,11 +417,18 @@ def validate_config(config: CampaignConfig) -> list[Violation]:
 
     if not config.topics:
         violations.append(Violation("topics", "at least one topic is required"))
+    seen_topics: set[str] = set()
     for i, topic in enumerate(config.topics):
         if not topic.keywords:
             violations.append(Violation(f"topics[{i}].keywords", "must be non-empty"))
+        for j, keyword in enumerate(topic.keywords):
+            if not fold(keyword).strip():  # matched folded, it would match every post
+                violations.append(Violation(f"topics[{i}].keywords[{j}]", "must not be blank"))
         if not topic.name:
             violations.append(Violation(f"topics[{i}].name", "must be non-empty"))
+        elif topic.name in seen_topics:  # two topics of one name share one quota
+            violations.append(Violation(f"topics[{i}].name", f"duplicate topic name {topic.name!r}"))
+        seen_topics.add(topic.name)
 
     if not config.strategies:
         violations.append(Violation("strategies", "at least one strategy is required"))
@@ -443,7 +452,12 @@ def validate_config(config: CampaignConfig) -> list[Violation]:
                 )
             )
         for name, template in _iter_templates(spec):
-            for placeholder in _unknown_placeholders(template):
+            try:
+                unknown = _unknown_placeholders(template)
+            except ValueError as exc:
+                violations.append(Violation(f"{prefix}.{name}", f"malformed template ({exc})"))
+                continue
+            for placeholder in unknown:
                 violations.append(
                     Violation(f"{prefix}.{name}", f"unknown placeholder {{{placeholder}}}")
                 )

@@ -13,10 +13,12 @@ carries no ``report``, since the report's indices are folded where the log
 is read. A reply's text is logged with U+FFFD in place of each lone
 surrogate, which UTF-8 cannot encode; a post, reply or interaction whose
 author's handle holds one is ignored, since a handle is an identity. A
-resume runs the same path from the start on a platform rebuilt from the
-seed, so every state comes back and the joined log is the uninterrupted one. A ``max_hours`` deadline
-stops the loop and flushes nothing: the cut log is a byte prefix of the
-uninterrupted log, without the calls not yet posted.
+resume is a fresh run from the start on a platform rebuilt from the seed,
+written to a new file, so every state comes back; its bytes must begin with
+the old log's complete lines, and only then does the new file replace the
+log. A ``max_hours`` deadline stops the loop and flushes nothing: the cut
+log is a byte prefix of the uninterrupted log, without the calls not yet
+posted.
 
 Dispatch discipline: admitted targets are assigned arms through shuffled
 permutation blocks (one occurrence of each arm per block), buffered per
@@ -48,13 +50,15 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from . import strategy as strategy_mod
-from .eventlog import CampaignState, EventLogWriter, MalformedLog, drop_torn_tail, read_events
+from .eventlog import CampaignState, EventLogWriter, MalformedLog
 from .model import (
     BOT_ACTOR, EVENT_ABORT, EVENT_FAVORITE, EVENT_INBOUND_REPLY, EVENT_RETWEET, TARGET_BOT,
     TARGET_VOLUNTEER, CampaignConfig, CampaignError, CampaignEvent, StrategyId, slot_init,
@@ -472,8 +476,8 @@ class Orchestrator:
     def run(self, max_hours: Optional[float] = None) -> None:
         """Run until nothing is buffered, ready or scheduled, and then either
         the stream has stopped or, on a stream that never stops, the drain
-        window has passed; or stop at the first item or timeout ``max_hours``
-        past the start, flushing nothing."""
+        window has passed; or stop before the first send, item or timeout
+        later than ``max_hours`` past the start, flushing nothing."""
         deadline = None if max_hours is None else self.now + int(max_hours * 3_600_000)
         stream = self.platform.inbound(list(self.topic_keywords.topic_of))
         pending: Optional[InboundItem] = None
@@ -481,32 +485,32 @@ class Orchestrator:
             if pending is None:
                 # Asked again after each dispatch: a post may restart a stopped stream.
                 pending = next(stream, None)
-            due = self.schedule.peek_due()
-            if due is not None and (pending is None or due <= pending.timestamp):
-                due, send = self.schedule.pop()
-                self._dispatch(due, send)
-            else:
-                # Next comes the pending item or, once the stream has stopped,
-                # the timeout of a group still waiting, so that it goes out
-                # then and its reactions are read.
+            # Next comes a scheduled send, the pending item or, once the
+            # stream has stopped, the timeout of a group still waiting, so
+            # that it goes out then and its reactions are read.
+            next_ts = self.schedule.peek_due()
+            sending = next_ts is not None and (pending is None or next_ts <= pending.timestamp)
+            if not sending:
                 next_ts = self._stale_deadline if pending is None else pending.timestamp
                 if next_ts == _NO_DEADLINE:
                     return  # the stream stopped with nothing scheduled or waiting
-                if deadline is not None and next_ts > deadline:
+            if deadline is not None and next_ts > deadline:
+                return
+            if sending:
+                self._dispatch(*self.schedule.pop())
+            elif pending is None:
+                self.now = next_ts
+                self.platform.advance_to(next_ts)
+            else:
+                item, pending = pending, None
+                if self._drained(next_ts):
                     return
-                if pending is None:
+                if next_ts > self.now:
                     self.now = next_ts
-                    self.platform.advance_to(next_ts)
+                if item.kind is ITEM_PUBLIC_POST:
+                    self._handle_public(item)
                 else:
-                    item, pending = pending, None
-                    if self._drained(next_ts):
-                        return
-                    if next_ts > self.now:
-                        self.now = next_ts
-                    if item.kind is ITEM_PUBLIC_POST:
-                        self._handle_public(item)
-                    else:
-                        self._handle_notification(item)
+                    self._handle_notification(item)
             if self.now >= self._stale_deadline:
                 self._flush_stale()
 
@@ -555,30 +559,57 @@ def run_campaign(
 ) -> list[CampaignEvent]:
     """Drive a full campaign and return the events of the log at ``out_path``.
 
-    With ``resume`` the run continues that log. A torn final line left by a
-    crash is dropped (with a warning), the rest is read, and the campaign is
-    re-executed from its start on ``platform``, which must be ``replayable``
-    (or ``CampaignError`` is raised before the log is touched) and built
-    afresh from the interrupted run's config and seed. Events the log already
-    holds are checked, not written; the run raises ``MalformedLog`` if one
-    differs, or if it stops before it has re-produced them all (a
-    ``max_hours`` that ends before the cut, say). ``max_hours`` counts from
-    the campaign start.
+    ``max_hours`` counts from the campaign start; one that is not a finite
+    number at least 0 raises ``CampaignError`` before any file is opened.
+    With ``resume`` the run continues that log: ``platform`` must be
+    ``replayable`` (or ``CampaignError`` is raised before the log is read)
+    and built afresh from the interrupted run's config and seed. The
+    campaign runs again from its start into ``<out_path>.resume``, and that
+    file replaces the log only if its bytes begin with the log's complete
+    lines; a torn final line left by a crash is not kept (with a warning).
+    Otherwise the new file is removed and ``MalformedLog`` names the seq
+    where the run diverged, or the first seq it did not reach (a
+    ``max_hours`` that ends before the cut, say). A failed resume leaves
+    the log as it was.
     """
-    logged: list[CampaignEvent] = []
-    if resume:
-        if not platform.replayable:
-            raise CampaignError(
-                f"cannot resume on {type(platform).__name__}: it does not replay its stream"
-            )
-        torn = drop_torn_tail(out_path)
-        if torn:
-            logger.warning("dropped a torn final line (%d bytes) from %s", torn, out_path)
-        logged = read_events(out_path)
-    with EventLogWriter(out_path, append=resume, logged=logged) as writer:
-        Orchestrator(config, platform, writer).run(max_hours=max_hours)
-        if writer.replaying:
-            raise MalformedLog(
-                f"resume stopped before seq {logged[len(writer.events)].seq} of the log"
-            )
-        return list(writer.events)
+    # Checked in milliseconds, as the loop counts: hours whose milliseconds
+    # overflow a float are refused too.
+    if max_hours is not None and not 0 <= max_hours * 3_600_000 < math.inf:
+        raise CampaignError(f"max_hours must be a finite number of hours, at least 0: got {max_hours}")
+    if not resume:
+        with EventLogWriter(out_path) as writer:
+            Orchestrator(config, platform, writer).run(max_hours=max_hours)
+        return writer.events
+    if not platform.replayable:
+        raise CampaignError(
+            f"cannot resume on {type(platform).__name__}: it does not replay its stream"
+        )
+    with open(out_path, "rb") as fh:
+        logged = fh.read()
+    kept = logged[: logged.rfind(b"\n") + 1]
+    if len(kept) < len(logged):
+        logger.warning("ignoring a torn final line (%d bytes) of %s", len(logged) - len(kept), out_path)
+    resumed = out_path + ".resume"
+    try:
+        events = run_campaign(config, platform, resumed, max_hours=max_hours)
+        with open(resumed, "rb") as fh:
+            written = fh.read()
+        if not written.startswith(kept):
+            if kept.startswith(written):
+                raise MalformedLog(f"resume stopped before seq {len(events) + 1} of the log")
+            # Line i of a log holds seq i, so the first line that differs
+            # names the seq where the runs part.
+            lines = zip(written.split(b"\n"), kept.split(b"\n"))
+            seq = next(i for i, (new, old) in enumerate(lines, start=1) if new != old)
+            raise MalformedLog(f"resume diverged at seq {seq}")
+    except BaseException:
+        if os.path.exists(resumed):
+            os.remove(resumed)
+        raise
+    os.replace(resumed, out_path)
+    directory = os.open(os.path.dirname(os.path.abspath(out_path)), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+    return events

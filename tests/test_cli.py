@@ -297,6 +297,30 @@ def test_resume_on_a_platform_that_does_not_replay_exits_two(tmp_path, capsys, m
     assert posted == [] and out.read_bytes() == cut
 
 
+@pytest.mark.parametrize("hours", ["nan", "inf", "-1"])
+def test_a_max_hours_that_is_not_a_finite_number_at_least_0_exits_two(hours, tmp_path, capsys):
+    path = _write_config(tmp_path)
+    log = tmp_path / "run.log"
+    log.write_bytes(b"an existing log\n")
+    for command in (["run", "--out", str(log)], ["resume", "--log", str(log)]):
+        assert main(command + ["--config", str(path), "--seed", "12", "--max-hours", hours]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: max_hours must be a finite number of hours, at least 0: got {float(hours)}\n"
+        )
+        assert log.read_bytes() == b"an existing log\n"
+        assert not (tmp_path / "run.log.resume").exists()
+
+
+def test_validate_reports_a_malformed_template_with_exit_one(tmp_path, capsys):
+    config = small_sim_config()
+    spec = model.replace(config.strategies[0], call_to_action="Join us { now {mentions}")
+    path = _write_config(tmp_path, model.replace(config, strategies=(spec,) + config.strategies[1:]))
+    assert main(["validate", "--config", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "strategies[0].call_to_action: malformed template (unexpected '{' in field name)\n", ""
+    )
+
+
 def test_bad_log_is_a_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.log"
     bad.write_text("not json\n")
@@ -309,11 +333,13 @@ def test_a_log_that_is_not_utf8_exits_two_naming_its_line(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--seed", "12", "--out", str(log), "--max-hours", "0.5"]) == 0
     first, second, rest = log.read_bytes().split(b"\n", 2)
     log.write_bytes(b"\n".join([first, second.replace(b"BOT", b"B\xffT"), rest]))
+    bad = log.read_bytes()
     capsys.readouterr()
     resume = ["resume", "--config", str(path), "--seed", "12"]
-    for command in (["report"], resume):
+    for command, error in ((["report"], "line 2: not valid UTF-8"), (resume, "resume diverged at seq 2")):
         assert main(command + ["--log", str(log)]) == 2
-        assert capsys.readouterr().err == "error: line 2: not valid UTF-8\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert log.read_bytes() == bad
 
 
 def test_keyterms_rejects_a_log_that_does_not_validate(tmp_path, capsys):

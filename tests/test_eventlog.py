@@ -153,44 +153,6 @@ def test_file_round_trip(tmp_path, reference_log):
     assert read_events(str(path)) == reference_log
 
 
-def test_writer_append_mode(tmp_path):
-    path = tmp_path / "log.jsonl"
-    write_events([_call(1)], str(path))
-    with EventLogWriter(str(path), append=True) as writer:
-        writer.append(_reply(2))
-    events = read_events(str(path))
-    assert [e.seq for e in events] == [1, 2]
-
-
-def test_writer_checks_the_logged_events_then_appends(tmp_path):
-    path = tmp_path / "log.jsonl"
-    logged = [_call(1), _reply(2)]
-    write_events(logged, str(path))
-    before = path.read_bytes()
-    with EventLogWriter(str(path), append=True, logged=logged) as writer:
-        for event in logged:
-            assert writer.replaying
-            writer.append(replace(event))  # equal, not the same object
-        assert not writer.replaying
-        assert path.read_bytes() == before  # re-produced events are not written again
-        writer.append(_reply(3, actor="b"))
-    assert read_events(str(path)) == logged + [_reply(3, actor="b")]
-    assert writer.events == read_events(str(path))
-
-
-def test_writer_raises_at_the_first_event_that_differs_from_the_log(tmp_path):
-    path = tmp_path / "log.jsonl"
-    logged = [_call(1), _reply(2), _reply(3, actor="b")]
-    write_events(logged, str(path))
-    before = path.read_bytes()
-    with EventLogWriter(str(path), append=True, logged=logged) as writer:
-        writer.append(logged[0])
-        with pytest.raises(MalformedLog, match="resume diverged at seq 2$"):
-            writer.append(replace(logged[1], text="another idea"))
-        assert writer.replaying
-    assert path.read_bytes() == before
-
-
 def test_reference_log_validates(reference_log):
     assert validate_events(reference_log) == list(reference_log)
 

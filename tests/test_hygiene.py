@@ -13,7 +13,9 @@ conversation record's fields; and nothing in src/ but
 state carries none; every defaulted parameter of a function in src/ is
 passed by some call in src/, tests/ or perfbench/; and every field of a
 dataclass in src/ that is not a ``FieldCodec`` is read by name somewhere in
-src/.
+src/; and nothing in src/ opens a file in a mode that appends or updates
+(one holding ``a`` or ``+``) or calls ``truncate``, so the log has one
+writer mode.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -22,6 +24,7 @@ checked.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -754,5 +757,57 @@ def test_no_record_field_in_src_is_write_only():
         f"{path.relative_to(ROOT)}:{line}: {field}"
         for path, source in sources.items()
         for line, field in write_only_fields(source, read)
+    ]
+    assert offenders == []
+
+
+# One writer mode: a file is read, or written afresh from its start. A log
+# is never extended or cut in place; a resume writes a new file and
+# replaces the log with it.
+MODE = re.compile("[rwxabt+]+")
+
+
+def in_place_writes(source: str) -> list[tuple[int, str]]:
+    """(line, what) of each ``open`` call, bare or as a method, given a
+    string that reads as a mode holding ``a`` or ``+`` (positionally, in any
+    branch of an expression, or as ``mode=``), and of each ``truncate`` call."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name == "truncate":
+            found.add((node.lineno, "truncate"))
+        elif name == "open":
+            arguments = node.args + [k.value for k in node.keywords if k.arg == "mode"]
+            for sub in (sub for arg in arguments for sub in ast.walk(arg)):
+                mode = sub.value if isinstance(sub, ast.Constant) else None
+                if isinstance(mode, str) and MODE.fullmatch(mode) and ("a" in mode or "+" in mode):
+                    found.add((node.lineno, f"open {mode!r}"))
+    return sorted(found)
+
+
+def test_in_place_writes_are_detected():
+    source = (
+        "import os\n"
+        "fh = open(path, 'ab' if append else 'wb')\n"
+        "with open(path, 'rb+') as fh:\n"
+        "    fh.truncate(keep)\n"
+        "Path(path).open('a')\n"
+        "open(path, mode='w+', encoding='utf-8')\n"
+        "open(path, 'rb'), open('a.log', 'w'), open(path)\n"
+        "os.open(directory, os.O_RDONLY)\n"
+        "os.truncate(path, 0)\n"
+    )
+    assert in_place_writes(source) == [
+        (2, "open 'ab'"), (3, "open 'rb+'"), (4, "truncate"), (5, "open 'a'"), (6, "open 'w+'"), (9, "truncate"),
+    ]
+
+
+def test_the_log_has_one_writer_mode():
+    offenders = [
+        f"{path.relative_to(ROOT)}:{line}: {what}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, what in in_place_writes(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []

@@ -79,12 +79,32 @@ VIOLATIONS = {
     "empty-topic-name": (
         replace(_DEFAULT, topics=(replace(_DEFAULT.topics[0], name=""),) + _DEFAULT.topics[1:]), "topics[0].name"
     ),
+    "duplicate-topic-name": (
+        replace(_DEFAULT, topics=(_DEFAULT.topics[0], replace(_DEFAULT.topics[1], name=_DEFAULT.topics[0].name))),
+        "topics[1].name",
+    ),
+    "empty-keyword": (
+        replace(_DEFAULT, topics=(replace(_DEFAULT.topics[0], keywords=("",)),) + _DEFAULT.topics[1:]),
+        "topics[0].keywords[0]",
+    ),
+    "whitespace-keyword": (
+        replace(_DEFAULT, topics=(replace(_DEFAULT.topics[0], keywords=("corrupcion", " \t")),) + _DEFAULT.topics[1:]),
+        "topics[0].keywords[1]",
+    ),
+    "combining-mark-keyword": (  # folds to nothing
+        replace(_DEFAULT, topics=(replace(_DEFAULT.topics[0], keywords=("\u0301",)),) + _DEFAULT.topics[1:]),
+        "topics[0].keywords[0]",
+    ),
     "no-strategies": (replace(_DEFAULT, strategies=()), "strategies"),
     "empty-strategy-id": (replace(_DEFAULT, strategies=(replace(_DIRECT, id=""),)), "strategies[0].id"),
     "duplicate-strategy-id": (replace(_DEFAULT, strategies=(_DIRECT, _DIRECT)), "strategies[1].id"),
     "no-followups": (replace(_DEFAULT, strategies=(replace(_DIRECT, followups=()),)), "strategies[0].followups"),
     "three-messages-per-turn": (
         replace(_DEFAULT, strategies=(replace(_DIRECT, messages_per_turn=3),)), "strategies[0].messages_per_turn"
+    ),
+    "malformed-template": (
+        replace(_DEFAULT, strategies=(replace(_DIRECT, call_to_action="Join us { now {mentions}"),)),
+        "strategies[0].call_to_action",
     ),
 }
 
@@ -93,6 +113,18 @@ VIOLATIONS = {
 def test_each_violation_names_its_field(name):
     config, field = VIOLATIONS[name]
     assert [violation.field for violation in validate_config(config)] == [field]
+
+
+def test_topic_and_template_violations_say_what_is_wrong():
+    messages = {
+        name: [str(violation) for violation in validate_config(VIOLATIONS[name][0])]
+        for name in ("duplicate-topic-name", "empty-keyword", "malformed-template")
+    }
+    assert messages == {
+        "duplicate-topic-name": ["topics[1].name: duplicate topic name 'corruption'"],
+        "empty-keyword": ["topics[0].keywords[0]: must not be blank"],
+        "malformed-template": ["strategies[0].call_to_action: malformed template (unexpected '{' in field name)"],
+    }
 
 
 def test_empty_keywords_rejected():

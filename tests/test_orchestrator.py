@@ -918,6 +918,56 @@ def test_resume_after_a_cut_between_out_of_order_calls(tmp_path, uninterrupted):
     assert out.read_bytes() == uninterrupted()
 
 
+# Runs that have sends scheduled just past the deadline: seed 7 four calls
+# and a quote due 3.7–12.2 s after it, seed 1 five messages due at least
+# 8.3 s after it. None of them may be posted.
+@pytest.mark.parametrize("seed, max_hours", [(7, 0.5), (1, 0.75)])
+def test_a_deadline_posts_nothing_due_after_it(seed, max_hours, tmp_path):
+    config = small_sim_config(seed=seed, groups=3, population=600)
+    start = build_simulated_platform(config).now_ms()
+    cut = _run(config, tmp_path / "cut.log", max_hours=max_hours)
+    assert cut and max(e.ts for e in cut) <= start + max_hours * 3_600_000
+    _run(config, tmp_path / "whole.log")
+    whole = (tmp_path / "whole.log").read_bytes()
+    assert len((tmp_path / "cut.log").read_bytes()) < len(whole)
+    assert whole.startswith((tmp_path / "cut.log").read_bytes())
+
+
+def _torn_on_another_seed(out):
+    with out.open("ab") as fh:
+        fh.write(b'{"seq":999,"ts":')
+    return _resumable(11), build_simulated_platform(_resumable(11)), {}, "^resume diverged at seq 1$"
+
+
+def _live_platform(out):
+    return _resumable(), _LiveStub(_posts(6)), {}, "^cannot resume on _LiveStub"
+
+
+def _deadline_before_the_cut(out):
+    return _resumable(), build_simulated_platform(_resumable()), {"max_hours": 0.1}, "^resume stopped before seq "
+
+
+def _corrupt_middle_line(out):
+    lines = out.read_bytes().split(b"\n")
+    lines[5] = lines[5].replace(b'"seq":6,', b'"seq":"6",', 1)
+    out.write_bytes(b"\n".join(lines))
+    return _resumable(), build_simulated_platform(_resumable()), {}, "^resume diverged at seq 6$"
+
+
+@pytest.mark.parametrize(
+    "failure", [_live_platform, _torn_on_another_seed, _deadline_before_the_cut, _corrupt_middle_line]
+)
+def test_a_failed_resume_leaves_its_log_untouched(failure, tmp_path):
+    out = tmp_path / "cut.log"
+    _run(_resumable(), out, max_hours=0.5)
+    config, platform, kwargs, message = failure(out)
+    before = out.read_bytes()
+    with pytest.raises(CampaignError, match=message):
+        run_campaign(config, platform, str(out), resume=True, **kwargs)
+    assert out.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cut.log"]
+
+
 @pytest.mark.parametrize("max_hours", [0.2, 1.0])
 def test_allocator_capacity_matches_assigned_at_a_deadline(max_hours):
     config = small_sim_config(seed=9, groups=2, population=800)
@@ -960,8 +1010,10 @@ def test_resume_still_rejects_a_bad_line_before_the_end(tmp_path):
     lines = out.read_bytes().split(b"\n")
     lines[3] = lines[3][:-40]
     out.write_bytes(b"\n".join(lines))
-    with pytest.raises(MalformedLog, match="line 4"):
+    bad = out.read_bytes()
+    with pytest.raises(MalformedLog, match="^resume diverged at seq 4$"):
         _run(config, out, resume=True)
+    assert out.read_bytes() == bad
 
 
 def test_resume_rejects_a_line_that_is_not_an_event(tmp_path):
@@ -969,8 +1021,10 @@ def test_resume_rejects_a_line_that_is_not_an_event(tmp_path):
     lines = out.read_bytes().split(b"\n")
     lines[3] = lines[3].replace(b'"seq":4,', b'"seq":null,', 1)
     out.write_bytes(b"\n".join(lines))
-    with pytest.raises(MalformedLog, match="line 4: not an event record"):
+    bad = out.read_bytes()
+    with pytest.raises(MalformedLog, match="^resume diverged at seq 4$"):
         _run(config, out, resume=True)
+    assert out.read_bytes() == bad
 
 
 # -- the public stream's close ------------------------------------------------------------------
