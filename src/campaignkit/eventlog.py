@@ -14,10 +14,10 @@ exactly the bytes of ``json.dumps(record, ensure_ascii=False,
 separators=(",", ":"))``. :func:`iter_events` raises :class:`MalformedLog`,
 naming the first bad line, on a line that is not valid UTF-8 (its number
 counted as the text reader splits lines, so a raw U+2028 does not end one),
-that is not a JSON object, whose ``seq``, ``ts`` or ``q`` is not an integer
-(``bool`` is not one), whose string keys hold anything but strings, whose
-``members`` is not a list of strings, or whose ``partial`` is anything but
-``true``.
+that is not a JSON object (a blank or whitespace-only one too), whose
+``seq``, ``ts`` or ``q`` is not an integer (``bool`` is not one), whose
+string keys hold anything but strings, whose ``members`` is not a list of
+strings, or whose ``partial`` is anything but ``true``.
 
 Lines are decoded by ``orjson`` too, which is stricter than the stdlib
 decoder: an integer outside [-2**63, 2**64 - 1] decodes as a float, so such
@@ -216,16 +216,13 @@ def write_events(events: Iterable[CampaignEvent], path: str) -> None:
 
 def iter_events(path: str) -> Iterator[CampaignEvent]:
     """The log's events in order; raises :class:`MalformedLog` at the first
-    bad line."""
+    bad line, a blank or whitespace-only one included."""
     # Each undecodable byte is read as a lone surrogate, so the loop reaches
     # the line that holds it and names the first bad line of any kind. A
     # strict read would fail on a whole 8 KiB chunk before yielding its first
     # line. The UTF-8 codec calls the handler only on a bad byte.
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             if len(line) > 2 * _MAX_DEPTH and _too_deep(line):
                 raise MalformedLog(f"line {lineno}: not valid JSON (nested deeper than {_MAX_DEPTH})")
             try:

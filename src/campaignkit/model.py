@@ -50,7 +50,7 @@ from typing import IO, Any, Mapping, Optional, TypeVar, Union
 
 import yaml
 
-from .text import fold
+from .text import expand_template, fold
 
 
 class CampaignError(Exception):
@@ -190,8 +190,9 @@ class StrategySpec(FieldCodec):
 
     Templates carry the named placeholders ``{topic}`` and ``{mentions}``;
     a template without ``{mentions}`` gets the mention block prepended when
-    composed. ``messages_per_turn`` is 2 exactly when a solidarity quote is
-    present (call plus quote per turn), 1 otherwise.
+    composed; :func:`validate_config` checks each by composing sample text.
+    ``messages_per_turn`` is 2 exactly when a solidarity quote is present
+    (call plus quote per turn), 1 otherwise.
     """
 
     id: StrategyId
@@ -394,7 +395,8 @@ class Violation:
 
 
 def validate_config(config: CampaignConfig) -> list[Violation]:
-    """Check every config invariant; violations are data, not failures."""
+    """Check every config invariant; violations are data, not failures. A
+    template is checked by formatting it with sample values, as composing does."""
     violations: list[Violation] = []
 
     if config.group_size < 1:
@@ -454,7 +456,9 @@ def validate_config(config: CampaignConfig) -> list[Violation]:
         for name, template in _iter_templates(spec):
             try:
                 unknown = _unknown_placeholders(template)
-            except ValueError as exc:
+                if not unknown:  # named ones only: ``{topic.upper}`` formats an address
+                    expand_template(template, topic="topic", members=("user",))
+            except (ValueError, LookupError, AttributeError, TypeError) as exc:
                 violations.append(Violation(f"{prefix}.{name}", f"malformed template ({exc})"))
                 continue
             for placeholder in unknown:

@@ -238,9 +238,6 @@ class Orchestrator:
     """Drives one campaign run against a platform adapter."""
 
     def __init__(self, config: CampaignConfig, platform: Platform, writer: EventLogWriter):
-        violations = validate_config(config)
-        if violations:
-            raise CampaignError(f"invalid config: {violations[0]}")
         self.config = config
         self.platform = platform
         self.writer = writer
@@ -293,13 +290,11 @@ class Orchestrator:
     # -- group formation --------------------------------------------------------
 
     def _handle_public(self, item: InboundItem) -> None:
-        if not self.allocator.any_capacity():
-            return  # a post that an adapter delivers after the close
         topic = match_target(item, self.topic_keywords)
         if topic is None:
             return
         if not self.allocator.has_capacity(topic):
-            return
+            return  # after the close, every topic's quotas are met
         if self.registry.admit(item.author) is DUPLICATE_REJECTED:
             return
         arm = self.allocator.assign(topic)
@@ -498,9 +493,8 @@ class Orchestrator:
                 return
             if sending:
                 self._dispatch(*self.schedule.pop())
-            elif pending is None:
+            elif pending is None:  # the platform's clock moves when a send is due
                 self.now = next_ts
-                self.platform.advance_to(next_ts)
             else:
                 item, pending = pending, None
                 if self._drained(next_ts):
@@ -559,8 +553,9 @@ def run_campaign(
 ) -> list[CampaignEvent]:
     """Drive a full campaign and return the events of the log at ``out_path``.
 
-    ``max_hours`` counts from the campaign start; one that is not a finite
-    number at least 0 raises ``CampaignError`` before any file is opened.
+    An invalid config (see ``validate_config``), or a ``max_hours`` that is
+    not a finite number at least 0, raises ``CampaignError`` before any file
+    is opened; ``max_hours`` counts from the campaign start.
     With ``resume`` the run continues that log: ``platform`` must be
     ``replayable`` (or ``CampaignError`` is raised before the log is read)
     and built afresh from the interrupted run's config and seed. The
@@ -572,6 +567,9 @@ def run_campaign(
     ``max_hours`` that ends before the cut, say). A failed resume leaves
     the log as it was.
     """
+    violations = validate_config(config)
+    if violations:
+        raise CampaignError(f"invalid config: {violations[0]}")
     # Checked in milliseconds, as the loop counts: hours whose milliseconds
     # overflow a float are refused too.
     if max_hours is not None and not 0 <= max_hours * 3_600_000 < math.inf:

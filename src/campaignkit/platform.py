@@ -149,7 +149,6 @@ class SimulatedPlatform(Platform):
         self.rng = rng
         self._now = start_ms
         self._heap: list[tuple[int, int, str, object]] = []
-        self._tiebreak = 0
         self._posted: dict[tuple, str] = {}
         self._message_counter = 0
         self._conversation_members: dict[str, tuple[str, ...]] = {}
@@ -263,14 +262,12 @@ class _SimulatedStream:
                 heapq.heappop(heap)
                 return payload  # a scheduled reaction, already an InboundItem
             # The agent's next post takes this one's place in the heap: the
-            # draws, their order and the tiebreak of a pop and a push.
+            # draws, their order and the tiebreak of a pop and a push. Only
+            # an agent with a positive post rate is queued, so it has one.
             item = population.make_public_post(payload, ts, rng)
             gap = population.next_post_gap_ms(payload, rng)
-            if gap is None:
-                heapq.heappop(heap)
-            else:
-                sim._tiebreak += 1
-                heapq.heapreplace(heap, (ts + gap, sim._tiebreak, "post", payload))
+            sim._tiebreak += 1
+            heapq.heapreplace(heap, (ts + gap, sim._tiebreak, "post", payload))
             text = item.text
             keep = self._matches.get(text)
             if keep is None:

@@ -1,12 +1,12 @@
 """Expand strategy templates into concrete outbound messages.
 
 Everything here is stateless given its inputs; randomness comes in through
-the caller's rng so determinism stays the caller's choice. Mention formatting
-(the '@' sigil) comes from the text module, which also parses mentions back
-out of logged calls, so templates remain platform-neutral. Composing is pure
-formatting and never fails: what a message may be (its length, its mentions)
-is the platform's to judge when it is posted, since only the adapter knows
-how its platform counts.
+the caller's rng so determinism stays the caller's choice. Templates and
+mentions (the '@' sigil) are formatted by the text module, which also parses
+mentions back out of logged calls, so templates remain platform-neutral.
+Composing is pure formatting and never fails: what a message may be (its
+length, its mentions) is the platform's to judge when it is posted, since
+only the adapter knows how its platform counts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .model import (
     EVENT_OUTBOUND_CALL, EVENT_OUTBOUND_FOLLOWUP, EVENT_OUTBOUND_QUOTE,
     StrategyId, StrategySpec, slot_init,
 )
-from .text import format_mentions
+from .text import expand_template
 
 
 class MessageKind(str, Enum):
@@ -51,16 +51,6 @@ class OutboundMessage:
     # Turn index within the conversation (0 = call to action, n = nth
     # follow-up); part of the platform idempotency key.
     turn: int = 0
-
-
-def expand_template(template: str, *, topic: str, members: Sequence[str]) -> str:
-    """Fill ``{topic}``/``{mentions}`` placeholders, prepending mentions when
-    the template does not place them itself."""
-    mention_block = format_mentions(members)
-    if "{mentions}" in template:
-        return template.format(topic=topic, mentions=mention_block)
-    text = template.format(topic=topic)
-    return f"{mention_block} {text}" if mention_block else text
 
 
 def _compose_turn(

@@ -103,6 +103,16 @@ def format_mentions(user_ids: Sequence[str]) -> str:
     return " ".join(MENTION_SIGIL + user_id for user_id in user_ids)
 
 
+def expand_template(template: str, *, topic: str, members: Sequence[str]) -> str:
+    """Fill ``{topic}``/``{mentions}`` placeholders, prepending mentions when
+    the template does not place them itself."""
+    mention_block = format_mentions(members)
+    if "{mentions}" in template:
+        return template.format(topic=topic, mentions=mention_block)
+    text = template.format(topic=topic)
+    return f"{mention_block} {text}" if mention_block else text
+
+
 def mentions_in_text(text: str) -> list[str]:
     """Handles mentioned in a rendered message ('@' tokens, sigil stripped)."""
     # split() yields no empty token, so each has a first character.

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import signal
 from typing import Iterator, Optional, Sequence
 
 import pytest
@@ -17,6 +18,36 @@ from campaignkit.platform import (
     SimulatedPlatform,
 )
 from campaignkit.strategy import MessageKind
+
+# Each test may take this long, set-up and teardown included, before it
+# fails; the slowest takes about 4 s on a 2-core Intel Xeon. A loop that
+# never ends then fails its test with a traceback instead of hanging the
+# suite.
+TEST_TIME_LIMIT_S = 60
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised in a test that ran past ``TEST_TIME_LIMIT_S``. Not an
+    ``Exception``, so hypothesis does not retry the example without a limit."""
+
+
+def _time_is_up(signum, frame):
+    raise TimeLimitExceeded(f"the test ran for more than {TEST_TIME_LIMIT_S} s")
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm the limit around each test's whole protocol: a function-scoped
+    fixture would arm it only after the session fixtures that run campaigns
+    are built."""
+    previous = signal.signal(signal.SIGALRM, _time_is_up)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
 
 # Configuration used by the statistical acceptance campaign: 500 groups per
 # strategy per topic over two topics = 1,000 groups per arm.

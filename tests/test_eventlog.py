@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 import pickle
 from collections import Counter
 
@@ -575,6 +576,9 @@ _GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
             '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","x":' + "[" * 100_000 + "]" * 100_000 + "}",
             id="nested-100000-deep",
         ),
+        # The writer never writes one, and a resume's byte check refuses it.
+        pytest.param("", id="blank"),
+        pytest.param(" \t", id="whitespace-only"),
     ],
 )
 def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):
@@ -593,6 +597,12 @@ def test_nesting_is_refused_past_its_limit_before_it_is_decoded(tmp_path):
     assert len(read_events(str(path))) == 2
     path.write_text(f"{_GOOD_LINE}\n{line(1024)}\n")
     with pytest.raises(MalformedLog, match=r"^line 2: not valid JSON \(nested deeper than 1024\)$"):
+        read_events(str(path))
+    # Long enough to be scanned, but each bracket closes again: decoded, then
+    # refused for what it holds.
+    members = '{"seq":2,"ts":2,"kind":"Abort","actor":"BOT","members":[' + ",".join(["[]"] * 1100) + "]}"
+    path.write_text(f"{_GOOD_LINE}\n{members}\n")
+    with pytest.raises(MalformedLog, match="^line 2: not an event record"):
         read_events(str(path))
 
 
@@ -645,6 +655,18 @@ def test_writer_refuses_an_integer_its_reader_would_refuse(tmp_path, event, matc
                 writer.append(event)
             assert writer.events == []
     assert path.read_bytes() == b""
+
+
+def test_the_writer_makes_each_full_block_durable_and_the_rest_on_close(tmp_path, monkeypatch):
+    durable = []  # the bytes in the file at each fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: durable.append(os.fstat(fd).st_size))
+    events = [_event(seq, EventKind.ABORT, conversation_id="c1") for seq in range(1, 1101)]
+    with EventLogWriter(str(tmp_path / "log")) as writer:
+        for event in events:
+            writer.append(event)
+    writer.close()  # closing again does nothing
+    sizes = [len(format_event(event)) + 1 for event in events]
+    assert durable == [sum(sizes[:512]), sum(sizes[:1024]), sum(sizes)]
 
 
 def test_conversation_members_parses_call_mentions(reference_log):

@@ -15,7 +15,8 @@ passed by some call in src/, tests/ or perfbench/; and every field of a
 dataclass in src/ that is not a ``FieldCodec`` is read by name somewhere in
 src/; and nothing in src/ opens a file in a mode that appends or updates
 (one holding ``a`` or ``+``) or calls ``truncate``, so the log has one
-writer mode.
+writer mode. And ``tools/mutants.py``, the mutation analysis, makes the
+mutants its usage names, no more and no fewer.
 
 A name counts as used when the module references it anywhere (as a name or
 the root of an attribute chain), lists it in ``__all__``, or names it inside
@@ -24,11 +25,15 @@ checked.
 """
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CHECKED = ("src", "tests", "perfbench")
+_MUTANTS = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+mutants = importlib.util.module_from_spec(_MUTANTS)
+_MUTANTS.loader.exec_module(mutants)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -811,3 +816,33 @@ def test_the_log_has_one_writer_mode():
         for line, what in in_place_writes(path.read_text(encoding="utf-8"))
     ]
     assert offenders == []
+
+
+def test_each_mutant_is_one_statement_made_pass_or_one_test_negated():
+    source = (
+        '"""Module docstring."""\n'
+        "LIMIT = 3\n"
+        "def f(xs):\n"
+        '    """Docstring."""\n'
+        "    total = 0\n"
+        "    while xs:\n"
+        '        if xs.pop() > LIMIT: total += 1; name = "é"\n'
+        "        else:\n"
+        "            pass\n"
+        "    return (total +\n"
+        "            1)\n"
+        "def g(): ...\n"
+    )
+    # Spans in UTF-8 bytes: "é" takes two. Outside a function body, and
+    # docstrings, ``...`` and ``pass``, nothing is mutated.
+    found = mutants.mutants(source)
+    assert found == [
+        (5, 4, 5, 13, "pass"),
+        (6, 10, 6, 12, "not (xs)"),
+        (7, 11, 7, 27, "not (xs.pop() > LIMIT)"),
+        (7, 29, 7, 39, "pass"),
+        (7, 41, 7, 52, "pass"),
+        (10, 4, 11, 14, "pass"),
+    ]
+    assert mutants.apply(source, found[4]).splitlines()[6] == "        if xs.pop() > LIMIT: total += 1; pass"
+    assert mutants.apply(source, found[5]).splitlines()[9:] == ["    pass", "def g(): ..."]

@@ -106,6 +106,21 @@ VIOLATIONS = {
         replace(_DEFAULT, strategies=(replace(_DIRECT, call_to_action="Join us { now {mentions}"),)),
         "strategies[0].call_to_action",
     ),
+    # Templates that parse, but that composing cannot format.
+    **{
+        f"unformattable-template-{template}": (
+            replace(_DEFAULT, strategies=(replace(_DIRECT, call_to_action=f"Join {{mentions}} on {template}"),)),
+            "strategies[0].call_to_action",
+        )
+        for template in ("{topic!x}", "{topic:{x}}")
+    },
+    **{
+        f"unformattable-followup-{template}": (
+            replace(_DEFAULT, strategies=(replace(_DIRECT, followups=(f"{template}, what now?",)),)),
+            "strategies[0].followups[0]",
+        )
+        for template in ("{mentions:d}", "{mentions!r}")
+    },
 }
 
 

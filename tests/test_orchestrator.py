@@ -1,6 +1,8 @@
 import hashlib
+import logging
 import os
 import random
+import stat
 import subprocess
 import sys
 from collections import Counter
@@ -151,18 +153,26 @@ def _rejecting(platform, rejects):
 def test_partial_group_dispatched_and_flagged():
     config = _single_arm_config()
     platform = StubPlatform(_posts(2))
+    clocks = []  # the platform's clock at each post
+    post = platform.post
+    platform.post = lambda message: clocks.append(platform.now_ms()) or post(message)
     _orch, events = _run_with_stub(config, platform)
     calls = [e for e in events if e.kind is EventKind.OUTBOUND_CALL]
     assert len(calls) == 1
     assert calls[0].partial is True
+    # Posted after the stream stopped, at its timeout plus jitter, and the
+    # platform's clock was moved there first.
+    assert clocks == [calls[0].ts]
     mentions = conversation_members(events)[calls[0].conversation_id]
     assert len(mentions) == 2
 
 
-def test_partial_group_discard_policy():
+def test_partial_group_discard_policy(caplog):
     config = _single_arm_config(partial_groups=model.PartialGroupPolicy(policy="discard"))
     platform = StubPlatform(_posts(2))
-    orchestrator, events = _run_with_stub(config, platform)
+    with caplog.at_level(logging.INFO, logger="campaignkit.orchestrator"):
+        orchestrator, events = _run_with_stub(config, platform)
+    assert caplog.messages == ["discarding 2 queued targets for (corruption, direct)"]
     assert [e for e in events if e.kind is EventKind.OUTBOUND_CALL] == []
     # Admitted but never called: in no record, yet not admitted again.
     assert orchestrator.state.records == {}
@@ -284,6 +294,28 @@ def test_a_run_whose_quotas_never_fill_never_closes_the_public_stream():
     platform = StubPlatform(_posts(14))
     _run_with_stub(_single_arm_config(), platform)
     assert platform.closes == []
+
+
+def test_a_topic_with_nothing_left_to_produce_does_not_hold_the_other():
+    config = _single_arm_config(
+        topics=(model.Topic("corruption", ("corrupcion",)), model.Topic("impunity", ("impunidad",))),
+        groups_per_strategy_per_topic=1,
+        group_size=2,
+        partial_groups=model.PartialGroupPolicy(timeout_s=60),
+    )
+    t = 1_000_000
+    posts = [
+        public_post("a0", "no mas corrupcion", t),
+        public_post("b0", "no mas impunidad", t + 61_000),  # a0 is called alone
+        public_post("a1", "no mas corrupcion", t + 70_000),  # corruption's quota is met
+        public_post("b1", "no mas impunidad", t + 71_000),  # impunity's group is ready
+    ]
+    _orch, events = _run_with_stub(config, StubPlatform(posts))
+    members = conversation_members(events)
+    calls = {members[e.conversation_id]: e.ts for e in events if e.kind is EventKind.OUTBOUND_CALL}
+    # Corruption, first in topic order, can produce nothing more, so it does
+    # not hold impunity's batch until the timeout.
+    assert calls[("b0", "b1")] - posts[3].timestamp <= config.jitter.max_delay * 1000
 
 
 def test_one_user_never_mentioned_in_two_calls_with_duplicate_stream():
@@ -685,6 +717,16 @@ def test_deterministic_rerun_byte_identical(tmp_path):
     assert logs[0] == logs[1]
 
 
+def test_an_invalid_config_is_refused_before_its_log_is_opened(tmp_path):
+    path = tmp_path / "campaign.log"
+    path.write_bytes(b"an existing log\n")
+    config = replace(small_sim_config(groups=1, population=200), group_size=0)
+    for resume in (False, True):
+        with pytest.raises(CampaignError, match="^invalid config: group_size: must be at least 1$"):
+            _run(config, path, resume=resume)
+        assert path.read_bytes() == b"an existing log\n"
+
+
 # -- resume by re-execution ------------------------------------------------------------------
 
 def _resumable(seed=9):
@@ -713,13 +755,27 @@ def uninterrupted(tmp_path_factory):
 
 
 @pytest.mark.parametrize("seed", [9, 11, 13])
-def test_resume_meets_every_quota_exactly(seed, tmp_path, uninterrupted):
+def test_resume_meets_every_quota_exactly(seed, tmp_path, uninterrupted, monkeypatch):
     # The half-hour cut falls while calls are in flight, and conversations
     # opened before it are still getting replies.
     config = _resumable(seed)
     out = tmp_path / "cut.log"
     _run(config, out, max_hours=0.5)
+    synced_dirs = []
+    fsync = os.fsync
+
+    def recording_fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            synced_dirs.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
     events = _run(config, out, resume=True)
+    # The replace of the log is made durable by a sync of its directory,
+    # which is closed again.
+    (directory,) = synced_dirs
+    with pytest.raises(OSError):
+        os.fstat(directory)
     calls = Counter((e.topic, e.strategy) for e in events if e.kind is EventKind.OUTBOUND_CALL)
     quota = config.groups_per_strategy_per_topic
     assert calls == {(topic, arm): quota for topic in ("corruption", "impunity") for arm in ARMS}

@@ -44,10 +44,11 @@ def test_reply_propensity_one_yields_one_reply_per_member():
         interaction_propensity=0.0,
     )
     sim = make_sim(profile)
+    # A handle that is no agent's draws nothing, as a co-member neither.
     message = OutboundMessage(
         kind=MessageKind.CALL,
-        text="@u00000 @u00001 @u00002 join in",
-        mentions=("u00000", "u00001", "u00002"),
+        text="@u00000 @stranger @u00002 join in",
+        mentions=("u00000", "stranger", "u00002"),
         strategy="direct",
         topic="corruption",
         conversation_id="c1",
@@ -55,8 +56,8 @@ def test_reply_propensity_one_yields_one_reply_per_member():
     sim.post(message)
     items = list(sim.inbound([]))
     replies = [i for i in items if i.kind is ItemKind.REPLY_TO_BOT]
-    assert len(replies) == 3
-    assert sorted(r.author for r in replies) == ["u00000", "u00001", "u00002"]
+    assert len(replies) == 2
+    assert sorted(r.author for r in replies) == ["u00000", "u00002"]
 
 
 def test_reply_count_within_three_sigma_of_binomial():
@@ -122,7 +123,7 @@ def test_rate_limit_backoff():
     sim.post(call_message("u00000", "c1"))
     with pytest.raises(RateLimited) as excinfo:
         sim.post(call_message("u00001", "c2"))
-    assert excinfo.value.retry_after_ms > 0
+    assert (excinfo.value.retry_after_ms, str(excinfo.value)) == (60_000, "rate limited, retry after 60000 ms")
     sim.advance_to(sim.now_ms() + 61_000)
     sim.post(call_message("u00001", "c2"))  # window has passed
 
@@ -206,6 +207,8 @@ def test_first_post_schedule_pops_as_if_pushed_one_agent_at_a_time():
             if item.kind is ItemKind.PUBLIC_POST and len(items) % 10 == 0:
                 sim.post(call_message(item.author, f"c{len(items)}"))
         streams.append(items)
+        # A post that takes a popped one's place gets a tiebreak of its own.
+        assert len({n for _, n, _, _ in sim._heap}) == len(sim._heap)
     assert set_ups[0] == set_ups[1]  # same draws, same keys
     assert streams[0] == streams[1]
     kinds = {kind for kind, *_ in streams[0]}

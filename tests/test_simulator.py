@@ -7,7 +7,7 @@ from types import MappingProxyType
 import pytest
 from hypothesis import example, given, strategies as st
 
-from campaignkit import fixtures, platform
+from campaignkit import fixtures, platform, simulator
 from campaignkit.eventlog import conversation_members
 from campaignkit.model import EventKind, LabelValue, OUTBOUND_KINDS, Topic
 from campaignkit.platform import ItemKind, SimulatedPlatform
@@ -142,6 +142,10 @@ def test_single_turn_agent_replies_once_then_goes_silent():
     second = population.react("u00000", _bot_message(MessageKind.FOLLOWUP, "direct"), "m2", 0, rng)
     assert [i.kind for i in first] == [ItemKind.REPLY_TO_BOT]
     assert second == []
+    # A mean of one turn or less is one turn, with no draw.
+    state = rng.getstate()
+    assert [simulator._geometric(mean, rng) for mean in (1.0, 0.5)] == [1, 1]
+    assert rng.getstate() == state
 
 
 def test_quotes_do_not_solicit_replies():
