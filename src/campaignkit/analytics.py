@@ -67,12 +67,6 @@ class MetricsReport:
     anova_volunteers: Optional[AnovaResult] = None
     anova_replies: Optional[AnovaResult] = None
 
-    def arm(self, strategy: str) -> ArmMetrics:
-        for arm in self.arms:
-            if arm.strategy == strategy:
-                return arm
-        raise KeyError(strategy)
-
 
 def compute_metrics(
     events: Sequence[CampaignEvent],

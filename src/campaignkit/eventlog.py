@@ -14,7 +14,7 @@ exactly the bytes of ``json.dumps(record, ensure_ascii=False,
 separators=(",", ":"))``. :func:`iter_events` raises :class:`MalformedLog`,
 naming the first bad line, on a line that is not valid UTF-8 (its number
 counted as the text reader splits lines, so a raw U+2028 does not end one),
-that is not a JSON object (a blank or whitespace-only one too), whose
+that is not one JSON object and nothing else (a blank line too), whose
 ``seq``, ``ts`` or ``q`` is not an integer (``bool`` is not one), whose
 string keys hold anything but strings, whose ``members`` is not a list of
 strings, or whose ``partial`` is anything but ``true``.
@@ -216,7 +216,7 @@ def write_events(events: Iterable[CampaignEvent], path: str) -> None:
 
 def iter_events(path: str) -> Iterator[CampaignEvent]:
     """The log's events in order; raises :class:`MalformedLog` at the first
-    bad line, a blank or whitespace-only one included."""
+    bad line, a blank one or one padded with whitespace included."""
     # Each undecodable byte is read as a lone surrogate, so the loop reaches
     # the line that holds it and names the first bad line of any kind. A
     # strict read would fail on a whole 8 KiB chunk before yielding its first
@@ -233,6 +233,10 @@ def iter_events(path: str) -> Iterator[CampaignEvent]:
                 if _ESCAPED_BYTE.search(line):
                     raise MalformedLog(f"line {lineno}: not valid UTF-8") from None
                 raise MalformedLog(f"line {lineno}: not valid JSON ({exc})") from exc
+            # JSON allows whitespace around it; the writer writes none, and resume refuses it.
+            # The last line may lack its newline. (Indexing costs less than a slice.)
+            if line[0] != "{" or (line[-2] if line[-1] == "\n" else line[-1]) != "}":
+                raise MalformedLog(f"line {lineno}: not a JSON object alone on its line")
             try:
                 yield record_to_event(record)
             except ValueError as exc:

@@ -186,20 +186,24 @@ class Topic(FieldCodec):
 
 @dataclass(frozen=True)
 class StrategySpec(FieldCodec):
-    """One framing arm: call-to-action template, follow-up questions, budget.
+    """One framing arm: call-to-action template, follow-ups, optional solidarity quote.
 
     Templates carry the named placeholders ``{topic}`` and ``{mentions}``;
     a template without ``{mentions}`` gets the mention block prepended when
     composed; :func:`validate_config` checks each by composing sample text.
-    ``messages_per_turn`` is 2 exactly when a solidarity quote is present
-    (call plus quote per turn), 1 otherwise.
+    The arm's budget is derived from the quote, not configured: each turn
+    posts its call or follow-up, plus the quote when there is one.
     """
 
     id: StrategyId
     call_to_action: str
     followups: tuple[str, ...]
-    messages_per_turn: int = 1
     solidarity_quote: Optional[str] = None
+
+    @property
+    def messages_per_turn(self) -> int:
+        """Messages each turn posts: 2 with a solidarity quote, 1 without."""
+        return 1 if self.solidarity_quote is None else 2
 
 
 @dataclass(frozen=True)
@@ -338,7 +342,6 @@ def slot_init(cls: _C) -> _C:
     namespace: dict[str, Any] = {}
     exec(source, namespace)
     new = namespace["make"](**closure)
-    new.__module__, new.__qualname__ = cls.__module__, f"{cls.__qualname__}.__new__"
     names = [f.name for f in fields]
 
     def __reduce__(self):
@@ -390,13 +393,20 @@ class Violation:
     field: str
     message: str
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:  # what the CLI prints, and what run_campaign raises with
         return f"{self.field}: {self.message}"
 
 
 def validate_config(config: CampaignConfig) -> list[Violation]:
-    """Check every config invariant; violations are data, not failures. A
-    template is checked by formatting it with sample values, as composing does."""
+    """Check every config invariant; violations are data, not failures. The
+    codec owns types: a config built in Python is first encoded and decoded,
+    and what the codec refuses is the one violation. A template is checked by
+    formatting it with sample values, as composing does."""
+    try:
+        CampaignConfig.from_dict(config.to_dict())
+    except CampaignError as exc:
+        field, _, message = str(exc).partition(": ")
+        return [Violation(field, message)]
     violations: list[Violation] = []
 
     if config.group_size < 1:
@@ -444,15 +454,6 @@ def validate_config(config: CampaignConfig) -> list[Violation]:
         seen_ids.add(spec.id)
         if not spec.followups:
             violations.append(Violation(f"{prefix}.followups", "must list at least one question"))
-        if spec.messages_per_turn not in (1, 2):
-            violations.append(Violation(f"{prefix}.messages_per_turn", "must be 1 or 2"))
-        if (spec.solidarity_quote is not None) != (spec.messages_per_turn == 2):
-            violations.append(
-                Violation(
-                    f"{prefix}.messages_per_turn",
-                    "must be 2 exactly when solidarity_quote is present",
-                )
-            )
         for name, template in _iter_templates(spec):
             try:
                 unknown = _unknown_placeholders(template)
@@ -490,8 +491,14 @@ def _iter_templates(spec: StrategySpec):
 
 
 def _unknown_placeholders(template: str) -> list[str]:
-    names = (name for _, name, _, _ in string.Formatter().parse(template))
-    return [name for name in names if name is not None and name not in _KNOWN_PLACEHOLDERS]
+    """Field names composing does not supply, those in a format spec included;
+    formatting refuses a spec nested deeper, so that is not parsed."""
+    parse, unknown = string.Formatter().parse, []
+    for _, name, spec, _ in parse(template):
+        if name is not None:
+            nested = [n for _, n, _, _ in parse(spec) if n is not None]
+            unknown += [n for n in (name, *nested) if n not in _KNOWN_PLACEHOLDERS]
+    return unknown
 
 
 def replace(obj, **changes):

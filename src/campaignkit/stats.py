@@ -1,4 +1,6 @@
-"""Pair-counting and variance statistics used by the analytics module.
+"""The analytics module's ANOVA and Mann-Whitney statistic, and Cohen's kappa for
+two coders' labels. An input one is not defined for raises ``DegenerateInput``
+(``EmptyInput`` for no labels).
 
 Self-contained on purpose: the F-distribution tail comes from a
 continued-fraction evaluation of the regularized incomplete beta function,
@@ -9,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -21,10 +24,6 @@ class DegenerateInput(CampaignError):
 
 class EmptyInput(CampaignError):
     pass
-
-
-class DegenerateMarginals(CampaignError):
-    """Chance agreement is 1 while observed agreement is not; kappa undefined."""
 
 
 # -- regularized incomplete beta ------------------------------------------------
@@ -98,9 +97,7 @@ def incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def f_sf(f_value: float, df_between: int, df_within: int) -> float:
-    """Upper-tail probability of the F distribution: P(F' >= f_value)."""
-    if math.isinf(f_value):
-        return 0.0
+    """Upper-tail probability of the F distribution: P(F' >= f_value), 0 at F = inf."""
     if f_value <= 0.0:
         return 1.0
     x = df_within / (df_within + df_between * f_value)
@@ -159,6 +156,7 @@ def cohen_kappa(
     kappa = (p_o - p_e) / (1 - p_e), where p_o is the observed fraction of
     agreeing items and p_e the chance agreement from the product of the two
     coders' marginal distributions. Both coders must label the same items.
+    p_e is 1 only when both used one and the same label; kappa is then 1.
     """
     if not labels_a or not labels_b:
         raise EmptyInput("both coders must provide labels")
@@ -166,17 +164,11 @@ def cohen_kappa(
         raise DegenerateInput("coders labeled different item sets")
     n = len(labels_a)
     observed = sum(1 for item in labels_a if labels_a[item] == labels_b[item]) / n
-    categories = set(labels_a.values()) | set(labels_b.values())
-    marginal_a = {c: 0 for c in categories}
-    marginal_b = {c: 0 for c in categories}
-    for item in labels_a:
-        marginal_a[labels_a[item]] += 1
-        marginal_b[labels_b[item]] += 1
-    expected = sum(marginal_a[c] * marginal_b[c] for c in categories) / (n * n)
-    if expected == 1.0:
-        if observed == 1.0:
-            return 1.0
-        raise DegenerateMarginals("chance agreement is 1 but coders disagree")
+    marginal_a, marginal_b = Counter(labels_a.values()), Counter(labels_b.values())
+    chance = sum(count * marginal_b[label] for label, count in marginal_a.items())
+    if chance == n * n:
+        return 1.0
+    expected = chance / (n * n)
     return (observed - expected) / (1.0 - expected)
 
 

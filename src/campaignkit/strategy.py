@@ -63,11 +63,11 @@ def _compose_turn(
     conversation_id: str,
     turn: int,
 ) -> list[OutboundMessage]:
-    """One message per unit of the strategy budget: the turn's own message,
-    plus the solidarity quote when the strategy sends two tweets per turn."""
+    """The turn's messages, which are its budget: its own message, plus the
+    solidarity quote when the strategy has one."""
     parts = [(kind, template)]
-    if spec.messages_per_turn == 2:
-        parts.append((MESSAGE_QUOTE, spec.solidarity_quote or ""))
+    if spec.solidarity_quote is not None:
+        parts.append((MESSAGE_QUOTE, spec.solidarity_quote))
     mentions = tuple(members)
     return [
         OutboundMessage(

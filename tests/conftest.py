@@ -180,7 +180,6 @@ def reference_config_dict(config: model.CampaignConfig) -> dict:
             "id": spec.id,
             "call_to_action": spec.call_to_action,
             "followups": list(spec.followups),
-            "messages_per_turn": spec.messages_per_turn,
         }
         if spec.solidarity_quote is not None:
             out["solidarity_quote"] = spec.solidarity_quote

@@ -2,11 +2,13 @@ import itertools
 import json
 import math
 import random
+import re
 
 import pytest
 
 from campaignkit import fixtures
 from campaignkit.analytics import (
+    ArmMetrics,
     EmptyVocabulary,
     KeyTermReport,
     TermScore,
@@ -62,9 +64,20 @@ def test_reference_log_interaction_columns(reference_log):
 
 def test_solidarity_budget_weighting(reference_log):
     report = compute_metrics(reference_log, arms=ARMS)
-    solidarity = report.arm("solidarity")
+    solidarity = report.arms[ARMS.index("solidarity")]
+    assert solidarity.strategy == "solidarity"
     assert solidarity.outbound_messages == 94 * 2 + 120 * 2
     assert solidarity.reply_rate == pytest.approx(92 / 428)
+
+
+def test_an_arm_with_no_conversations_gets_a_row_but_no_anova(reference_log):
+    # One group without an observation leaves the ANOVA undefined: no F is
+    # reported, rather than a division by an empty group's size.
+    report = compute_metrics(reference_log, arms=[*ARMS, "unused"])
+    assert [a.strategy for a in report.arms] == [*ARMS, "unused"]
+    assert report.arms[-1] == ArmMetrics("unused")
+    assert report.anova_volunteers is None and report.anova_replies is None
+    assert compute_metrics(reference_log, arms=ARMS).anova_volunteers is not None
 
 
 def test_empty_log_gives_all_zero_report():
@@ -124,6 +137,22 @@ def test_label_file_round_trip(tmp_path):
     assert read_labels(str(path)) == labels
 
 
+def test_blank_lines_of_a_label_file_are_skipped(tmp_path):
+    # Coder files are written by hand: a blank line, one of whitespace and
+    # padding around a record are not records, and line numbers still count them.
+    path = tmp_path / "labels.jsonl"
+    path.write_text(
+        '\n{"user_id": "u1", "label": "OnTopic", "coder_id": "a"}\n  \t\n'
+        ' {"user_id": "u2", "label": "OffTopic", "coder_id": "a"} \n\n[1]\n'
+    )
+    with pytest.raises(CampaignError, match="^" + re.escape(f"{path}:6: bad label record")):
+        read_labels(str(path))
+    path.write_text(path.read_text().replace("[1]\n", ""))
+    assert read_labels(str(path)) == [
+        VolunteerLabel("u1", LabelValue.ON_TOPIC, "a"), VolunteerLabel("u2", LabelValue.OFF_TOPIC, "a"),
+    ]
+
+
 @pytest.mark.parametrize(
     "line, reason",
     [
@@ -151,6 +180,20 @@ def test_merge_labels_passthrough_and_tiebreak():
     assert merged == {"u1": LabelValue.ON_TOPIC, "u2": LabelValue.OFF_TOPIC}
     # Full agreement never consults the tiebreaker.
     assert merge_labels(a, dict(a), {}) == a
+
+
+def test_one_coder_may_label_a_user_only_once():
+    twice = [VolunteerLabel("u1", LabelValue.ON_TOPIC, "a"), VolunteerLabel("u1", LabelValue.ON_TOPIC, "a")]
+    with pytest.raises(CampaignError, match="^duplicate label for u1 by one coder$"):
+        labels_to_map(twice)
+
+
+def test_merge_labels_requires_the_same_users_from_both_coders():
+    a = {"u1": LabelValue.ON_TOPIC}
+    b = {"u1": LabelValue.ON_TOPIC, "u2": LabelValue.OFF_TOPIC}
+    for first, second in ((a, b), (b, a)):
+        with pytest.raises(CampaignError, match="^coders labeled different user sets$"):
+            merge_labels(first, second, b)
 
 
 def test_merge_labels_requires_tiebreaker_on_disagreement():

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from campaignkit import analytics, cli, eventlog, fixtures, model
 from campaignkit.cli import main
-from campaignkit.orchestrator import build_simulated_platform
+from campaignkit.orchestrator import build_simulated_platform, run_campaign
 
 from conftest import small_sim_config
 
@@ -321,6 +326,38 @@ def test_validate_reports_a_malformed_template_with_exit_one(tmp_path, capsys):
     )
 
 
+# Templates built from the characters a format string gives meaning to.
+_TEMPLATES = st.lists(
+    st.sampled_from(["{", "}", "!", ":", "[", "]", ".", "topic", "mentions", "r", "x", "0", " "]), max_size=8
+).map("".join)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    call=_TEMPLATES, followup=_TEMPLATES, quote=st.none() | _TEMPLATES,
+    group_size=st.integers(0, 4), timeout_s=st.integers(-1, 7200),
+)
+def test_a_config_that_validates_runs_and_one_that_does_not_is_refused(
+    call, followup, quote, group_size, timeout_s
+):
+    base = small_sim_config(groups=1, population=50)
+    spec = model.replace(base.strategies[0], call_to_action=call, followups=(followup,), solidarity_quote=quote)
+    config = model.replace(
+        base, strategies=(spec,), group_size=group_size,
+        partial_groups=model.PartialGroupPolicy(timeout_s=timeout_s),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "campaign.log"
+        if not model.validate_config(config):
+            run_campaign(config, build_simulated_platform(config), str(out))  # aborts allowed
+            return
+        path = _write_config(Path(tmp), config)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code in (1, 2) and stderr.getvalue() and not out.exists()
+
+
 def test_bad_log_is_a_runtime_error(tmp_path, capsys):
     bad = tmp_path / "bad.log"
     bad.write_text("not json\n")
@@ -357,8 +394,8 @@ def test_keyterms_rejects_a_log_that_does_not_validate(tmp_path, capsys):
 # sha256 of every file ``campaign fixtures`` writes; the history files are
 # hashed as one stream, concatenated in sorted file-name order.
 FIXTURE_SHA256 = {
-    "campaign.yaml": "8b6c9e598362b3e88bf19db189a6687867b364059d8dbc6399f7e262c8349680",
-    "strategies.yaml": "1d15f731c8a9b34384effdbf250d332618982f6bdc8d62b1df5cbfdff50eda01",
+    "campaign.yaml": "b233ba4639028ec2ef769c1d50e798d9faa340efff36ac2768e382b3fcf83d91",
+    "strategies.yaml": "057259b89c34dcc6c5e0326aa21bb276aec1a97fde26cc814d02c0ccd9f13725",
     "profile_reference.yaml": "236ec9e7ae43d9511d9a21bdf2044f7a3afea4d997d5073687fef95cc7acb21c",
     "reference.log": "5a5f50c129e1fc5208cfe00f0d62e32916f23188d2cfa66ce49eaa0c24331664",
     "label_study.log": "30b117e603e2ee415348c727dafd07a30a3b42be638a87d8b45a026f72ef4ddb",

@@ -505,7 +505,8 @@ def test_validator_rejects_an_interaction_toward_an_unknown_message(kind):
         validate_events([_call(1), toward])
     with pytest.raises(MalformedLog, match="toward unknown message"):
         compute_metrics([_call(1), toward])
-    assert compute_metrics([_call(1), replace(toward, in_reply_to="m1")]).arm("direct").bot_interactions == 1
+    (direct,) = compute_metrics([_call(1), replace(toward, in_reply_to="m1")]).arms
+    assert (direct.strategy, direct.bot_interactions) == ("direct", 1)
 
 
 def test_validator_accepts_reply_to_volunteer_message():
@@ -579,12 +580,25 @@ _GOOD_LINE = '{"seq":1,"ts":1,"kind":"Abort","actor":"BOT","conv":"c1"}'
         # The writer never writes one, and a resume's byte check refuses it.
         pytest.param("", id="blank"),
         pytest.param(" \t", id="whitespace-only"),
+        # JSON's own whitespace around the object.
+        pytest.param(" " + _GOOD_LINE, id="leading-space"),
+        pytest.param(_GOOD_LINE + " \t", id="trailing-whitespace"),
+        pytest.param("\t" + _GOOD_LINE + " ", id="padded"),
     ],
 )
 def test_a_line_that_is_not_an_event_is_malformed(tmp_path, line):
     path = tmp_path / "hostile.jsonl"
     path.write_text(f"{_GOOD_LINE}\n{line}\n")
     with pytest.raises(MalformedLog, match="^line 2: "):
+        read_events(str(path))
+
+
+def test_the_last_line_may_lack_its_newline_but_not_its_brace(tmp_path):
+    path = tmp_path / "unterminated.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n{_GOOD_LINE}")
+    assert len(read_events(str(path))) == 2
+    path.write_text(f"{_GOOD_LINE}\n{_GOOD_LINE} ")
+    with pytest.raises(MalformedLog, match="^line 2: not a JSON object alone on its line$"):
         read_events(str(path))
 
 

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import inspect
+import math
 import pickle
 import re
 
@@ -29,18 +30,6 @@ from conftest import reference_record
 
 def test_default_config_is_valid():
     assert validate_config(fixtures.default_config()) == []
-
-
-def test_solidarity_budget_mismatch_names_messages_per_turn():
-    config = fixtures.default_config()
-    bad = []
-    for spec in config.strategies:
-        if spec.id == "solidarity":
-            spec = replace(spec, messages_per_turn=1)
-        bad.append(spec)
-    violations = validate_config(replace(config, strategies=tuple(bad)))
-    assert len(violations) == 1
-    assert "messages_per_turn" in violations[0].field
 
 
 def test_undeclared_bot_violates_transparency_rule():
@@ -99,9 +88,8 @@ VIOLATIONS = {
     "empty-strategy-id": (replace(_DEFAULT, strategies=(replace(_DIRECT, id=""),)), "strategies[0].id"),
     "duplicate-strategy-id": (replace(_DEFAULT, strategies=(_DIRECT, _DIRECT)), "strategies[1].id"),
     "no-followups": (replace(_DEFAULT, strategies=(replace(_DIRECT, followups=()),)), "strategies[0].followups"),
-    "three-messages-per-turn": (
-        replace(_DEFAULT, strategies=(replace(_DIRECT, messages_per_turn=3),)), "strategies[0].messages_per_turn"
-    ),
+    # A config built in Python is held to the codec's types.
+    "infinite-jitter": (replace(_DEFAULT, jitter=model.JitterBounds(max_delay=math.inf)), "jitter.max_delay"),
     "malformed-template": (
         replace(_DEFAULT, strategies=(replace(_DIRECT, call_to_action="Join us { now {mentions}"),)),
         "strategies[0].call_to_action",
@@ -114,6 +102,20 @@ VIOLATIONS = {
         )
         for template in ("{topic!x}", "{topic:{x}}")
     },
+    "malformed-solidarity-quote": (
+        replace(_DEFAULT, strategies=(replace(_DIRECT, solidarity_quote="All for {topic!x}"),)),
+        "strategies[0].solidarity_quote",
+    ),
+    # Formatted, it would hold a memory address.
+    "nested-unknown-placeholder": (
+        replace(_DEFAULT, strategies=(replace(_DIRECT, call_to_action="{topic:{topic.upper}} {mentions}"),)),
+        "strategies[0].call_to_action",
+    ),
+    # Formatting allows one level of nesting; a parse of every level would recurse this deep.
+    "deeply-nested-spec": (
+        replace(_DEFAULT, strategies=(replace(_DIRECT, call_to_action="{topic:" * 2000 + "}" * 2000),)),
+        "strategies[0].call_to_action",
+    ),
     **{
         f"unformattable-followup-{template}": (
             replace(_DEFAULT, strategies=(replace(_DIRECT, followups=(f"{template}, what now?",)),)),
@@ -133,12 +135,17 @@ def test_each_violation_names_its_field(name):
 def test_topic_and_template_violations_say_what_is_wrong():
     messages = {
         name: [str(violation) for violation in validate_config(VIOLATIONS[name][0])]
-        for name in ("duplicate-topic-name", "empty-keyword", "malformed-template")
+        for name in (
+            "duplicate-topic-name", "empty-keyword", "malformed-template", "nested-unknown-placeholder",
+            "infinite-jitter",
+        )
     }
     assert messages == {
         "duplicate-topic-name": ["topics[1].name: duplicate topic name 'corruption'"],
         "empty-keyword": ["topics[0].keywords[0]: must not be blank"],
         "malformed-template": ["strategies[0].call_to_action: malformed template (unexpected '{' in field name)"],
+        "nested-unknown-placeholder": ["strategies[0].call_to_action: unknown placeholder {topic.upper}"],
+        "infinite-jitter": ["jitter.max_delay: expected int, got float"],
     }
 
 
@@ -166,6 +173,13 @@ def test_config_round_trip(tmp_path):
 def test_config_dict_round_trip():
     config = fixtures.default_config()
     assert CampaignConfig.from_dict(config.to_dict()) == config
+
+
+def test_an_encoded_config_shares_no_mapping_with_the_config():
+    config = replace(fixtures.default_config(), simulation={"profile": "reference"})
+    encoded = config.to_dict()
+    encoded["simulation"]["population"] = 50
+    assert config.simulation == {"profile": "reference"}
 
 
 def test_volunteer_label_round_trip():
@@ -314,7 +328,7 @@ MALFORMED = [
     ("groups_per_strategy_per_topic", ("groups_per_strategy_per_topic",), 2.9),
     ("group_size", ("group_size",), True),
     ("topics[0]", ("topics",), [5]),
-    ("strategies[1].messages_per_turn", ("strategies", 1, "messages_per_turn"), "1"),
+    ("strategies[1].solidarity_quote", ("strategies", 1, "solidarity_quote"), 2),
     ("partial_groups", ("partial_groups",), "discard"),
     ("partial_groups.policy", ("partial_groups", "policy"), "drop"),
     ("simulation", ("simulation",), ["reference"]),
@@ -338,6 +352,8 @@ UNKNOWN_KEYS = [
     (("jitter",), "min_dealy", "jitter.min_dealy: unknown key; did you mean 'min_delay'?"),
     (("topics", 0), "kewords", "topics[0].kewords: unknown key; did you mean 'keywords'?"),
     (("bot_identity",), "avatar", "bot_identity.avatar: unknown key"),
+    # The budget is derived from the solidarity quote.
+    (("strategies", 3), "messages_per_turn", "strategies[3].messages_per_turn: unknown key"),
 ]
 
 
@@ -467,7 +483,6 @@ def _strategy_specs(draw):
         id=draw(_TEXT),
         call_to_action=draw(_TEXT),
         followups=tuple(draw(st.lists(_TEXT, max_size=3))),
-        messages_per_turn=1 if quote is None else 2,
         solidarity_quote=quote,
     )
 

@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import math
 import os
 import random
 import stat
@@ -720,11 +721,20 @@ def test_deterministic_rerun_byte_identical(tmp_path):
 def test_an_invalid_config_is_refused_before_its_log_is_opened(tmp_path):
     path = tmp_path / "campaign.log"
     path.write_bytes(b"an existing log\n")
-    config = replace(small_sim_config(groups=1, population=200), group_size=0)
-    for resume in (False, True):
-        with pytest.raises(CampaignError, match="^invalid config: group_size: must be at least 1$"):
-            _run(config, path, resume=resume)
-        assert path.read_bytes() == b"an existing log\n"
+    config = small_sim_config(groups=1, population=200)
+    invalid = [
+        (replace(config, group_size=0), r"group_size: must be at least 1"),
+        # Built in Python, a config is held to the types the codec checks.
+        (
+            replace(config, jitter=model.JitterBounds(max_delay=math.inf)),
+            r"jitter\.max_delay: expected int, got float",
+        ),
+    ]
+    for bad, message in invalid:
+        for resume in (False, True):
+            with pytest.raises(CampaignError, match=f"^invalid config: {message}$"):
+                _run(bad, path, resume=resume)
+            assert path.read_bytes() == b"an existing log\n"
 
 
 # -- resume by re-execution ------------------------------------------------------------------

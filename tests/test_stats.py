@@ -73,6 +73,9 @@ def test_incomplete_beta_bounds():
     assert incomplete_beta(2.0, 3.0, 1.0) == 1.0
     with pytest.raises(DegenerateInput):
         incomplete_beta(0.0, 1.0, 0.5)
+    # Shapes this large need more continued-fraction terms than the limit.
+    with pytest.raises(DegenerateInput, match="^incomplete beta failed to converge for a=1000000.0"):
+        incomplete_beta(1e6, 1e6, 0.4999)
 
 
 def test_f_sf_against_quadrature():
@@ -81,6 +84,12 @@ def test_f_sf_against_quadrature():
         x = d2 / (d2 + d1 * f_value)
         expected = _beta_cdf_quadrature(d2 / 2, d1 / 2, x)
         assert f_sf(f_value, d1, d2) == pytest.approx(expected, abs=1e-8)
+
+
+def test_f_sf_at_the_ends_of_its_range():
+    # An infinite F maps to x = 0; no F at or below 0 reaches the beta, whose
+    # x at F = -df_within / df_between would divide by zero.
+    assert [f_sf(f, 2, 10) for f in (math.inf, 0.0, -1e-300, -5.0)] == [0.0, 1.0, 1.0, 1.0]
 
 
 # -- one-way ANOVA ------------------------------------------------------------
@@ -108,8 +117,8 @@ def test_anova_zero_within_variance():
 def test_anova_degenerate_inputs():
     with pytest.raises(DegenerateInput):
         one_way_anova([[1, 2]])
-    with pytest.raises(DegenerateInput):
-        one_way_anova([[1, 2], []])
+    with pytest.raises(DegenerateInput, match="^every group needs at least one observation$"):
+        one_way_anova([[1, 2, 3], []])
     with pytest.raises(DegenerateInput):
         one_way_anova([[1], [2]])
 
@@ -172,6 +181,8 @@ def test_kappa_chance_level():
     labels_a = {f"u{i}": "on" for i in range(20)}
     labels_b = {f"u{i}": "on" if i % 2 == 0 else "off" for i in range(20)}
     assert cohen_kappa(labels_a, labels_b) == pytest.approx(0.0, abs=1e-12)
+    # Each coder used one label, not the same one: no agreement of either kind.
+    assert cohen_kappa({"u1": "on", "u2": "on"}, {"u1": "off", "u2": "off"}) == 0.0
 
 
 def test_kappa_symmetric_in_coders():
